@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     EmptySample,
     Infeasible,
+    InvariantError,
     LengthMismatch,
     NotDoublyStochastic,
     NotMultiple,
@@ -94,6 +95,7 @@ __all__ = [
     "GroupAuction",
     "Infeasible",
     "InitialBids",
+    "InvariantError",
     "LengthMismatch",
     "MarginalSpec",
     "NotDoublyStochastic",

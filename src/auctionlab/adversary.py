@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainError, NotMultiple, OverBudget
 from .marginals import MarginalSpec
-from .montecarlo import WinTally, chunks, win_counts
-from .samplers import RngStream, draw_k_bidder, draw_two_bidder
+from .montecarlo import play
+from .samplers import draw_k_bidder, draw_two_bidder
 
 FLOAT_BUDGET_SLACK = 1e-12
 
@@ -142,15 +142,13 @@ def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -
     n, k = spec.n, spec.k
     if k != 2 and n % k:
         raise NotMultiple(f"no sampler for k={k}, n={n}: k must divide n")
-    tally = WinTally(k)
-    for index, length in chunks(samples):
-        rng = RngStream(seed, index)
+
+    def stack(rng, length):
         if k == 2:
-            stack = [draw_two_bidder(n, rng, size=length) for _ in range(k)]
-        else:
-            stack = [draw_k_bidder(n, k, rng, size=length) for _ in range(k)]
-        wins = win_counts(np.stack(stack), None, rng.generator)
-        tally.add(wins)
+            return np.stack([draw_two_bidder(n, rng, size=length) for _ in range(k)]), None
+        return np.stack([draw_k_bidder(n, k, rng, size=length) for _ in range(k)]), None
+
+    tally = play(k, samples, seed, stack)
     return CopycatEstimate(
         mean=tally.mean(0),
         stderr=tally.stderr(0),

@@ -24,9 +24,7 @@ from .errors import ScenarioError
 from .harness import AdversaryPlan, Report, Scenario, estimate, fraction_json
 from .marginals import MarginalSpec, marginal_cdf, spread_density
 from .position_randomized import best_response
-from .verify import run_suite
-
-SUITES = ("marginals", "density", "position", "copycat", "sequential", "all")
+from .verify import SUITES, run_suite
 
 
 def _parse_amount(text) -> Fraction:
@@ -119,8 +117,8 @@ def _report_payload(report: Report, fmt: str) -> str:
     return json.dumps(report.to_json_dict(), indent=2)
 
 
-def _build_scenario(args, config: dict, mode: str | None = None) -> Scenario:
-    mode = mode or _setting(args, config, "mode", None)
+def _build_scenario(args, config: dict) -> Scenario:
+    mode = _setting(args, config, "mode", None)
     if mode is None:
         raise ScenarioError("a mode is required (--mode or config)")
     n = _setting(args, config, "n", None)
@@ -145,17 +143,8 @@ def _build_scenario(args, config: dict, mode: str | None = None) -> Scenario:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, "simulate")
+    config = _load_config(args.config, args.command)
     scenario = _build_scenario(args, config)
-    report = estimate(scenario)
-    fmt = _setting(args, config, "format", "json")
-    _emit(args, config, _report_payload(report, fmt))
-    return 0
-
-
-def _cmd_sequential(args) -> int:
-    config = _load_config(args.config, "sequential")
-    scenario = _build_scenario(args, config, mode="sequential")
     report = estimate(scenario)
     fmt = _setting(args, config, "format", "json")
     _emit(args, config, _report_payload(report, fmt))
@@ -304,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequential", help="round-by-round auction against the steady strategy")
     _add_common(p)
     p.add_argument("--adversary", default=None, help="steady | fixed:a1,a2,...")
-    p.set_defaults(func=_cmd_sequential)
+    p.set_defaults(func=_cmd_simulate, mode="sequential")
 
     p = sub.add_parser("best-response", help="exact adversary optimum against the ladder")
     _add_common(p, formats=("text", "json", "csv"))
@@ -317,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     _add_common(p, formats=("text", "json", "csv"))
-    p.add_argument("--suite", choices=SUITES, default=None)
+    p.add_argument("--suite", choices=(*SUITES, "all"), default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -35,3 +35,7 @@ class EmptySample(ValueError):
 
 class ScenarioError(ValueError):
     """A scenario configuration violates its mode constraints."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, not a bad input."""

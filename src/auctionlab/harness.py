@@ -22,7 +22,7 @@ from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import Bid, BidSequence, as_fraction
 from .errors import EmptySample, ScenarioError
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import WinTally, chunks, win_counts
+from .montecarlo import WinTally, play
 from .position_randomized import (
     PermutationMarginals,
     best_response,
@@ -30,12 +30,12 @@ from .position_randomized import (
     initial_bids,
     undercut_sequence,
 )
-from .samplers import RngStream, draw_k_bidder, draw_two_bidder
+from .samplers import draw_k_bidder, draw_two_bidder
 from .sequential import run_sequential, scripted_strategy, steady_strategy
 
 MODES = ("two-bidder", "k-bidder", "position-randomized", "sequential", "group")
 
-# one-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
+# two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
 
 SEQUENTIAL_TRIAL_CAP = 10_000
@@ -285,41 +285,34 @@ def _marginal_mode(scenario: Scenario):
         adversary_value = Fraction(n, k)
     exact = _disadvantaged_split(n, adversary_value, k)
 
-    tally = WinTally(k)
     coords: list[np.ndarray] = []
-    for index, length in chunks(scenario.samples):
-        rng = RngStream(scenario.seed, index)
-        layers = []
-        if fixed:
-            layers.append(np.broadcast_to(adversary_row, (length, n)))
-        else:
-            layers.append(draw(rng, length))
-        layers.extend(draw(rng, length) for _ in range(k - 1))
-        stack = np.stack(layers)
-        tally.add(win_counts(stack, None, rng.generator))
-        if scenario.ks_stats:
-            coords.append(stack[k - 1])
 
+    def stack(rng, length):
+        first = np.broadcast_to(adversary_row, (length, n)) if fixed else draw(rng, length)
+        base = np.stack([first] + [draw(rng, length) for _ in range(k - 1)])
+        if scenario.ks_stats:
+            coords.append(base[k - 1].copy())
+        return base, None
+
+    tally = play(k, scenario.samples, scenario.seed, stack)
     statistics: dict = {"ks": None}
     if scenario.ks_stats:
-        statistics["ks"] = _ks_table(np.vstack(coords), spec)
+        statistics["ks"] = ks_table(np.vstack(coords), spec)
     return _tally_estimates(tally), tuple(exact), statistics, scenario.samples
 
 
-def _ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
+def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
+    """KS distance of each column of ``draws`` from the closed-form
+    marginal, with the 99.9% critical value, and the worst row-sum error."""
     threshold = KS_FACTOR / math.sqrt(draws.shape[0])
-    cdf = lambda v: np.array([marginal_cdf(spec, x) for x in np.atleast_1d(v)])
-    entries = []
-    for c in range(draws.shape[1]):
-        distance = ks_distance(draws[:, c], cdf)
-        entries.append(
-            {
-                "coordinate": c,
-                "distance": distance,
-                "threshold": threshold,
-                "passed": distance <= threshold,
-            }
-        )
+    distances = [
+        ks_distance(draws[:, c], lambda v: marginal_cdf(spec, v))
+        for c in range(draws.shape[1])
+    ]
+    entries = [
+        {"coordinate": c, "distance": d, "threshold": threshold, "passed": d <= threshold}
+        for c, d in enumerate(distances)
+    ]
     return {
         "entries": entries,
         "max_sum_error": float(np.max(np.abs(draws.sum(axis=1) - 1.0))),
@@ -355,19 +348,18 @@ def _position_mode(scenario: Scenario):
     adversary_eps = np.array([b.eps for b in adversary_seq.bids], dtype=np.int64)
     ladder_row = np.array([float(c) for c in ladder.bids])
 
-    tally = WinTally(k)
-    for index, length in chunks(scenario.samples):
-        rng = RngStream(scenario.seed, index)
-        gen = rng.generator
+    def stack(rng, length):
         base = np.empty((k, length, n))
         eps = np.zeros((k, length, n), dtype=np.int64)
         base[0] = adversary_base
         eps[0] = adversary_eps
         for b in range(1, k):
-            base[b] = gen.permuted(
+            base[b] = rng.generator.permuted(
                 np.broadcast_to(ladder_row, (length, n)).copy(), axis=1
             )
-        tally.add(win_counts(base, eps, gen))
+        return base, eps
+
+    tally = play(k, scenario.samples, scenario.seed, stack)
     return _tally_estimates(tally), tuple(exact), {"ks": None}, scenario.samples
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 ONE_THIRD = 1.0 / 3.0
@@ -40,19 +42,22 @@ class MarginalSpec:
         return Fraction(self.k, self.n)
 
 
-def marginal_cdf(spec: MarginalSpec, b: float) -> float:
+def marginal_cdf(spec: MarginalSpec, b):
     """Per-object CDF of the optimal strategy's bid on [0, 1].
 
     ((n/k) * b) ** (1/(k-1)) for b <= k/n, and 1 above the cap.  With two
-    bidders this reduces to the uniform CDF (n/2) * b.
+    bidders this reduces to the uniform CDF (n/2) * b.  A scalar ``b``
+    gives a float; an array gives an array of the same shape.
     """
-    b = float(b)
-    if b < 0.0 or b > 1.0:
-        raise DomainError(f"bid {b} outside [0, 1]")
+    values = np.asarray(b, dtype=float)
+    outside = (values < 0.0) | (values > 1.0)
+    if outside.any():
+        raise DomainError(f"bid {values[outside].flat[0]} outside [0, 1]")
     cap = spec.k / spec.n
-    if b >= cap:
-        return 1.0
-    return ((spec.n / spec.k) * b) ** (1.0 / (spec.k - 1))
+    exponent = 1.0 / (spec.k - 1)
+    if values.ndim == 0:  # Python's **, which numpy's power can miss by 1 ULP
+        return 1.0 if values >= cap else ((spec.n / spec.k) * float(values)) ** exponent
+    return np.where(values >= cap, 1.0, ((spec.n / spec.k) * values) ** exponent)
 
 
 def spread_density(v: float) -> float:

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+from .samplers import RngStream
 
 CHUNK = 1 << 16
 
@@ -41,13 +44,8 @@ def win_counts(base: np.ndarray, eps: np.ndarray | None, gen: np.random.Generato
 
 def chunks(total: int, size: int = CHUNK):
     """Split a sample count into (index, length) work units."""
-    index = 0
-    done = 0
-    while done < total:
-        length = min(size, total - done)
-        yield index, length
-        index += 1
-        done += length
+    for index, start in enumerate(range(0, total, size)):
+        yield index, min(size, total - start)
 
 
 @dataclass
@@ -80,3 +78,18 @@ class WinTally:
         s, q, n = self.sums[bidder], self.squares[bidder], self.count
         var = (q - s * s / n) / (n - 1)
         return math.sqrt(max(var, 0.0) / n)
+
+
+def play(k: int, samples: int, seed: int, stack: Callable) -> WinTally:
+    """Tally k bidders' wins over ``samples`` seeded auctions.
+
+    Chunk i draws from its own ``RngStream(seed, i)``: ``stack(rng, length)``
+    returns the chunk's (base, eps) bid stack of shape (k, length, n), and
+    its ties are then realized on the same generator.
+    """
+    tally = WinTally(k)
+    for index, length in chunks(samples):
+        rng = RngStream(seed, index)
+        base, eps = stack(rng, length)
+        tally.add(win_counts(base, eps, rng.generator))
+    return tally

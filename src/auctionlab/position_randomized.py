@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .engine import Bid, BidSequence
-from .errors import Infeasible, LengthMismatch, NotDoublyStochastic
+from .errors import Infeasible, InvariantError, LengthMismatch, NotDoublyStochastic
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,8 @@ def best_response(n: int, k: int) -> BestResponse:
         else:
             witness.append(Bid(ladder.bids[chosen - 1], +1))
             remaining -= unit_of[chosen]
-    assert remaining == 0
+    if remaining != 0:
+        raise InvariantError(f"witness reconstruction left {remaining} units")
 
     return BestResponse(
         n=n,

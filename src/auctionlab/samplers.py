@@ -13,13 +13,19 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import Bid, BidSequence
-from .errors import NotMultiple
+from .errors import InvariantError, NotMultiple
 
 ONE_THIRD = 1.0 / 3.0
 
 _PERMS3 = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
 
 SUM_TOLERANCE = 1e-12
+
+
+def _unit_total(seq: BidSequence) -> BidSequence:
+    if seq.base_total != 1:
+        raise InvariantError(f"exact draw totals {seq.base_total}, not 1")
+    return seq
 
 
 class RngStream:
@@ -133,9 +139,7 @@ def _two_bidder_one(n: int, gen: np.random.Generator) -> BidSequence:
             bids = [b1] * (m - 1) + [pair_cap - b1] * (m - 1)
             bids += _triple_bids_exact(n, xyz)
         if all(b > 0 for b in bids):
-            seq = BidSequence(tuple(Bid(b) for b in bids))
-            assert seq.base_total == 1
-            return seq
+            return _unit_total(BidSequence(tuple(Bid(b) for b in bids)))
 
 
 def _two_bidder_array(n: int, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -201,19 +205,19 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None):
         fracs = [Fraction(float(g)) for g in group]
         total = sum(fracs)
         bids = [f / (m * total) for f in fracs] * m
-        seq = BidSequence(tuple(Bid(b) for b in bids))
-        assert seq.base_total == 1
-        return seq
+        return _unit_total(BidSequence(tuple(Bid(b) for b in bids)))
     groups = draw_simplex(k, gen, size)
     out = np.tile(groups / m, (1, m))
     return _renormalize_rows(out, gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 
 def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
-    """Force rows to sum to 1, asserting the correction is within tolerance;
+    """Force rows to sum to 1, checking the correction is within tolerance;
     rows containing a zero bid (measure-zero) are redrawn."""
     sums = out.sum(axis=1)
-    assert np.max(np.abs(sums - 1.0)) <= SUM_TOLERANCE
+    error = np.max(np.abs(sums - 1.0))
+    if not error <= SUM_TOLERANCE:
+        raise InvariantError(f"sampled rows miss a unit total by {error}")
     out /= sums[:, None]
     bad = np.any(out <= 0.0, axis=1)
     while np.any(bad):

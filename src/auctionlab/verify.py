@@ -7,7 +7,6 @@ check row per claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,10 +15,9 @@ from scipy import integrate
 
 from .adversary import copycat_value
 from .errors import ScenarioError
-from .harness import KS_FACTOR, ks_distance
+from .harness import ks_table
 from .marginals import (
     MarginalSpec,
-    marginal_cdf,
     pair_density,
     simplex_normalizer,
     triple_density,
@@ -155,16 +153,12 @@ def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> l
         draws = draw_two_bidder(n, rng, size=samples)
     else:
         draws = draw_k_bidder(n, k, rng, size=samples)
-    threshold = KS_FACTOR / math.sqrt(samples)
-    cdf = lambda v: np.array([marginal_cdf(spec, t) for t in np.atleast_1d(v)])
-    checks = []
-    for c in range(n):
-        checks.append(
-            _check(f"ks_coordinate_{c}", ks_distance(draws[:, c], cdf), threshold)
-        )
-    checks.append(
-        _check("max_sum_error", float(np.max(np.abs(draws.sum(axis=1) - 1.0))), 1e-12)
-    )
+    table = ks_table(draws, spec)
+    checks = [
+        _check(f"ks_coordinate_{e['coordinate']}", e["distance"], e["threshold"])
+        for e in table["entries"]
+    ]
+    checks.append(_check("max_sum_error", table["max_sum_error"], 1e-12))
     return checks
 
 
@@ -221,25 +215,19 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
     return [_check(f"steady_floor_violations_{n}_{k}", violations, 0)]
 
 
+# name -> suite, in the order "all" runs them; each entry looks its suite up
+# by name at call time, so a replaced module attribute takes effect
+SUITES = {
+    "density": lambda n, k, samples, seed: density_suite(),
+    "marginals": lambda n, k, samples, seed: marginal_suite(n, k, samples, seed),
+    "position": lambda n, k, samples, seed: position_suite(),
+    "copycat": lambda n, k, samples, seed: copycat_suite(n, k, samples, seed),
+    "sequential": lambda n, k, samples, seed: sequential_suite(n, k, min(samples, 2_000), seed),
+}
+
+
 def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed: int = 0) -> list[Check]:
-    if name == "marginals":
-        return marginal_suite(n, k, samples, seed)
-    if name == "density":
-        return density_suite()
-    if name == "position":
-        return position_suite()
-    if name == "copycat":
-        return copycat_suite(n, k, samples, seed)
-    if name == "sequential":
-        return sequential_suite(n, k, min(samples, 2_000), seed)
-    if name == "all":
-        checks = density_suite()
-        checks += marginal_suite(n, k, samples, seed)
-        checks += position_suite()
-        checks += copycat_suite(n, k, samples, seed)
-        checks += sequential_suite(n, k, min(samples, 2_000), seed)
-        return checks
-    raise ScenarioError(
-        f"unknown suite {name!r}; choose marginals, density, position, "
-        "copycat, sequential or all"
-    )
+    if name != "all" and name not in SUITES:
+        raise ScenarioError(f"unknown suite {name!r}; choose {', '.join(SUITES)} or all")
+    names = SUITES if name == "all" else [name]
+    return [c for suite in names for c in SUITES[suite](n, k, samples, seed)]

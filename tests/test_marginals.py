@@ -46,6 +46,38 @@ class TestMarginalCdf:
         # continuity at the cap: just below it the CDF is already near 1
         assert marginal_cdf(spec, cap * (1 - 1e-9)) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (4, 4), (12, 5)])
+    def test_array_matches_math_pow(self, n, k):
+        spec = MarginalSpec(n, k)
+        cap = k / n
+        grid = np.concatenate([np.linspace(0.0, 1.0, 401), [0.0, cap, cap * (1 - 1e-9)]])
+        vals = marginal_cdf(spec, grid)
+        assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
+        for b, v in zip(grid, vals):
+            want = 1.0 if b >= cap else math.pow((n / k) * b, 1.0 / (k - 1))
+            assert v == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert vals[grid >= cap].tolist() == [1.0] * int(np.sum(grid >= cap))
+        assert vals[grid == 0.0].tolist() == [0.0, 0.0]
+
+    def test_array_keeps_shape(self):
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert marginal_cdf(MarginalSpec(6, 3), grid).shape == (3, 4)
+
+    def test_one_bad_element_raises(self):
+        spec = MarginalSpec(6, 3)
+        with pytest.raises(DomainError):
+            marginal_cdf(spec, np.array([0.1, 0.2, 1.5, 0.3]))
+        with pytest.raises(DomainError):
+            marginal_cdf(spec, [0.1, -1e-12])
+
+    def test_zero_d_input_gives_float(self):
+        spec = MarginalSpec(6, 3)
+        for b in (np.array(0.2), np.float64(0.2), 0.2):
+            value = marginal_cdf(spec, b)
+            assert type(value) is float
+            assert value == math.sqrt(2 * 0.2)
+        assert type(marginal_cdf(spec, np.array(0.9))) is float
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MarginalSpec(3, 1)

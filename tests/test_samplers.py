@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from auctionlab import (
+    InvariantError,
     MarginalSpec,
     NotMultiple,
     RngStream,
@@ -20,7 +22,9 @@ from auctionlab import (
     triple_from_uniforms,
     validate_sequence,
 )
+from auctionlab import cli, samplers
 from auctionlab.harness import KS_FACTOR, ks_distance
+from auctionlab.samplers import _renormalize_rows
 
 N_KS = 200_000
 KS_THRESHOLD = KS_FACTOR / math.sqrt(N_KS)
@@ -158,9 +162,8 @@ class TestDrawTwoBidder:
     def test_marginals_match_cdf(self, n):
         spec = MarginalSpec(n, 2)
         draws = draw_two_bidder(n, RngStream(13), size=N_KS)
-        cdf = lambda v: np.array([marginal_cdf(spec, t) for t in np.atleast_1d(v)])
         for c in range(n):
-            assert ks_distance(draws[:, c], cdf) <= KS_THRESHOLD
+            assert ks_distance(draws[:, c], partial(marginal_cdf, spec)) <= KS_THRESHOLD
 
 
 class TestDrawSimplex:
@@ -215,9 +218,8 @@ class TestDrawKBidder:
     def test_marginals_match_cdf(self, n, k):
         spec = MarginalSpec(n, k)
         draws = draw_k_bidder(n, k, RngStream(21), size=N_KS)
-        cdf = lambda v: np.array([marginal_cdf(spec, t) for t in np.atleast_1d(v)])
         for c in range(n):
-            assert ks_distance(draws[:, c], cdf) <= KS_THRESHOLD
+            assert ks_distance(draws[:, c], partial(marginal_cdf, spec)) <= KS_THRESHOLD
 
 
 class TestDeterminism:
@@ -239,6 +241,25 @@ class TestDeterminism:
     def test_sequential_draws_advance(self):
         rng = RngStream(1)
         assert draw_triple(rng) != draw_triple(rng)
+
+
+class TestRenormalizeRows:
+    def test_row_far_from_unit_total_is_a_bug(self):
+        rows = np.array([[0.25, 0.25, 0.5], [0.3, 0.4, 0.4]])  # second sums to 1.1
+        with pytest.raises(InvariantError) as info:
+            _renormalize_rows(rows, np.random.default_rng(0), None)
+        assert not isinstance(info.value, ValueError)
+
+    def test_cli_reports_a_failed_invariant_as_a_bug(self, monkeypatch, capsys):
+        monkeypatch.setattr(samplers, "SUM_TOLERANCE", -1.0)
+        argv = ["simulate", "--mode", "two-bidder", "--n", "4", "--samples", "10"]
+        assert cli.main(argv) == 2
+        assert "InvariantError" in capsys.readouterr().err
+
+    def test_rounding_error_is_corrected(self):
+        rows = np.array([[0.25, 0.25, 0.5 + 4e-13]])
+        out = _renormalize_rows(rows, np.random.default_rng(0), None)
+        assert abs(out.sum() - 1.0) <= 1e-15
 
 
 class TestGroupScaling:
