@@ -4,9 +4,9 @@ Sealed-bid auctions of n equal-value objects among k bidders with unit
 budgets, where an adversary knows the other bidders' algorithms.  The
 package provides exact auction resolution with symbolic-infinitesimal
 tie-breaking, the closed-form optimal marginal distributions and their
-samplers, exact adversary evaluation (including the position-randomized
-best response by dynamic programming), sequential auctions with budget
-depletion, and a seeded Monte Carlo harness with a CLI.
+samplers, exact adversary evaluation (including the closed-form
+position-randomized best response and a witness attaining it), sequential
+auctions with budget depletion, and a seeded Monte Carlo harness with a CLI.
 """
 
 from ._version import VERSION as __version__
@@ -36,6 +36,7 @@ from .errors import (
     NotMultiple,
     OverBudget,
     ScenarioError,
+    SizeLimitExceeded,
     ZeroBid,
 )
 from .harness import (
@@ -109,6 +110,7 @@ __all__ = [
     "RoundView",
     "Scenario",
     "ScenarioError",
+    "SizeLimitExceeded",
     "ZeroBid",
     "as_fraction",
     "best_response",

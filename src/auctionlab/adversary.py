@@ -148,7 +148,7 @@ def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -
             return np.stack([draw_two_bidder(n, rng, size=length) for _ in range(k)]), None
         return np.stack([draw_k_bidder(n, k, rng, size=length) for _ in range(k)]), None
 
-    tally = play(k, samples, seed, stack)
+    tally = play(k, n, samples, seed, stack)
     return CopycatEstimate(
         mean=tally.mean(0),
         stderr=tally.stderr(0),

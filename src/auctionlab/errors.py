@@ -37,5 +37,9 @@ class ScenarioError(ValueError):
     """A scenario configuration violates its mode constraints."""
 
 
+class SizeLimitExceeded(ValueError):
+    """An input would take more memory or time than the exact paths allow."""
+
+
 class InvariantError(RuntimeError):
     """An internal invariant failed: a bug, not a bad input."""

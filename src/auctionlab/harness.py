@@ -294,7 +294,7 @@ def _marginal_mode(scenario: Scenario):
             coords.append(base[k - 1].copy())
         return base, None
 
-    tally = play(k, scenario.samples, scenario.seed, stack)
+    tally = play(k, n, scenario.samples, scenario.seed, stack)
     statistics: dict = {"ks": None}
     if scenario.ks_stats:
         statistics["ks"] = ks_table(np.vstack(coords), spec)
@@ -359,7 +359,7 @@ def _position_mode(scenario: Scenario):
             )
         return base, eps
 
-    tally = play(k, scenario.samples, scenario.seed, stack)
+    tally = play(k, n, scenario.samples, scenario.seed, stack)
     return _tally_estimates(tally), tuple(exact), {"ks": None}, scenario.samples
 
 

@@ -19,6 +19,10 @@ from .samplers import RngStream
 
 CHUNK = 1 << 16
 
+# Most bid cells (bidders x rows x objects) per chunk: 32 MB of float64 base
+# and as much int64 eps.  Chunks keep CHUNK rows while k*n <= 32.
+CELLS = 32 * CHUNK
+
 _EPS_FLOOR = np.iinfo(np.int64).min
 
 
@@ -80,15 +84,17 @@ class WinTally:
         return math.sqrt(max(var, 0.0) / n)
 
 
-def play(k: int, samples: int, seed: int, stack: Callable) -> WinTally:
-    """Tally k bidders' wins over ``samples`` seeded auctions.
+def play(k: int, n: int, samples: int, seed: int, stack: Callable) -> WinTally:
+    """Tally k bidders' wins over ``samples`` seeded auctions of n objects.
 
     Chunk i draws from its own ``RngStream(seed, i)``: ``stack(rng, length)``
     returns the chunk's (base, eps) bid stack of shape (k, length, n), and
-    its ties are then realized on the same generator.
+    its ties are then realized on the same generator.  A chunk holds at most
+    CHUNK rows, and at most CELLS cells unless one row alone is larger.
     """
     tally = WinTally(k)
-    for index, length in chunks(samples):
+    rows = min(CHUNK, max(1, CELLS // (k * n)))
+    for index, length in chunks(samples, rows):
         rng = RngStream(seed, index)
         base, eps = stack(rng, length)
         tally.add(win_counts(base, eps, rng.generator))

@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .engine import Bid, BidSequence
-from .errors import Infeasible, InvariantError, LengthMismatch, NotDoublyStochastic
+from .errors import Infeasible, LengthMismatch, NotDoublyStochastic, SizeLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,17 @@ class InitialBids:
         return BidSequence(tuple(Bid(b) for b in self.bids))
 
 
+# Each ladder rank holds a Fraction of about 200 bytes, and a best-response
+# witness as much again: a million ranks take a few hundred megabytes.
+MAX_LADDER_N = 1_000_000
+
+
 def initial_bids(n: int, k: int) -> InitialBids:
     """Optimal initial sequence within the position-randomized class."""
     if k < 2 or n < k:
         raise ValueError("need n >= k >= 2")
+    if n > MAX_LADDER_N:
+        raise SizeLimitExceeded(f"n = {n} exceeds the ladder limit of {MAX_LADDER_N} objects")
     weights = [i ** (k - 1) for i in range(1, n + 1)]
     total = sum(weights)
     return InitialBids(
@@ -172,56 +179,23 @@ class BestResponse:
 
 
 def best_response(n: int, k: int) -> BestResponse:
-    """Exact best response to the ladder under uniform permutation, by
-    dynamic programming over integer budget units.
+    """Exact best response to the ladder under uniform permutation.
 
-    The adversary's candidate bids are the ladder values shifted up by one
-    infinitesimal, plus the bare infinitesimal.  A bid one tick above rank i
-    costs i**(k-1) units of 1/weight_total and wins i**(k-1) units of
-    1/n**(k-1); the bare infinitesimal costs and wins nothing.  Every
-    candidate carries +eps, so the strict budget admits at most
-    weight_total - 1 cost units across the n picks.  The optimum equals
+    A bid one infinitesimal above rank i costs i**(k-1) units of
+    1/weight_total and wins i**(k-1) units of 1/n**(k-1); exact ties,
+    negative shifts and off-ladder amounts win less than they cost, and the
+    bare infinitesimal costs and wins nothing.  With every bid at +eps the
+    strict budget admits at most weight_total - 1 units, which the bare
+    infinitesimal plus ranks 2..n spend exactly, so the optimum is
     (weight_total - 1) / n**(k-1).
     """
     ladder = initial_bids(n, k)
-    cap = ladder.weight_total - 1
-    unit_of = {i: i ** (k - 1) for i in range(2, n + 1)}
-    mask = (1 << (cap + 1)) - 1
-
-    # reach[c] holds a bitmask: bit u set iff u units are spendable with
-    # exactly c picks (the bare-infinitesimal pick keeps it monotone in c).
-    reach = [1]
-    for _ in range(n):
-        prev = reach[-1]
-        nxt = prev
-        for u in unit_of.values():
-            nxt |= (prev << u) & mask
-        reach.append(nxt)
-
-    best = reach[n].bit_length() - 1
-
-    witness: list[Bid] = []
-    remaining = best
-    for picks_left in range(n, 0, -1):
-        chosen = None
-        for i in range(n, 1, -1):
-            u = unit_of[i]
-            if remaining >= u and (reach[picks_left - 1] >> (remaining - u)) & 1:
-                chosen = i
-                break
-        if chosen is None:
-            witness.append(Bid(Fraction(0), +1))
-        else:
-            witness.append(Bid(ladder.bids[chosen - 1], +1))
-            remaining -= unit_of[chosen]
-    if remaining != 0:
-        raise InvariantError(f"witness reconstruction left {remaining} units")
-
+    witness = (Bid(Fraction(0), +1),) + tuple(Bid(c, +1) for c in ladder.bids[1:])
     return BestResponse(
         n=n,
         k=k,
-        value=Fraction(best, n ** (k - 1)),
-        witness=tuple(sorted(witness)),
+        value=Fraction(ladder.weight_total - 1, n ** (k - 1)),
+        witness=witness,
     )
 
 

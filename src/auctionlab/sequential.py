@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import as_fraction
-from .errors import NotMultiple, OverBudget, ZeroBid
+from .errors import NotMultiple, OverBudget, SizeLimitExceeded, ZeroBid
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class RoundView:
 
 
 Strategy = Callable[[RoundView], Optional[Fraction]]
+
+# Most states one exact round may hold.  Tied branches never merge: all-steady
+# (18,2) and (12,3) peak at 48,620 and 34,650 states, (20,2) at 184,756.
+MAX_STATES = 50_000
 
 
 def steady_strategy(n: int, k: int) -> Strategy:
@@ -120,7 +124,8 @@ def run_sequential(
     """Auction n objects sequentially among k strategies.
 
     mode="exact" (deterministic strategies only) returns per-bidder expected
-    wins as Fractions, with ties branching the state distribution.
+    wins as Fractions, with ties branching the state distribution; a round
+    that would hold more than ``MAX_STATES`` states raises SizeLimitExceeded.
     mode="sample" returns one trajectory's integer win counts, ties resolved
     by a generator seeded with ``seed`` (any numpy seed material).
     """
@@ -156,6 +161,8 @@ def run_sequential(
                 new_wins = tuple(c + 1 if b == w else c for b, c in enumerate(wins))
                 key = (new_budgets, new_wins, history + (RoundResult(w, top),))
                 nxt[key] = nxt.get(key, Fraction(0)) + share
+            if len(nxt) > MAX_STATES:
+                raise SizeLimitExceeded(f"exact round {round_index} exceeds {MAX_STATES} states")
         dist = nxt
 
     expected = [Fraction(0)] * k

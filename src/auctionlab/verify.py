@@ -163,30 +163,28 @@ def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> l
 
 
 def position_suite(max_n: int = 12, max_k: int = 5) -> list[Check]:
-    """Exact identities of the position-randomized solver: the dynamic
-    program equals (weight_total - 1) / n**(k-1) and equals the undercut
-    sequence's expected wins, for every size in range."""
-    worst_formula = 0
-    worst_undercut = 0
+    """Exact identities of the position-randomized solver, for every size
+    in range: the best response's witness is feasible, and its expected
+    wins, the reported value and the undercut sequence's expected wins all
+    equal (weight_total - 1) / n**(k-1)."""
+    formula_mismatches = undercut_mismatches = 0
     for k in range(2, max_k + 1):
         for n in range(k, max_n + 1):
             ladder = initial_bids(n, k)
-            response = best_response(n, k)
             formula = Fraction(ladder.weight_total - 1, n ** (k - 1))
-            if response.value != formula:
-                worst_formula += 1
-            undercut_val = expected_wins_perm(
-                k,
-                undercut_sequence(ladder.as_sequence()),
-                ladder.as_sequence(),
-                PermutationMarginals.identity(n),
-                PermutationMarginals.uniform(n),
-            )
-            if undercut_val != response.value:
-                worst_undercut += 1
+            opponents = ladder.as_sequence()
+            placement = (PermutationMarginals.identity(n), PermutationMarginals.uniform(n))
+            response = best_response(n, k)
+            witness = response.witness_sequence()
+            scored = expected_wins_perm(k, witness, opponents, *placement)
+            if not witness.is_feasible or scored != formula or response.value != formula:
+                formula_mismatches += 1
+            undercut = undercut_sequence(opponents)
+            if expected_wins_perm(k, undercut, opponents, *placement) != formula:
+                undercut_mismatches += 1
     return [
-        _check("best_response_formula_mismatches", worst_formula, 0),
-        _check("undercut_value_mismatches", worst_undercut, 0),
+        _check("best_response_formula_mismatches", formula_mismatches, 0),
+        _check("undercut_value_mismatches", undercut_mismatches, 0),
     ]
 
 

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import time
+from fractions import Fraction
 
+from auctionlab import position_randomized, sequential
 from auctionlab.cli import main
 
 
@@ -148,6 +151,24 @@ class TestBestResponse:
         assert payload["value"] == {"num": 13, "den": 9, "decimal": str(13 / 9)}
         assert len(payload["witness"]) == 3
 
+    def test_large_size_answers_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "best-response", "--n", "100", "--k", "5", "--format", "csv"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        value = Fraction(sum(i**4 for i in range(1, 101)) - 1, 100**4)
+        row = out.splitlines()[1].split(",")
+        assert row[:2] == [str(value.numerator), str(value.denominator)]
+
+    def test_oversized_ladder_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(position_randomized, "MAX_LADDER_N", 50)
+        code, out, err = run_cli(capsys, "best-response", "--n", "51", "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert "ladder limit of 50" in err
+
 
 class TestMarginals:
     def test_grid_json(self, capsys):
@@ -178,6 +199,16 @@ class TestSequentialCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["exact"][1] == {"num": 2, "den": 1, "decimal": "2"}
+
+    def test_state_cap_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequential, "MAX_STATES", 3)
+        code, out, err = run_cli(
+            capsys, "sequential", "--n", "4", "--k", "2", "--adversary", "steady",
+            "--samples", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert "exceeds 3 states" in err
 
 
 class TestVerifyCommand:

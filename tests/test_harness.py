@@ -12,6 +12,7 @@ from auctionlab import (
     estimate,
     ks_distance,
 )
+from auctionlab import montecarlo
 from auctionlab.montecarlo import WinTally, chunks, win_counts
 
 
@@ -69,6 +70,24 @@ class TestWinCounts:
     def test_chunks_cover_total(self):
         sizes = [length for _, length in chunks(1_000_000)]
         assert sum(sizes) == 1_000_000
+
+    def test_large_position_chunk_stays_within_cell_budget(self, monkeypatch):
+        # a 65,536-row chunk at n = 10,000, k = 3 would stack 2e9 cells
+        shapes = []
+
+        def recording(base, eps, gen):
+            shapes.append(base.shape)
+            return win_counts(base, eps, gen)
+
+        monkeypatch.setattr(montecarlo, "win_counts", recording)
+        scenario = Scenario(
+            "position-randomized", 10_000, 3, AdversaryPlan("dp-optimal"), 300, 3
+        )
+        report = estimate(scenario)
+        assert len(shapes) > 1
+        assert all(k * rows * n <= montecarlo.CELLS for k, rows, n in shapes)
+        assert sum(rows for _, rows, _ in shapes) == 300
+        assert math.fsum(e.mean for e in report.estimates) == pytest.approx(10_000)
 
     def test_tally_matches_numpy(self):
         gen = np.random.default_rng(4)

@@ -1,5 +1,9 @@
 """Same-seed outputs pinned to values recorded with auctionlab 0.1.0.
 
+``position_dp_optimal`` was re-recorded when ``best_response`` switched to
+its closed-form witness, a different multiset with the same exact value;
+``test_pinned_means_near_exact`` holds every entry to its exact values.
+
 The Monte Carlo modes, ``copycat_value`` and ``marginal_suite`` consume
 their random streams in a fixed order (per chunk: adversary, bidders
 1..k-1, then tie realization), so a fixed seed must keep reproducing these
@@ -59,6 +63,14 @@ def test_estimate_report(name):
     # meta may grow observability keys; the pinned ones must not change
     report["meta"] = {key: report["meta"][key] for key in pinned["meta"]}
     assert report == pinned
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_pinned_means_near_exact(name):
+    pinned = PINNED["reports"][name]
+    for est, exact in zip(pinned["estimates"], pinned["exact"]):
+        gap = abs(est["mean"] - exact["num"] / exact["den"])
+        assert gap <= 5 * est["stderr"]
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])

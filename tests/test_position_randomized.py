@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -12,6 +12,7 @@ from auctionlab import (
     LengthMismatch,
     NotDoublyStochastic,
     PermutationMarginals,
+    SizeLimitExceeded,
     best_response,
     expected_wins_perm,
     initial_bids,
@@ -19,6 +20,7 @@ from auctionlab import (
     undercut_sequence,
     validate_sequence,
 )
+from auctionlab import position_randomized
 
 
 class TestInitialBids:
@@ -49,6 +51,14 @@ class TestInitialBids:
         assert all(b > 0 for b in ladder.bids)
         assert all(a < b for a, b in zip(ladder.bids, ladder.bids[1:]))
         validate_sequence(ladder.as_sequence())
+
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(position_randomized, "MAX_LADDER_N", 8)
+        assert initial_bids(8, 2).n == 8
+        with pytest.raises(SizeLimitExceeded):
+            initial_bids(9, 2)
+        with pytest.raises(SizeLimitExceeded):
+            best_response(9, 2)
 
 
 def brute_rank_win(n, k, p):
@@ -198,21 +208,109 @@ class TestExpectedWinsPerm:
             assert w1 >= w2
 
 
-def exhaustive_best_value(n, k):
-    """Search every candidate multiset: ladder values shifted by +eps, plus
-    the bare infinitesimal, subject to strict budget feasibility."""
-    ladder = initial_bids(n, k)
-    unif = PermutationMarginals.uniform(n)
+def oracle_candidates(ladder):
+    """Every bid the oracle lets the adversary place against the ladder:
+    each ladder value (rank 1 included) one infinitesimal up, exactly tied,
+    and one or n-1 infinitesimals down (the undercut shift); the midpoint
+    between each pair of neighbouring ladder values and between 0 and the
+    lowest; and the bare infinitesimal.  Sorted by (base, eps)."""
+    n = ladder.n
+    out = {Bid(Fraction(0), 1)}
+    for c in ladder.bids:
+        out |= {Bid(c, 1), Bid(c, 0), Bid(c, -1), Bid(c, -(n - 1))}
+    for lo, hi in zip((Fraction(0),) + ladder.bids, ladder.bids):
+        out.add(Bid((lo + hi) / 2))
+    return sorted(out)
+
+
+def oracle_scores(k, ladder, candidates):
+    """Each candidate's expected wins on its own object.  With identity Q
+    and uniform P every bid meets the same uniformly placed opponents, so a
+    multiset scores the sum of its bids' scores, and n copies of one bid
+    score n times that bid."""
+    n = ladder.n
+    opponents = ladder.as_sequence()
     ident = PermutationMarginals.identity(n)
-    options = [Bid(Fraction(0), 1)] + [Bid(c, 1) for c in ladder.bids[1:]]
-    best = Fraction(0)
-    for combo in itertools.combinations_with_replacement(options, n):
-        seq = BidSequence(combo)
-        if not seq.is_feasible:
-            continue
-        value = expected_wins_perm(k, seq, ladder.as_sequence(), ident, unif)
-        best = max(best, value)
-    return best
+    unif = PermutationMarginals.uniform(n)
+    return {
+        bid: expected_wins_perm(k, BidSequence((bid,) * n), opponents, ident, unif) / n
+        for bid in candidates
+    }
+
+
+def exhaustive_best(n, k):
+    """The best value over every multiset of n oracle candidates that
+    ``BidSequence.is_feasible`` accepts, and one multiset attaining it.
+
+    Bases and scores are scaled to integers for speed.  Candidates are taken
+    in (base, eps) order, so once the picks so far plus the cheapest
+    possible rest exceed base total 1, no later candidate can complete a
+    feasible multiset either."""
+    ladder = initial_bids(n, k)
+    candidates = oracle_candidates(ladder)
+    score = oracle_scores(k, ladder, candidates)
+    scale = lcm(*(v.denominator for v in score.values()))
+    budget = 2 * ladder.weight_total  # midpoints have denominator 2W
+    costs = [int(b.base * budget) for b in candidates]
+    gains = [int(score[b] * scale) for b in candidates]
+    best = [-1, None]
+    picked = []
+
+    def extend(start, cost, gain):
+        if len(picked) == n:
+            if gain > best[0] and BidSequence(tuple(picked)).is_feasible:
+                best[:] = [gain, tuple(picked)]
+            return
+        left = n - len(picked)
+        for i in range(start, len(candidates)):
+            if cost + left * costs[i] > budget:
+                break
+            picked.append(candidates[i])
+            extend(i, cost + costs[i], gain + gains[i])
+            picked.pop()
+
+    extend(0, 0, 0)
+    return Fraction(best[0], scale), best[1]
+
+
+def exhaustive_best_value(n, k):
+    return exhaustive_best(n, k)[0]
+
+
+class TestOracle:
+    def test_candidates_cover_the_richer_set(self):
+        ladder = initial_bids(3, 2)
+        candidates = oracle_candidates(ladder)
+        sixth, third, half = Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)
+        for bid in (
+            Bid(Fraction(0), 1),
+            Bid(sixth, 1),
+            Bid(sixth, 0),
+            Bid(sixth, -2),
+            Bid(half, -1),
+            Bid(sixth / 2),
+            Bid((third + half) / 2),
+        ):
+            assert bid in candidates
+        assert len(candidates) == 1 + 3 * 4 + 3
+
+    def test_summed_scores_match_full_sequence_scoring(self):
+        rng = random.Random(41)
+        for n in range(2, 6):
+            for k in range(2, n + 1):
+                ladder = initial_bids(n, k)
+                candidates = oracle_candidates(ladder)
+                score = oracle_scores(k, ladder, candidates)
+                for _ in range(6):
+                    combo = tuple(rng.choice(candidates) for _ in range(n))
+                    full = expected_wins_perm(
+                        k,
+                        BidSequence(combo),
+                        ladder.as_sequence(),
+                        PermutationMarginals.identity(n),
+                        PermutationMarginals.uniform(n),
+                    )
+                    assert sum(score[b] for b in combo) == full
 
 
 class TestBestResponse:
@@ -230,9 +328,14 @@ class TestBestResponse:
         assert best_response(2, 2).value == Fraction(1)
         assert best_response(2, 2).value == exhaustive_best_value(2, 2)
 
-    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(3, 6) for k in range(2, n + 1)]
+    )
     def test_small_cases_match_exhaustive_search(self, n, k):
-        assert best_response(n, k).value == exhaustive_best_value(n, k)
+        value, multiset = exhaustive_best(n, k)
+        formula = Fraction(initial_bids(n, k).weight_total - 1, n ** (k - 1))
+        assert value == formula, f"oracle {value} with {[str(b) for b in multiset]}"
+        assert best_response(n, k).value == formula
 
     @pytest.mark.parametrize("n,k", [(4, 2), (3, 3), (6, 4), (12, 5)])
     def test_witness_is_feasible_and_attains_value(self, n, k):
@@ -246,6 +349,23 @@ class TestBestResponse:
             initial_bids(n, k).as_sequence(),
             PermutationMarginals.identity(n),
             PermutationMarginals.uniform(n),
+        )
+        assert value == response.value
+
+    def test_large_size_is_closed_form(self):
+        # the budget-unit DP this replaced needed ~23 GB of bitsets here
+        response = best_response(100, 5)
+        weight = sum(i**4 for i in range(1, 101))
+        assert response.value == Fraction(weight - 1, 100**4)
+        seq = response.witness_sequence()
+        assert seq.is_feasible and seq.n == 100
+        assert seq.base_total == Fraction(weight - 1, weight)
+        value = expected_wins_perm(
+            5,
+            seq,
+            initial_bids(100, 5).as_sequence(),
+            PermutationMarginals.identity(100),
+            PermutationMarginals.uniform(100),
         )
         assert value == response.value
 

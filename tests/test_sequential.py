@@ -7,12 +7,14 @@ import pytest
 from auctionlab import (
     NotMultiple,
     OverBudget,
+    SizeLimitExceeded,
     ZeroBid,
     pass_strategy,
     run_sequential,
     scripted_strategy,
     steady_strategy,
 )
+from auctionlab import sequential
 
 
 class TestSteadyStrategy:
@@ -144,3 +146,19 @@ class TestSteadyFloor:
         for bidder, price in payments:
             spent[bidder] = spent.get(bidder, Fraction(0)) + price
         assert all(total <= 1 for total in spent.values())
+
+
+class TestStateCap:
+    def test_cap_refuses_a_round_with_too_many_states(self, monkeypatch):
+        # all-steady (6,2) branches into C(6,3) = 20 tied histories
+        strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
+        monkeypatch.setattr(sequential, "MAX_STATES", 20)
+        assert run_sequential(strategies, 6, 2) == (Fraction(3), Fraction(3))
+        monkeypatch.setattr(sequential, "MAX_STATES", 19)
+        with pytest.raises(SizeLimitExceeded, match="19 states"):
+            run_sequential(strategies, 6, 2)
+
+    def test_cap_does_not_bound_sampled_mode(self, monkeypatch):
+        monkeypatch.setattr(sequential, "MAX_STATES", 1)
+        strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
+        assert sum(run_sequential(strategies, 6, 2, seed=3, mode="sample")) == 6
