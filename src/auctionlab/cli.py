@@ -132,7 +132,9 @@ def _build_scenario(args, config: dict) -> Scenario:
         mode=str(mode),
         n=int(n),
         k=int(_setting(args, config, "k", 2)),
-        adversary=_parse_adversary(adversary) if adversary else AdversaryPlan("copycat"),
+        adversary=_parse_adversary(adversary)
+        if adversary
+        else AdversaryPlan("steady" if mode == "sequential" else "copycat"),
         samples=int(_setting(args, config, "samples", 1_000_000)),
         seed=int(_setting(args, config, "seed", _default_seed())),
         group_sizes=None
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequential", help="round-by-round auction against the steady strategy")
     _add_common(p)
-    p.add_argument("--adversary", default=None, help="steady | fixed:a1,a2,...")
+    p.add_argument("--adversary", default=None, help="steady (default) | fixed:a1,a2,...")
     p.set_defaults(func=_cmd_simulate, mode="sequential")
 
     p = sub.add_parser("best-response", help="exact adversary optimum against the ladder")

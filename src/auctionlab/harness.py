@@ -20,7 +20,7 @@ import numpy as np
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import Bid, BidSequence, as_fraction
-from .errors import EmptySample, ScenarioError
+from .errors import EmptySample, LengthMismatch, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import WinTally, play
 from .position_randomized import (
@@ -39,6 +39,12 @@ MODES = ("two-bidder", "k-bidder", "position-randomized", "sequential", "group")
 KS_FACTOR = 1.95
 
 SEQUENTIAL_TRIAL_CAP = 10_000
+
+# Largest n for which position mode scores an undercut or fixed adversary.
+# That path builds two n x n Fraction placement matrices, so time and memory
+# grow about 4x per doubling of n; an undercut run at n = 400 took about 5 s
+# on a 2-core host.
+MAX_POSITION_MATRIX_N = 400
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,11 @@ class Scenario:
             if self.n < self.k:
                 raise ScenarioError("position-randomized mode requires n >= k")
             self._check_kind(kind, ("dp-optimal", "undercut", "fixed"))
+            if kind != "dp-optimal" and self.n > MAX_POSITION_MATRIX_N:
+                raise SizeLimitExceeded(
+                    f"position-randomized mode scores a {kind} adversary with n x n "
+                    f"placement matrices; n = {self.n} exceeds {MAX_POSITION_MATRIX_N}"
+                )
             if kind == "fixed":
                 self._check_fixed_amounts(self.n)
         elif self.mode == "sequential":
@@ -214,7 +225,9 @@ class Report:
 def ks_distance(sample, cdf: Callable) -> float:
     """Sup-norm distance between a sample's empirical CDF and ``cdf``.
 
-    Both functions are compared at the sample points' right limits, so a
+    ``cdf`` must map an array elementwise: it is called once on the sorted
+    sample, and an output of any other shape raises LengthMismatch.  Both
+    functions are compared at the sample points' right limits, so a
     theoretical CDF that steps exactly where the sample does scores 0; for
     a continuous CDF this differs from the two-sided supremum by at most
     1/N, far below the critical values used here.
@@ -223,12 +236,11 @@ def ks_distance(sample, cdf: Callable) -> float:
     size = values.size
     if size == 0:
         raise EmptySample("cannot compute a KS distance on an empty sample")
-    try:
-        theory = np.asarray(cdf(values), dtype=float)
-        if theory.shape != values.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        theory = np.array([cdf(v) for v in values], dtype=float)
+    theory = np.asarray(cdf(values), dtype=float)
+    if theory.shape != values.shape:
+        raise LengthMismatch(
+            f"cdf returned shape {theory.shape} for a sample of shape {values.shape}"
+        )
     empirical = np.arange(1, size + 1) / size
     return float(np.max(np.abs(theory - empirical)))
 

@@ -1,10 +1,11 @@
 """Round-by-round auctions with budget depletion.
 
 Objects are sold one per round to the highest sealed bid; the winner pays
-his bid from his remaining budget.  With deterministic strategies the run
-is resolved exactly by evolving a distribution over states, branching on
-ties; a sampled mode runs one seeded trajectory for randomized strategies.
-A bidder may pass (distinct from the forbidden zero bid); an object every
+his bid from his remaining budget.  A run walks the tree of histories: the
+exact mode (deterministic strategies) follows every tie branch, splitting a
+branch's probability evenly among the tied winners, and the sampled mode
+follows one branch, drawing each tie's winner from a seeded generator.  A
+bidder may pass (distinct from the forbidden zero bid); an object every
 bidder passes on goes unsold.
 """
 
@@ -49,8 +50,9 @@ class RoundView:
 
 Strategy = Callable[[RoundView], Optional[Fraction]]
 
-# Most states one exact round may hold.  Tied branches never merge: all-steady
-# (18,2) and (12,3) peak at 48,620 and 34,650 states, (20,2) at 184,756.
+# Most states one exact round may hold.  A state is one distinct history, so
+# the count grows with every tie: all-steady (18,2) and (12,3) peak at 48,620
+# and 34,650 states, (20,2) at 184,756.
 MAX_STATES = 50_000
 
 
@@ -124,69 +126,47 @@ def run_sequential(
     """Auction n objects sequentially among k strategies.
 
     mode="exact" (deterministic strategies only) returns per-bidder expected
-    wins as Fractions, with ties branching the state distribution; a round
-    that would hold more than ``MAX_STATES`` states raises SizeLimitExceeded.
+    wins as Fractions over every tie branch; a round that would hold more
+    than ``MAX_STATES`` histories raises SizeLimitExceeded.
     mode="sample" returns one trajectory's integer win counts, ties resolved
     by a generator seeded with ``seed`` (any numpy seed material).
     """
     if len(strategies) != k:
         raise ValueError(f"expected {k} strategies, got {len(strategies)}")
-    if mode == "sample":
-        return _run_sampled(strategies, n, k, seed)
-    if mode != "exact":
+    if mode not in ("exact", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    gen = np.random.default_rng(seed) if mode == "sample" else None
 
-    start = (
-        (Fraction(1),) * k,
-        (0,) * k,
-        (),
-    )
-    dist: dict[tuple, Fraction] = {start: Fraction(1)}
+    # (budgets, wins, history, probability of this history)
+    states = [((Fraction(1),) * k, (0,) * k, (), Fraction(1))]
     for round_index in range(1, n + 1):
-        nxt: dict[tuple, Fraction] = {}
-        for (budgets, wins, history), prob in dist.items():
+        nxt = []
+        for budgets, wins, history, prob in states:
             bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
             live = [(b, a) for b, a in enumerate(bids) if a is not None]
             if not live:
-                key = (budgets, wins, history + (RoundResult(None, None),))
-                nxt[key] = nxt.get(key, Fraction(0)) + prob
+                nxt.append((budgets, wins, history + (RoundResult(None, None),), prob))
                 continue
             top = max(a for _, a in live)
             winners = [b for b, a in live if a == top]
-            share = prob / len(winners)
+            if gen is not None:
+                winners = [winners[int(gen.integers(len(winners)))]]
+            share = prob if len(winners) == 1 else prob / len(winners)
             for w in winners:
-                new_budgets = tuple(
-                    v - top if b == w else v for b, v in enumerate(budgets)
-                )
-                new_wins = tuple(c + 1 if b == w else c for b, c in enumerate(wins))
-                key = (new_budgets, new_wins, history + (RoundResult(w, top),))
-                nxt[key] = nxt.get(key, Fraction(0)) + share
+                nxt.append((
+                    tuple(v - top if b == w else v for b, v in enumerate(budgets)),
+                    tuple(c + 1 if b == w else c for b, c in enumerate(wins)),
+                    history + (RoundResult(w, top),),
+                    share,
+                ))
             if len(nxt) > MAX_STATES:
                 raise SizeLimitExceeded(f"exact round {round_index} exceeds {MAX_STATES} states")
-        dist = nxt
+        states = nxt
 
+    if gen is not None:
+        return states[0][1]
     expected = [Fraction(0)] * k
-    for (_, wins, _), prob in dist.items():
+    for _, wins, _, prob in states:
         for b in range(k):
             expected[b] += prob * wins[b]
     return tuple(expected)
-
-
-def _run_sampled(strategies, n: int, k: int, seed) -> tuple[int, ...]:
-    gen = np.random.default_rng(seed)
-    budgets = (Fraction(1),) * k
-    wins = (0,) * k
-    history: tuple[RoundResult, ...] = ()
-    for round_index in range(1, n + 1):
-        bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
-        live = [(b, a) for b, a in enumerate(bids) if a is not None]
-        if not live:
-            history += (RoundResult(None, None),)
-            continue
-        top = max(a for _, a in live)
-        winners = [b for b, a in live if a == top]
-        w = winners[int(gen.integers(len(winners)))]
-        budgets = tuple(v - top if b == w else v for b, v in enumerate(budgets))
-        wins = tuple(c + 1 if b == w else c for b, c in enumerate(wins))
-        history += (RoundResult(w, top),)
-    return wins

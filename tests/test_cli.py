@@ -4,7 +4,7 @@ import json
 import time
 from fractions import Fraction
 
-from auctionlab import position_randomized, sequential
+from auctionlab import harness, position_randomized, sequential
 from auctionlab.cli import main
 
 
@@ -51,6 +51,23 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["bidder", "mean", "stderr", "exact_num", "exact_den"]
         assert len(rows) == 3
+
+    def test_two_bidder_defaults_to_copycat(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--mode", "two-bidder", "--n", "4", "--samples", "1000"
+        )
+        assert code == 0
+        assert json.loads(out)["scenario"]["adversary"]["kind"] == "copycat"
+
+    def test_position_matrix_limit_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_POSITION_MATRIX_N", 5)
+        code, out, err = run_cli(
+            capsys, "simulate", "--mode", "position-randomized", "--n", "6",
+            "--adversary", "undercut", "--samples", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert "n = 6 exceeds 5" in err
 
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -199,6 +216,20 @@ class TestSequentialCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["exact"][1] == {"num": 2, "den": 1, "decimal": "2"}
+
+    def test_default_adversary_is_steady(self, capsys):
+        code, out, _ = run_cli(capsys, "sequential", "--n", "4", "--k", "2", "--samples", "20")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["scenario"]["adversary"] == {"kind": "steady", "bids": None}
+        assert payload["exact"][0] == {"num": 2, "den": 1, "decimal": "2"}
+
+    def test_config_adversary_beats_default(self, capsys, tmp_path):
+        config = tmp_path / "seq.json"
+        config.write_text(json.dumps({"n": 4, "adversary": "fixed:0.6,0.4,0.4,0.4", "samples": 20}))
+        code, out, _ = run_cli(capsys, "sequential", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["scenario"]["adversary"]["kind"] == "fixed"
 
     def test_state_cap_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 3)

@@ -7,12 +7,14 @@ import pytest
 from auctionlab import (
     AdversaryPlan,
     EmptySample,
+    LengthMismatch,
     Scenario,
     ScenarioError,
+    SizeLimitExceeded,
     estimate,
     ks_distance,
 )
-from auctionlab import montecarlo
+from auctionlab import harness, montecarlo
 from auctionlab.montecarlo import WinTally, chunks, win_counts
 
 
@@ -39,8 +41,12 @@ class TestKsDistance:
         with pytest.raises(EmptySample):
             ks_distance([], lambda v: v)
 
-    def test_accepts_scalar_cdf(self):
-        assert ks_distance([0.5], lambda v: 0.5) == 0.5
+    def test_cdf_output_shape_must_match_sample(self):
+        # the cdf is called once on the whole sorted sample, never per point
+        with pytest.raises(LengthMismatch, match=r"shape \(\) for a sample of shape \(1,\)"):
+            ks_distance([0.5], lambda v: 0.5)
+        with pytest.raises(LengthMismatch):
+            ks_distance([0.1, 0.2, 0.3], lambda v: np.clip(v, 0, 1)[:-1])
 
 
 class TestWinCounts:
@@ -141,6 +147,15 @@ class TestScenarioValidation:
     def test_position_adversary_kinds(self):
         with pytest.raises(ScenarioError):
             Scenario(mode="position-randomized", n=4, adversary=AdversaryPlan("copycat")).validate()
+
+    def test_position_matrix_limit(self, monkeypatch):
+        # undercut and fixed build n x n placement matrices; dp-optimal does not
+        monkeypatch.setattr(harness, "MAX_POSITION_MATRIX_N", 5)
+        Scenario("position-randomized", 5, 2, AdversaryPlan("undercut")).validate()
+        Scenario("position-randomized", 6, 2, AdversaryPlan("dp-optimal")).validate()
+        for plan in (AdversaryPlan("undercut"), AdversaryPlan.fixed([Fraction(1, 6)] * 6)):
+            with pytest.raises(SizeLimitExceeded, match="n = 6 exceeds 5"):
+                Scenario("position-randomized", 6, 2, plan).validate()
 
 
 def small_scenario(**overrides):

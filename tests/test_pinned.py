@@ -10,15 +10,29 @@ their random streams in a fixed order (per chunk: adversary, bidders
 numbers bit for bit.  Means and standard errors are compared exactly.  KS
 distances may move by one ULP at k >= 3, where numpy's ``power`` and
 Python's ``**`` can round differently, so they get 1e-15.
+
+The ``sequential`` section pins ``run_sequential``: exact Fractions for
+all-steady and random-script profiles, sampled win tuples for tie-heavy
+profiles, and one sequential ``estimate`` report.
 """
 
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from auctionlab import AdversaryPlan, MarginalSpec, Scenario, copycat_value, estimate
+from auctionlab import (
+    AdversaryPlan,
+    MarginalSpec,
+    Scenario,
+    copycat_value,
+    estimate,
+    run_sequential,
+    scripted_strategy,
+    steady_strategy,
+)
 from auctionlab.verify import marginal_suite
 
 PINNED = json.loads((Path(__file__).parent / "pinned_values.json").read_text())
@@ -86,3 +100,65 @@ def test_marginal_suite():
     for check, (name, value, threshold, passed) in zip(checks, PINNED["marginal_suite_6_3"]):
         assert check.value == pytest.approx(value, rel=0, abs=KS_TOLERANCE)
         assert (check.threshold, check.passed) == (threshold, passed)
+
+
+SEQUENTIAL_REPORT = Scenario("sequential", 6, 3, AdversaryPlan("steady"), 500, 21)
+
+
+def steady_profile(n, k):
+    return [steady_strategy(n, k) for _ in range(k)]
+
+
+def random_script_profiles(n, k, count=20):
+    """Scripted opponents bidding multiples of 1/8 (0 passes) against one
+    steady bidder; steady bids k/n = 1/2 at (4,2) and (6,3), so ties are
+    common."""
+    gen = np.random.default_rng([n, k, 31])
+    for _ in range(count):
+        scripts = [
+            scripted_strategy([Fraction(int(v), 8) for v in gen.integers(0, 9, size=n)])
+            for _ in range(k - 1)
+        ]
+        yield scripts + [steady_strategy(n, k)]
+
+
+def tie_heavy_profile(n, k):
+    """An opponent that ties the steady bidders at k/n for the first n/2
+    rounds and then passes, so who wins each tie decides every count and
+    whether the last rounds go unsold."""
+    script = [Fraction(k, n)] * (n // 2) + [0] * (n - n // 2)
+    return [scripted_strategy(script)] + steady_profile(n, k)[1:]
+
+
+def as_text(values):
+    return [str(v) for v in values]
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (6, 3)])
+def test_sequential_exact_steady(n, k):
+    wins = run_sequential(steady_profile(n, k), n, k, mode="exact")
+    assert all(type(w) is Fraction for w in wins)
+    assert as_text(wins) == PINNED["sequential"]["exact_steady"][f"{n}_{k}"]
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_sequential_exact_random_scripts(n, k):
+    got = [
+        as_text(run_sequential(profile, n, k, mode="exact"))
+        for profile in random_script_profiles(n, k)
+    ]
+    assert got == PINNED["sequential"]["exact_random_scripts"][f"{n}_{k}"]
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_sequential_sampled_wins(n, k):
+    profile = tie_heavy_profile(n, k)
+    got = [list(run_sequential(profile, n, k, seed=s, mode="sample")) for s in range(50)]
+    assert all(type(w) is int for wins in got for w in wins)
+    assert got == PINNED["sequential"]["sample_tie_heavy"][f"{n}_{k}"]
+
+
+def test_sequential_report():
+    report = estimate(SEQUENTIAL_REPORT).to_json_dict()
+    del report["meta"]["elapsed_s"]
+    assert report == PINNED["sequential"]["report_6_3"]
