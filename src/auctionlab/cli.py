@@ -38,8 +38,8 @@ def _parse_amount(text) -> Fraction:
 
 def _parse_adversary(value) -> AdversaryPlan:
     if isinstance(value, dict):
-        kind = value.get("kind", "copycat")
         bids = value.get("bids")
+        kind = value.get("kind", "copycat" if bids is None else "fixed")
         if bids is not None:
             return AdversaryPlan(kind, tuple(_parse_amount(b) for b in bids))
         return AdversaryPlan(kind)

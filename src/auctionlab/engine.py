@@ -103,11 +103,7 @@ class BidSequence:
 
 def compare_bids(a: Bid, b: Bid) -> int:
     """Three-way lexicographic comparison on (base, eps): -1, 0 or +1."""
-    if (a.base, a.eps) < (b.base, b.eps):
-        return -1
-    if (a.base, a.eps) > (b.base, b.eps):
-        return 1
-    return 0
+    return (a > b) - (a < b)
 
 
 def validate_sequence(seq: BidSequence) -> None:

@@ -19,15 +19,14 @@ import numpy as np
 
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
-from .engine import Bid, BidSequence, as_fraction
-from .errors import EmptySample, LengthMismatch, ScenarioError, SizeLimitExceeded
+from .engine import BidSequence, as_fraction
+from .errors import EmptySample, LengthMismatch, ScenarioError
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import WinTally, play
 from .position_randomized import (
-    PermutationMarginals,
     best_response,
-    expected_wins_perm,
     initial_bids,
+    ladder_wins,
     undercut_sequence,
 )
 from .samplers import draw_k_bidder, draw_two_bidder
@@ -39,12 +38,6 @@ MODES = ("two-bidder", "k-bidder", "position-randomized", "sequential", "group")
 KS_FACTOR = 1.95
 
 SEQUENTIAL_TRIAL_CAP = 10_000
-
-# Largest n for which position mode scores an undercut or fixed adversary.
-# That path builds two n x n Fraction placement matrices, so time and memory
-# grow about 4x per doubling of n; an undercut run at n = 400 took about 5 s
-# on a 2-core host.
-MAX_POSITION_MATRIX_N = 400
 
 
 @dataclass(frozen=True)
@@ -86,6 +79,8 @@ class Scenario:
         if self.samples < 1:
             raise ScenarioError("need at least one sample")
         kind = self.adversary.kind
+        if kind != "fixed" and self.adversary.bids is not None:
+            raise ScenarioError(f"adversary kind {kind!r} takes no bids; only 'fixed' does")
         if self.mode == "two-bidder":
             if self.k != 2:
                 raise ScenarioError("two-bidder mode requires k = 2")
@@ -104,11 +99,6 @@ class Scenario:
             if self.n < self.k:
                 raise ScenarioError("position-randomized mode requires n >= k")
             self._check_kind(kind, ("dp-optimal", "undercut", "fixed"))
-            if kind != "dp-optimal" and self.n > MAX_POSITION_MATRIX_N:
-                raise SizeLimitExceeded(
-                    f"position-randomized mode scores a {kind} adversary with n x n "
-                    f"placement matrices; n = {self.n} exceeds {MAX_POSITION_MATRIX_N}"
-                )
             if kind == "fixed":
                 self._check_fixed_amounts(self.n)
         elif self.mode == "sequential":
@@ -334,26 +324,16 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
 def _position_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     ladder = initial_bids(n, k)
-    ladder_seq = ladder.as_sequence()
     kind = scenario.adversary.kind
     if kind == "dp-optimal":
         response = best_response(n, k)
-        adversary_seq = BidSequence(response.witness)
-        adversary_value = response.value
+        adversary_seq, adversary_value = response.witness_sequence(), response.value
     else:
         if kind == "undercut":
-            adversary_seq = undercut_sequence(ladder_seq)
+            adversary_seq = undercut_sequence(ladder.as_sequence())
         else:
-            adversary_seq = BidSequence(
-                tuple(Bid(as_fraction(b)) for b in scenario.adversary.bids)
-            )
-        adversary_value = expected_wins_perm(
-            k,
-            adversary_seq,
-            ladder_seq,
-            PermutationMarginals.identity(n),
-            PermutationMarginals.uniform(n),
-        )
+            adversary_seq = BidSequence(scenario.adversary.bids)
+        adversary_value = ladder_wins(k, adversary_seq, ladder)
     exact = _disadvantaged_split(n, adversary_value, k)
 
     adversary_base = np.array([float(b.base) for b in adversary_seq.bids])

@@ -7,6 +7,7 @@ game value.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -162,6 +163,24 @@ def expected_wins_perm(
             if weight == 0:
                 continue
             total += weight * _tie_aware_win(a_init.bids[q], b_init.bids, col, k - 1)
+    return total
+
+
+def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
+    """``expected_wins_perm`` with identity Q and uniform P, without the
+    n x n matrices: a bid above ``below`` ladder ranks in (base, eps) order
+    wins with chance (below/n)**(k-1), or ``rank_win_expectation`` at rank
+    below+1 when it ties that rank."""
+    n = ladder.n
+    if bids.n != n:
+        raise LengthMismatch(f"expected {n} bids, got {bids.n}")
+    total = Fraction(0)
+    for bid in bids.bids:
+        below = (bisect_right if bid.eps > 0 else bisect_left)(ladder.bids, bid.base)
+        if bid.eps == 0 and below < n and ladder.bids[below] == bid.base:
+            total += rank_win_expectation(n, k, below + 1)
+        else:
+            total += Fraction(below, n) ** (k - 1)
     return total
 
 

@@ -4,7 +4,7 @@ import json
 import time
 from fractions import Fraction
 
-from auctionlab import harness, position_randomized, sequential
+from auctionlab import position_randomized, sequential
 from auctionlab.cli import main
 
 
@@ -59,16 +59,6 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["scenario"]["adversary"]["kind"] == "copycat"
 
-    def test_position_matrix_limit_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "MAX_POSITION_MATRIX_N", 5)
-        code, out, err = run_cli(
-            capsys, "simulate", "--mode", "position-randomized", "--n", "6",
-            "--adversary", "undercut", "--samples", "10",
-        )
-        assert code == 1
-        assert out == ""
-        assert "n = 6 exceeds 5" in err
-
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--mode", "k-bidder", "--n", "5", "--k", "3"
@@ -114,6 +104,36 @@ class TestConfigAndEnv:
         code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
         assert code == 0
         assert json.loads(out)["scenario"]["n"] == 4
+
+    def test_config_bids_without_kind_mean_fixed(self, capsys, tmp_path):
+        adversary = {"bids": ["0.7", "0.1", "0.1", "0.1"]}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(
+            {"mode": "two-bidder", "n": 4, "samples": 1000, "adversary": adversary}
+        ))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["scenario"]["adversary"]["kind"] == "fixed"
+        # min(0.7 * n/2, 1) + 3 * 0.1 * n/2 against the Uniform(0, 2/n) marginal
+        exact = payload["exact"][0]
+        assert (exact["num"], exact["den"]) == (8, 5)
+
+        config.write_text(json.dumps({"n": 4, "samples": 20, "adversary": adversary}))
+        code, out, _ = run_cli(capsys, "sequential", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["scenario"]["adversary"]["kind"] == "fixed"
+
+    def test_config_bids_with_other_kind_exit_1(self, capsys, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({
+            "mode": "two-bidder", "n": 2, "samples": 1000,
+            "adversary": {"kind": "copycat", "bids": ["0.5", "0.5"]},
+        }))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert "takes no bids" in err
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "scenario.json"

@@ -10,11 +10,11 @@ from auctionlab import (
     LengthMismatch,
     Scenario,
     ScenarioError,
-    SizeLimitExceeded,
     estimate,
+    initial_bids,
     ks_distance,
 )
-from auctionlab import harness, montecarlo
+from auctionlab import montecarlo
 from auctionlab.montecarlo import WinTally, chunks, win_counts
 
 
@@ -148,14 +148,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario(mode="position-randomized", n=4, adversary=AdversaryPlan("copycat")).validate()
 
-    def test_position_matrix_limit(self, monkeypatch):
-        # undercut and fixed build n x n placement matrices; dp-optimal does not
-        monkeypatch.setattr(harness, "MAX_POSITION_MATRIX_N", 5)
-        Scenario("position-randomized", 5, 2, AdversaryPlan("undercut")).validate()
-        Scenario("position-randomized", 6, 2, AdversaryPlan("dp-optimal")).validate()
-        for plan in (AdversaryPlan("undercut"), AdversaryPlan.fixed([Fraction(1, 6)] * 6)):
-            with pytest.raises(SizeLimitExceeded, match="n = 6 exceeds 5"):
-                Scenario("position-randomized", 6, 2, plan).validate()
+    @pytest.mark.parametrize("kind", ["copycat", "undercut", "steady"])
+    def test_bids_only_with_fixed(self, kind):
+        plan = AdversaryPlan(kind, (Fraction(1, 2), Fraction(1, 2)))
+        for mode in ("two-bidder", "position-randomized", "sequential"):
+            with pytest.raises(ScenarioError, match="takes no bids"):
+                Scenario(mode, 2, 2, plan).validate()
 
 
 def small_scenario(**overrides):
@@ -208,6 +206,22 @@ class TestEstimate:
         assert report.exact[0] == Fraction(9, 4)
         assert report.exact[1] == Fraction(7, 4)
         assert report.estimates[0].mean == pytest.approx(2.25, abs=0.05)
+
+    def test_large_position_run_scores_from_the_ladder(self):
+        # undercut takes (W - 1)/n**2, and the ladder against itself ties
+        # every rank, which splits the n objects evenly
+        n, k = 10_000, 3
+        ladder = initial_bids(n, k)
+        cases = [
+            (AdversaryPlan("undercut"), Fraction(ladder.weight_total - 1, n**2)),
+            (AdversaryPlan.fixed(ladder.bids), Fraction(n, k)),
+        ]
+        for plan, value in cases:
+            report = estimate(Scenario("position-randomized", n, k, plan, 1_000, 17))
+            assert report.exact[0] == value
+            assert report.exact[1] == report.exact[2] == (n - value) / 2
+            for est, exact in zip(report.estimates, report.exact):
+                assert abs(est.mean - float(exact)) <= 5 * est.stderr
 
     def test_undercut_matches_dp_value(self):
         report = estimate(

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import (
     Bid,
@@ -21,6 +23,7 @@ from auctionlab import (
     validate_sequence,
 )
 from auctionlab import position_randomized
+from auctionlab.position_randomized import ladder_wins
 
 
 class TestInitialBids:
@@ -434,3 +437,65 @@ class TestUndercut:
     def test_rejects_partial_budget(self):
         with pytest.raises(ValueError):
             undercut_sequence(BidSequence.of(Fraction(1, 3), Fraction(1, 3)))
+
+
+def matrix_wins(k, seq, ladder):
+    """The oracle: ``expected_wins_perm`` with identity Q and uniform P."""
+    n = ladder.n
+    return expected_wins_perm(
+        k,
+        seq,
+        ladder.as_sequence(),
+        PermutationMarginals.identity(n),
+        PermutationMarginals.uniform(n),
+    )
+
+
+def grid_sequences(ladder, rng):
+    """Undercut, the best-response witness, the ladder itself (every bid an
+    exact tie), the ladder one infinitesimal up and down, and mixed
+    sequences holding the bare infinitesimal, a bid above the top rank,
+    exact ties and +-eps shifts of ladder values and midpoints."""
+    n, k = ladder.n, ladder.k
+    own = ladder.as_sequence()
+    top = ladder.bids[-1]
+    yield undercut_sequence(own)
+    yield best_response(n, k).witness_sequence()
+    yield own
+    yield BidSequence(tuple(Bid(c, +1) for c in ladder.bids))
+    yield BidSequence(tuple(Bid(c, -1) for c in ladder.bids))
+    mids = [(lo + hi) / 2 for lo, hi in zip(ladder.bids, ladder.bids[1:])]
+    pool = [Bid(Fraction(0), 1), Bid(top + Fraction(1, 7)), Bid(top, 1)]
+    pool += [Bid(c, e) for c in ladder.bids for e in (-(n - 1), -1, 0, 1)]
+    pool += [Bid(m, e) for m in mids for e in (-1, 0, 1)]
+    edges = (Bid(Fraction(0), 1), Bid(top + Fraction(1, 7)))
+    for _ in range(3):
+        yield BidSequence(edges + tuple(rng.choice(pool) for _ in range(n - 2)))
+
+
+class TestLadderWins:
+    def test_matches_matrix_path_on_grid(self):
+        rng = random.Random(53)
+        for k in range(2, 6):
+            for n in range(k, 13):
+                ladder = initial_bids(n, k)
+                for seq in grid_sequences(ladder, rng):
+                    assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder), (
+                        n, k, [str(b) for b in seq.bids]
+                    )
+
+    def test_size_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            ladder_wins(2, BidSequence.of(0.5, 0.5), initial_bids(3, 2))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_matrix_path_property(self, data):
+        k = data.draw(st.integers(2, 5), label="k")
+        n = data.draw(st.integers(k, 12), label="n")
+        ladder = initial_bids(n, k)
+        mids = [(lo + hi) / 2 for lo, hi in zip(ladder.bids, ladder.bids[1:])]
+        bases = [Fraction(0), *ladder.bids, *mids, ladder.bids[-1] + Fraction(1, 3)]
+        bid = st.builds(Bid, st.sampled_from(bases), st.integers(-n, n))
+        seq = BidSequence(tuple(data.draw(st.lists(bid, min_size=n, max_size=n), label="bids")))
+        assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder)
