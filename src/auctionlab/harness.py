@@ -30,7 +30,7 @@ from .position_randomized import (
     undercut_sequence,
 )
 from .samplers import draw_k_bidder, draw_two_bidder
-from .sequential import run_sequential, scripted_strategy, steady_strategy
+from .sequential import _sample_wins, run_sequential, scripted_strategy, steady_strategy
 
 MODES = ("two-bidder", "k-bidder", "position-randomized", "sequential", "group")
 
@@ -365,12 +365,9 @@ def _sequential_mode(scenario: Scenario):
     exact = run_sequential(strategies, n, k, mode="exact")
 
     trials = min(scenario.samples, SEQUENTIAL_TRIAL_CAP)
+    wins = _sample_wins(strategies, n, k, [[scenario.seed, t] for t in range(trials)])
     tally = WinTally(k)
-    block = np.empty((k, trials), dtype=np.int64)
-    for t in range(trials):
-        wins = run_sequential(strategies, n, k, seed=[scenario.seed, t], mode="sample")
-        block[:, t] = wins
-    tally.add(block)
+    tally.add(np.array(wins, dtype=np.int64).T)
     return _tally_estimates(tally), tuple(exact), {"ks": None}, trials
 
 

@@ -27,6 +27,7 @@ from .position_randomized import (
     best_response,
     expected_wins_perm,
     initial_bids,
+    ladder_wins,
     undercut_sequence,
 )
 from .samplers import RngStream, draw_k_bidder, draw_two_bidder
@@ -166,8 +167,9 @@ def position_suite(max_n: int = 12, max_k: int = 5) -> list[Check]:
     """Exact identities of the position-randomized solver, for every size
     in range: the best response's witness is feasible, and its expected
     wins, the reported value and the undercut sequence's expected wins all
-    equal (weight_total - 1) / n**(k-1)."""
-    formula_mismatches = undercut_mismatches = 0
+    equal (weight_total - 1) / n**(k-1); and ``ladder_wins``, which scores
+    both sequences in ``estimate``, equals the matrix path on each."""
+    formula_mismatches = undercut_mismatches = ladder_mismatches = 0
     for k in range(2, max_k + 1):
         for n in range(k, max_n + 1):
             ladder = initial_bids(n, k)
@@ -180,11 +182,16 @@ def position_suite(max_n: int = 12, max_k: int = 5) -> list[Check]:
             if not witness.is_feasible or scored != formula or response.value != formula:
                 formula_mismatches += 1
             undercut = undercut_sequence(opponents)
-            if expected_wins_perm(k, undercut, opponents, *placement) != formula:
+            undercut_scored = expected_wins_perm(k, undercut, opponents, *placement)
+            if undercut_scored != formula:
                 undercut_mismatches += 1
+            if (ladder_wins(k, witness, ladder) != scored
+                    or ladder_wins(k, undercut, ladder) != undercut_scored):
+                ladder_mismatches += 1
     return [
         _check("best_response_formula_mismatches", formula_mismatches, 0),
         _check("undercut_value_mismatches", undercut_mismatches, 0),
+        _check("ladder_scoring_mismatches", ladder_mismatches, 0),
     ]
 
 

@@ -251,10 +251,19 @@ class TestSequentialCommand:
         assert code == 0
         assert json.loads(out)["scenario"]["adversary"]["kind"] == "fixed"
 
+    def test_all_steady_60_3_answers(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sequential", "--n", "60", "--k", "3", "--samples", "1000",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] == [{"num": 20, "den": 1, "decimal": "20"}] * 3
+        assert payload["meta"]["samples"] == 1000
+
     def test_state_cap_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 3)
         code, out, err = run_cli(
-            capsys, "sequential", "--n", "4", "--k", "2", "--adversary", "steady",
+            capsys, "sequential", "--n", "6", "--k", "2", "--adversary", "steady",
             "--samples", "10",
         )
         assert code == 1

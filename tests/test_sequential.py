@@ -1,8 +1,12 @@
 import itertools
 from fractions import Fraction
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import (
     NotMultiple,
@@ -15,6 +19,12 @@ from auctionlab import (
     steady_strategy,
 )
 from auctionlab import sequential
+
+
+def unmarked(strategy):
+    """The same bids behind a plain callable, which the Markov mark does not
+    reach, so the run keeps one state per history."""
+    return lambda view, s=strategy: s(view)
 
 
 class TestSteadyStrategy:
@@ -150,15 +160,106 @@ class TestSteadyFloor:
 
 class TestStateCap:
     def test_cap_refuses_a_round_with_too_many_states(self, monkeypatch):
-        # all-steady (6,2) branches into C(6,3) = 20 tied histories
-        strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
+        # all-steady (6,2) branches into C(6,3) = 20 tied histories when the
+        # strategies are wrapped in plain callables, which keep the history walk
+        strategies = [unmarked(steady_strategy(6, 2)), unmarked(steady_strategy(6, 2))]
         monkeypatch.setattr(sequential, "MAX_STATES", 20)
         assert run_sequential(strategies, 6, 2) == (Fraction(3), Fraction(3))
         monkeypatch.setattr(sequential, "MAX_STATES", 19)
         with pytest.raises(SizeLimitExceeded, match="19 states"):
             run_sequential(strategies, 6, 2)
 
+    def test_cap_refuses_a_merged_round_with_too_many_states(self, monkeypatch):
+        # merged on (budgets, wins), all-steady (6,2) peaks at 4 states after
+        # round 3: win counts (3,0), (2,1), (1,2) and (0,3)
+        strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
+        monkeypatch.setattr(sequential, "MAX_STATES", 4)
+        assert run_sequential(strategies, 6, 2) == (Fraction(3), Fraction(3))
+        monkeypatch.setattr(sequential, "MAX_STATES", 3)
+        with pytest.raises(SizeLimitExceeded, match="round 3 exceeds 3 states"):
+            run_sequential(strategies, 6, 2)
+
     def test_cap_does_not_bound_sampled_mode(self, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 1)
         strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
         assert sum(run_sequential(strategies, 6, 2, seed=3, mode="sample")) == 6
+
+
+class TestMarkov:
+    def test_library_strategies_are_marked(self):
+        for strategy in (steady_strategy(4, 2), scripted_strategy([0.5]), pass_strategy):
+            assert sequential._is_markov([strategy])
+        assert not sequential._is_markov([steady_strategy(4, 2), unmarked(pass_strategy)])
+
+    def test_mark_survives_functools_wraps(self):
+        inner = steady_strategy(4, 2)
+
+        @functools.wraps(inner)
+        def counted(view):
+            return inner(view)
+
+        assert sequential._is_markov([counted, pass_strategy])
+
+    def test_markov_views_see_no_history_and_custom_ones_do(self):
+        def recorder(views):
+            return lambda view: views.append(view) or None
+
+        merged, walked = [], []
+        marked = sequential._markov(recorder(merged))
+        run_sequential([marked, steady_strategy(4, 2)], 4, 2)
+        run_sequential([recorder(walked), steady_strategy(4, 2)], 4, 2)
+        assert all(view.history == () for view in merged)
+        assert [len(view.history) for view in walked] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n,k", [(24, 2), (12, 3)])
+    def test_all_steady_reaches_n_over_k(self, n, k):
+        wins = run_sequential([steady_strategy(n, k) for _ in range(k)], n, k)
+        assert all(type(w) is Fraction for w in wins)
+        assert wins == (Fraction(n, k),) * k
+
+    @pytest.mark.parametrize("n,k", [(8, 2), (12, 2), (6, 3), (9, 3), (8, 4)])
+    def test_merged_walk_equals_history_walk_all_steady(self, n, k):
+        profile = [steady_strategy(n, k) for _ in range(k)]
+        assert run_sequential(profile, n, k) == run_sequential(
+            [unmarked(s) for s in profile], n, k
+        )
+
+    def test_capped_graph_keeps_the_draws(self, monkeypatch):
+        profile = [scripted_strategy([0.5, 0.5, 0.25, 0.25, 0.5, 0.5])] + [
+            steady_strategy(6, 3) for _ in range(2)
+        ]
+        full = sequential._sample_wins(profile, 6, 3, range(40))
+        monkeypatch.setattr(sequential, "MAX_STATES", 2)
+        assert sequential._sample_wins(profile, 6, 3, range(40)) == full
+
+
+@st.composite
+def scripted_profiles(draw):
+    """k <= 3 scripted bidders over n <= 6 rounds bidding multiples of 1/8
+    (0 passes), plus a steady last bidder when k | n, so ties are common."""
+    k = draw(st.integers(2, 3), label="k")
+    n = draw(st.integers(1, 6), label="n")
+    eighths = st.lists(st.integers(0, 8), min_size=n, max_size=n)
+    scripts = [
+        [Fraction(v, 8) for v in draw(eighths, label=f"script {b}")] for b in range(k)
+    ]
+    profile = [scripted_strategy(script) for script in scripts]
+    if n % k == 0 and draw(st.booleans(), label="steady"):
+        profile[-1] = steady_strategy(n, k)
+    return n, k, profile
+
+
+class TestMarkovProperty:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(scripted_profiles())
+    def test_merged_and_cached_walks_equal_the_history_walk(self, case):
+        n, k, profile = case
+        walked = [unmarked(s) for s in profile]
+        assert sequential._is_markov(profile) and not sequential._is_markov(walked)
+        merged = run_sequential(profile, n, k)
+        assert all(type(w) is Fraction for w in merged)
+        assert merged == run_sequential(walked, n, k)
+        seeds = range(20)
+        assert sequential._sample_wins(profile, n, k, seeds) == [
+            run_sequential(walked, n, k, seed=s, mode="sample") for s in seeds
+        ]
