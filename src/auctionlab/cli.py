@@ -1,9 +1,12 @@
 """Command-line front end: scenario configuration, execution and reporting.
 
-Reports go to stdout (or ``--out``); logs go to stderr.  Exit codes: 0 on
-success, 1 on validation or usage errors, 2 on internal errors.  A default
-seed may be supplied through the AUCTIONLAB_SEED environment variable;
-explicit flags override config-file values, which override defaults.
+Each subcommand's argparse options are its only settings.  ``--config``
+reads a JSON object keyed by those options' names and makes it the
+subcommand's defaults, so explicit flags override config values, which
+override defaults; the AUCTIONLAB_SEED environment variable supplies the
+default seed.  Reports go to stdout (or ``--out``); logs go to stderr.
+Exit codes: 0 on success, 1 on a bad input (an ``errors.py`` type, a usage
+error, an unreadable file or config), 2 on internal errors.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 
 from ._version import VERSION
-from .errors import ScenarioError
-from .harness import AdversaryPlan, Report, Scenario, estimate, fraction_json
+from .errors import InputError, ScenarioError
+from .harness import MODES, AdversaryPlan, Scenario, estimate, fraction_json
 from .marginals import MarginalSpec, marginal_cdf, spread_density
 from .position_randomized import best_response
 from .verify import SUITES, run_suite
@@ -29,250 +33,183 @@ from .verify import SUITES, run_suite
 
 def _parse_amount(text) -> Fraction:
     """Exact amount from CLI/config text: decimals stay decimal-exact."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(str(text))
+    try:
+        return Fraction(text if isinstance(text, (int, Fraction)) else str(text))
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(f"invalid amount {text!r}") from None
 
 
-def _parse_adversary(value) -> AdversaryPlan:
+def _parse_amounts(value) -> tuple[Fraction, ...]:
+    """Amounts from comma-separated text or a config list."""
+    parts = value if isinstance(value, list) else str(value).split(",")
+    return tuple(_parse_amount(p) for p in parts if p != "")
+
+
+def _parse_adversary(value) -> AdversaryPlan | None:
+    """A plan from ``kind``, ``fixed:a1,a2,...`` or a config object
+    {"kind", "bids"} whose bids without a kind mean fixed; None keeps the
+    mode's default."""
+    if value is None:
+        return None
     if isinstance(value, dict):
-        bids = value.get("bids")
-        kind = value.get("kind", "copycat" if bids is None else "fixed")
-        if bids is not None:
-            return AdversaryPlan(kind, tuple(_parse_amount(b) for b in bids))
-        return AdversaryPlan(kind)
-    text = str(value)
-    if text.startswith("fixed:"):
-        parts = [p for p in text[len("fixed:"):].split(",") if p]
-        if not parts:
-            raise ScenarioError("fixed adversary needs amounts, e.g. fixed:0.2,0.3")
-        return AdversaryPlan("fixed", tuple(_parse_amount(p) for p in parts))
-    return AdversaryPlan(text)
+        kind, bids = value.get("kind"), value.get("bids")
+    else:
+        kind, _, bids = str(value).partition(":")
+    bids = None if bids in (None, "") else _parse_amounts(bids)
+    kind = "fixed" if kind is None and bids is not None else kind
+    if kind == "fixed" and not bids:
+        raise ScenarioError("fixed adversary needs amounts, e.g. fixed:0.2,0.3")
+    return None if kind is None else AdversaryPlan(kind, bids)
 
 
-CONFIG_KEYS = {
-    "simulate": {"mode", "n", "k", "adversary", "samples", "seed", "group_sizes", "ks", "format", "out"},
-    "sequential": {"n", "k", "adversary", "samples", "seed", "format", "out"},
-    "best-response": {"n", "k", "format", "out"},
-    "marginals": {"n", "k", "grid", "format", "out"},
-    "verify": {"suite", "n", "k", "samples", "seed", "format", "out"},
-}
+def _env_seed() -> int:
+    text = os.environ.get("AUCTIONLAB_SEED") or "0"
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioError(f"AUCTIONLAB_SEED must be an integer, not {text!r}") from None
 
 
-def _load_config(path: str | None, command: str) -> dict:
-    if not path:
-        return {}
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The JSON object at ``path`` as defaults for ``parser``'s options."""
     with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ScenarioError("config file must hold a JSON object")
-    unknown = set(config) - CONFIG_KEYS[command]
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = set(config) - set(actions)
     if unknown:
         raise ScenarioError(
-            f"unknown config keys for {command}: {sorted(unknown)}; "
-            f"allowed: {sorted(CONFIG_KEYS[command])}"
+            f"unknown config keys for {parser.prog}: {sorted(unknown)}; "
+            f"allowed: {sorted(actions)}"
         )
-    return config
+    return {key: _config_value(actions[key], value) for key, value in config.items()}
 
 
-def _setting(args, config: dict, name: str, default):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if name in config:
-        return config[name]
-    return default
+def _config_value(action: argparse.Action, raw):
+    """Convert and check a config value as argparse does its flag's text:
+    numbers become text first, so 6 and "6" both read like ``--n 6``."""
+    try:
+        if action.nargs == 0:  # a switch such as --ks takes true or false
+            value, valid = raw, isinstance(raw, bool)
+        else:
+            value = raw if isinstance(raw, (dict, list)) else str(raw)
+            if action.type is not None:
+                value = action.type(value)
+            valid = action.choices is None or value in action.choices
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ScenarioError(f"config key {action.dest!r} has an invalid value: {raw!r}")
+    return value
 
 
-def _default_seed() -> int:
-    env = os.environ.get("AUCTIONLAB_SEED")
-    return int(env) if env else 0
-
-
-def _emit(args, config: dict, payload: str) -> None:
-    out = _setting(args, config, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+def _render(args, json_obj, csv_rows: list[list], text: str | None = None) -> None:
+    """Write the report in the ``--format`` form to ``--out`` or stdout."""
+    if args.format == "json":
+        payload = json.dumps(json_obj, indent=2) + "\n"
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(csv_rows)
+        payload = buffer.getvalue()
+    else:
+        payload = text
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _csv_text(rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _report_payload(report: Report, fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_text(report.to_csv_rows())
-    return json.dumps(report.to_json_dict(), indent=2)
-
-
-def _build_scenario(args, config: dict) -> Scenario:
-    mode = _setting(args, config, "mode", None)
-    if mode is None:
-        raise ScenarioError("a mode is required (--mode or config)")
-    n = _setting(args, config, "n", None)
-    if n is None:
-        raise ScenarioError("the object count is required (--n or config)")
-    adversary = _setting(args, config, "adversary", None)
-    group_sizes = _setting(args, config, "group_sizes", None)
-    if isinstance(group_sizes, str):
-        group_sizes = [p for p in group_sizes.split(",") if p]
-    return Scenario(
-        mode=str(mode),
-        n=int(n),
-        k=int(_setting(args, config, "k", 2)),
-        adversary=_parse_adversary(adversary)
-        if adversary
-        else AdversaryPlan("steady" if mode == "sequential" else "copycat"),
-        samples=int(_setting(args, config, "samples", 1_000_000)),
-        seed=int(_setting(args, config, "seed", _default_seed())),
-        group_sizes=None
-        if group_sizes is None
-        else tuple(_parse_amount(s) for s in group_sizes),
-        ks_stats=bool(_setting(args, config, "ks", False)),
-    )
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.command)
-    scenario = _build_scenario(args, config)
+    if args.mode is None:
+        raise ScenarioError("a mode is required (--mode or config)")
+    scenario = Scenario(
+        mode=args.mode,
+        n=args.n,
+        k=args.k,
+        adversary=_parse_adversary(args.adversary),
+        samples=args.samples,
+        seed=args.seed,
+        group_sizes=None if args.group_sizes is None else _parse_amounts(args.group_sizes),
+        ks_stats=args.ks,
+    )
     report = estimate(scenario)
-    fmt = _setting(args, config, "format", "json")
-    _emit(args, config, _report_payload(report, fmt))
+    _render(args, report.to_json_dict(), report.to_csv_rows())
     return 0
 
 
 def _cmd_best_response(args) -> int:
-    config = _load_config(args.config, "best-response")
-    n = int(_setting(args, config, "n", 4))
-    k = int(_setting(args, config, "k", 2))
-    response = best_response(n, k)
-    fmt = _setting(args, config, "format", "text")
-    if fmt == "json":
-        payload = json.dumps(
-            {
-                "n": n,
-                "k": k,
-                "value": fraction_json(response.value),
-                "witness": [
-                    {"base": fraction_json(b.base), "eps": b.eps}
-                    for b in response.witness
-                ],
-            },
-            indent=2,
-        )
-    elif fmt == "csv":
-        rows = [["value_num", "value_den", "decimal"]]
-        rows.append(
-            [
-                response.value.numerator,
-                response.value.denominator,
-                format(float(response.value), ".17g"),
-            ]
-        )
-        payload = _csv_text(rows)
-    else:
-        witness = ", ".join(str(b) for b in response.witness)
-        payload = (
-            f"best response value for n={n}, k={k}: "
-            f"{response.value} = {float(response.value)}\n"
-            f"witness multiset: {{{witness}}}\n"
-        )
-    _emit(args, config, payload)
+    response = best_response(args.n, args.k)
+    value = fraction_json(response.value)
+    witness = [{"base": fraction_json(b.base), "eps": b.eps} for b in response.witness]
+    _render(
+        args,
+        {"n": args.n, "k": args.k, "value": value, "witness": witness},
+        [["value_num", "value_den", "decimal"], [value["num"], value["den"], value["decimal"]]],
+        f"best response value for n={args.n}, k={args.k}: "
+        f"{response.value} = {float(response.value)}\n"
+        f"witness multiset: {{{', '.join(str(b) for b in response.witness)}}}\n",
+    )
     return 0
 
 
 def _cmd_marginals(args) -> int:
-    config = _load_config(args.config, "marginals")
-    n = int(_setting(args, config, "n", 4))
-    k = int(_setting(args, config, "k", 2))
-    grid = int(_setting(args, config, "grid", 20))
-    spec = MarginalSpec(n, k)
-    bs = np.linspace(0.0, 1.0, grid + 1)
-    cdf_rows = [{"b": float(b), "value": marginal_cdf(spec, float(b))} for b in bs]
-    vs = np.linspace(0.0, 2.0 / 3.0, grid + 1)[:-1]
-    spread_rows = [{"v": float(v), "value": spread_density(float(v))} for v in vs]
-    fmt = _setting(args, config, "format", "json")
-    if fmt == "csv":
-        rows = [["kind", "x", "value"]]
-        rows += [["cdf", r["b"], r["value"]] for r in cdf_rows]
-        rows += [["spread_density", r["v"], r["value"]] for r in spread_rows]
-        payload = _csv_text(rows)
-    else:
-        payload = json.dumps(
-            {
-                "spec": {"n": n, "k": k},
-                "cdf": cdf_rows,
-                "spread_density": spread_rows,
-            },
-            indent=2,
-        )
-    _emit(args, config, payload)
+    if args.grid < 1:
+        raise ScenarioError("the grid needs at least one step")
+    spec = MarginalSpec(args.n, args.k)
+    bs = np.linspace(0.0, 1.0, args.grid + 1)
+    cdf = [{"b": float(b), "value": marginal_cdf(spec, float(b))} for b in bs]
+    vs = np.linspace(0.0, 2.0 / 3.0, args.grid + 1)[:-1]
+    spread = [{"v": float(v), "value": spread_density(float(v))} for v in vs]
+    _render(
+        args,
+        {"spec": {"n": args.n, "k": args.k}, "cdf": cdf, "spread_density": spread},
+        [["kind", "x", "value"]]
+        + [["cdf", r["b"], r["value"]] for r in cdf]
+        + [["spread_density", r["v"], r["value"]] for r in spread],
+    )
     return 0
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config, "verify")
-    suite = _setting(args, config, "suite", "all")
-    n = int(_setting(args, config, "n", 4))
-    k = int(_setting(args, config, "k", 2))
-    samples = int(_setting(args, config, "samples", 1_000_000))
-    seed = int(_setting(args, config, "seed", _default_seed()))
-    checks = run_suite(suite, n=n, k=k, samples=samples, seed=seed)
-    all_passed = all(c.passed for c in checks)
-    fmt = _setting(args, config, "format", "text")
-    if fmt == "json":
-        payload = json.dumps(
-            {
-                "suite": suite,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "value": c.value,
-                        "threshold": c.threshold,
-                        "passed": c.passed,
-                    }
-                    for c in checks
-                ],
-                "passed": all_passed,
-            },
-            indent=2,
-        )
-    elif fmt == "csv":
-        rows = [["name", "value", "threshold", "passed"]]
-        rows += [[c.name, repr(c.value), repr(c.threshold), c.passed] for c in checks]
-        payload = _csv_text(rows)
-    else:
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
-            f"{c.value:.6g} (threshold {c.threshold:.6g})"
-            for c in checks
-        ]
-        lines.append(f"suite {suite}: {'PASS' if all_passed else 'FAIL'}")
-        payload = "\n".join(lines) + "\n"
-    _emit(args, config, payload)
-    return 0 if all_passed else 1
+    checks = run_suite(args.suite, n=args.n, k=args.k, samples=args.samples, seed=args.seed)
+    passed = all(c.passed for c in checks)
+    lines = [
+        f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
+        f"{c.value:.6g} (threshold {c.threshold:.6g})\n"
+        for c in checks
+    ]
+    _render(
+        args,
+        {"suite": args.suite, "checks": [asdict(c) for c in checks], "passed": passed},
+        [["name", "value", "threshold", "passed"]]
+        + [[c.name, repr(c.value), repr(c.threshold), c.passed] for c in checks],
+        "".join(lines) + f"suite {args.suite}: {'PASS' if passed else 'FAIL'}\n",
+    )
+    return 0 if passed else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv")) -> None:
-    parser.add_argument("--n", type=int, default=None, help="number of objects")
-    parser.add_argument("--k", type=int, default=None, help="number of bidders")
-    parser.add_argument("--samples", type=int, default=None, help="Monte Carlo draws")
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--format", choices=formats, default=None)
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--out", default=None, help="write the report to a file")
+def _command(sub, name: str, func, help: str, formats=("json", "csv"), sampled=False):
+    """A subcommand with the shared options, plus --samples and --seed if sampled."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--n", type=int, default=4, help="number of objects")
+    p.add_argument("--k", type=int, default=2, help="number of bidders")
+    if sampled:
+        p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo draws")
+        p.add_argument("--seed", type=int, default=_env_seed(),
+                       help="base RNG seed (default: AUCTIONLAB_SEED, else 0)")
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--config", help="JSON object of these options' values; flags win")
+    p.add_argument("--out", help="write the report to a file")
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
+def _adversary_help(modes) -> str:
+    kinds = "; ".join(f"{mode}: {' | '.join(MODES[mode].kinds)}" for mode in modes)
+    return f"adversary kind, the first listed is the default ({kinds}); fixed:a1,a2,... for fixed"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,45 +221,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"auctionlab {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a scenario and report estimates")
-    _add_common(p)
-    p.add_argument("--mode", default=None, help="two-bidder | k-bidder | position-randomized | sequential | group")
-    p.add_argument("--adversary", default=None, help="copycat | undercut | dp-optimal | steady | fixed:a1,a2,...")
-    p.add_argument("--group-sizes", dest="group_sizes", default=None, help="comma-separated group sizes")
-    p.add_argument("--ks", action="store_const", const=True, default=None, help="include per-coordinate KS statistics")
-    p.set_defaults(func=_cmd_simulate)
+    p = _command(sub, "simulate", _cmd_simulate, "run a scenario and report estimates",
+                 sampled=True)
+    p.add_argument("--mode", choices=MODES, help="scenario mode (required)")
+    p.add_argument("--adversary", help=_adversary_help(MODES))
+    p.add_argument("--group-sizes", help="comma-separated group sizes (group mode)")
+    p.add_argument("--ks", action="store_true", help="include per-coordinate KS statistics")
 
-    p = sub.add_parser("sequential", help="round-by-round auction against the steady strategy")
-    _add_common(p)
-    p.add_argument("--adversary", default=None, help="steady (default) | fixed:a1,a2,...")
-    p.set_defaults(func=_cmd_simulate, mode="sequential")
+    p = _command(sub, "sequential", _cmd_simulate,
+                 "round-by-round auction against the steady strategy", sampled=True)
+    p.add_argument("--adversary", help=_adversary_help(["sequential"]))
+    p.set_defaults(mode="sequential", group_sizes=None, ks=False)
 
-    p = sub.add_parser("best-response", help="exact adversary optimum against the ladder")
-    _add_common(p, formats=("text", "json", "csv"))
-    p.set_defaults(func=_cmd_best_response)
+    _command(sub, "best-response", _cmd_best_response,
+             "exact adversary optimum against the ladder", formats=("text", "json", "csv"))
 
-    p = sub.add_parser("marginals", help="evaluate the closed-form CDF and densities on a grid")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=None, help="grid resolution")
-    p.set_defaults(func=_cmd_marginals)
+    p = _command(sub, "marginals", _cmd_marginals,
+                 "evaluate the closed-form CDF and densities on a grid")
+    p.add_argument("--grid", type=int, default=20, help="grid resolution")
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    _add_common(p, formats=("text", "json", "csv"))
-    p.add_argument("--suite", choices=(*SUITES, "all"), default=None)
-    p.set_defaults(func=_cmd_verify)
-
+    p = _command(sub, "verify", _cmd_verify, "run a named verification suite",
+                 formats=("text", "json", "csv"), sampled=True)
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file's values become the subcommand's
+    defaults, and a second parse lets the flags win."""
     parser = build_parser()
-    try:
+    args = parser.parse_args(argv)
+    if args.config:
+        args.parser.set_defaults(**_config_defaults(args.parser, args.config))
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
-    except (ScenarioError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except SystemExit as exc:  # argparse: --help, --version or a usage error
+        return 0 if exc.code in (0, None) else 1
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

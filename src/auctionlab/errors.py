@@ -1,43 +1,47 @@
 """Exception types shared across the package."""
 
 
-class ZeroBid(ValueError):
+class InputError(ValueError):
+    """Base of the errors a bad input raises; the CLI exits 1 on these."""
+
+
+class ZeroBid(InputError):
     """A bid is not strictly positive."""
 
 
-class OverBudget(ValueError):
+class OverBudget(InputError):
     """A bid sequence exceeds the unit budget."""
 
 
-class LengthMismatch(ValueError):
+class LengthMismatch(InputError):
     """Sequences or matrices that must share a size do not."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """An evaluator was called outside its domain."""
 
 
-class NotMultiple(ValueError):
+class NotMultiple(InputError):
     """The object count is not a multiple of the bidder count."""
 
 
-class NotDoublyStochastic(ValueError):
+class NotDoublyStochastic(InputError):
     """A placement-probability matrix is not doubly stochastic."""
 
 
-class Infeasible(ValueError):
+class Infeasible(InputError):
     """A requested bid transformation would violate feasibility."""
 
 
-class EmptySample(ValueError):
+class EmptySample(InputError):
     """A statistic was requested on an empty sample."""
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """A scenario configuration violates its mode constraints."""
 
 
-class SizeLimitExceeded(ValueError):
+class SizeLimitExceeded(InputError):
     """An input would take more memory or time than the exact paths allow."""
 
 

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .position_randomized import (
 from .samplers import draw_k_bidder, draw_two_bidder
 from .sequential import _sample_wins, run_sequential, scripted_strategy, steady_strategy
 
-MODES = ("two-bidder", "k-bidder", "position-randomized", "sequential", "group")
-
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
 
@@ -42,13 +40,9 @@ SEQUENTIAL_TRIAL_CAP = 10_000
 
 @dataclass(frozen=True)
 class AdversaryPlan:
-    """How bidder 0 plays: a library strategy by name, or fixed amounts.
-
-    kinds: "copycat" (same sampler as the disadvantaged bidders), "fixed"
-    (given per-object or per-group amounts; per-round script in sequential
-    mode), "dp-optimal" / "undercut" (position-randomized mode), "steady"
-    (sequential mode).
-    """
+    """How bidder 0 plays: a library strategy by name, or fixed amounts
+    ("fixed": per object, per group, or a per-round script in sequential
+    mode).  ``MODES`` lists the kinds each mode accepts."""
 
     kind: str
     bids: Optional[tuple[Fraction, ...]] = None
@@ -60,80 +54,58 @@ class AdversaryPlan:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One verification run: a mode, auction size, adversary and sampling plan."""
+    """One verification run: a mode, auction size, adversary and sampling
+    plan.  Without an adversary, the mode's first kind in ``MODES`` plays."""
 
     mode: str
     n: int
     k: int = 2
-    adversary: AdversaryPlan = AdversaryPlan("copycat")
+    adversary: Optional[AdversaryPlan] = None
     samples: int = 1_000_000
     seed: int = 0
     group_sizes: Optional[tuple] = None
     ks_stats: bool = False
 
+    def __post_init__(self) -> None:
+        if self.adversary is None and self.mode in MODES:
+            object.__setattr__(self, "adversary", AdversaryPlan(MODES[self.mode].kinds[0]))
+
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ScenarioError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.k < 2:
+        mode, n, k = self.mode, self.n, self.k
+        if mode not in MODES:
+            raise ScenarioError(f"unknown mode {mode!r}; choose from {tuple(MODES)}")
+        if k < 2:
             raise ScenarioError("need at least two bidders")
         if self.samples < 1:
             raise ScenarioError("need at least one sample")
-        kind = self.adversary.kind
-        if kind != "fixed" and self.adversary.bids is not None:
+        if mode == "two-bidder" and k != 2:
+            raise ScenarioError("two-bidder mode requires k = 2")
+        if mode != "group" and n < k:
+            raise ScenarioError(f"{mode} mode requires n >= k")
+        if mode in ("k-bidder", "sequential") and n % k:
+            raise ScenarioError(f"{mode} mode requires k | n")
+        if mode == "group" and not (self.group_sizes and all(s > 0 for s in self.group_sizes)):
+            raise ScenarioError("group mode requires positive group_sizes")
+        kind, bids = self.adversary.kind, self.adversary.bids
+        if kind != "fixed" and bids is not None:
             raise ScenarioError(f"adversary kind {kind!r} takes no bids; only 'fixed' does")
-        if self.mode == "two-bidder":
-            if self.k != 2:
-                raise ScenarioError("two-bidder mode requires k = 2")
-            if self.n < 2:
-                raise ScenarioError("two-bidder mode requires n >= 2")
-            self._check_kind(kind, ("copycat", "fixed"))
-            if kind == "fixed":
-                self._check_fixed_amounts(self.n)
-        elif self.mode == "k-bidder":
-            if self.n % self.k:
-                raise ScenarioError("k-bidder mode requires k | n")
-            self._check_kind(kind, ("copycat", "fixed"))
-            if kind == "fixed":
-                self._check_fixed_amounts(self.n)
-        elif self.mode == "position-randomized":
-            if self.n < self.k:
-                raise ScenarioError("position-randomized mode requires n >= k")
-            self._check_kind(kind, ("dp-optimal", "undercut", "fixed"))
-            if kind == "fixed":
-                self._check_fixed_amounts(self.n)
-        elif self.mode == "sequential":
-            if self.n % self.k:
-                raise ScenarioError("sequential mode requires k | n (steady bidders)")
-            self._check_kind(kind, ("fixed", "steady"))
-            if kind == "fixed" and self.adversary.bids is None:
-                raise ScenarioError("fixed adversary needs a bid script")
-        elif self.mode == "group":
-            if not self.group_sizes:
-                raise ScenarioError("group mode requires group_sizes")
-            if any(s <= 0 for s in self.group_sizes):
-                raise ScenarioError("group sizes must be positive")
-            self._check_kind(kind, ("fixed",))
-            if self.adversary.bids is None or len(self.adversary.bids) != len(
-                self.group_sizes
-            ):
-                raise ScenarioError(
-                    f"fixed adversary needs {len(self.group_sizes)} group amounts"
-                )
-
-    def _check_kind(self, kind: str, allowed: tuple[str, ...]) -> None:
-        if kind not in allowed:
+        if kind not in MODES[mode].kinds:
             raise ScenarioError(
-                f"adversary kind {kind!r} not supported in {self.mode} mode"
+                f"adversary kind {kind!r} not supported in {mode} mode; "
+                f"choose from {MODES[mode].kinds}"
             )
-
-    def _check_fixed_amounts(self, n: int) -> None:
-        bids = self.adversary.bids
-        if bids is None or len(bids) != n:
-            raise ScenarioError(f"fixed adversary needs {n} amounts")
-        if any(b < 0 for b in bids):
-            raise ScenarioError("fixed adversary amounts must be nonnegative")
-        if sum(bids) > 1:
-            raise ScenarioError("fixed adversary amounts exceed the unit budget")
+        if kind != "fixed":
+            return
+        if mode == "sequential":
+            if bids is None:
+                raise ScenarioError("fixed adversary needs a bid script")
+            return
+        count = len(self.group_sizes) if mode == "group" else n
+        if bids is None or len(bids) != count:
+            unit = "group amounts" if mode == "group" else "amounts"
+            raise ScenarioError(f"fixed adversary needs {count} {unit}")
+        if mode != "group" and (any(b < 0 for b in bids) or sum(bids) > 1):
+            raise ScenarioError("fixed adversary amounts must be nonnegative and total at most 1")
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,15 +114,11 @@ class Scenario:
             "k": self.k,
             "adversary": {
                 "kind": self.adversary.kind,
-                "bids": None
-                if self.adversary.bids is None
-                else [fraction_json(as_fraction(b)) for b in self.adversary.bids],
+                "bids": _fractions_json(self.adversary.bids),
             },
             "samples": self.samples,
             "seed": self.seed,
-            "group_sizes": None
-            if self.group_sizes is None
-            else [fraction_json(as_fraction(s)) for s in self.group_sizes],
+            "group_sizes": _fractions_json(self.group_sizes),
         }
 
 
@@ -163,6 +131,10 @@ def fraction_json(value: Optional[Fraction]) -> Optional[dict]:
         "den": value.denominator,
         "decimal": format(float(value), ".17g"),
     }
+
+
+def _fractions_json(values) -> Optional[list]:
+    return None if values is None else [fraction_json(as_fraction(v)) for v in values]
 
 
 @dataclass(frozen=True)
@@ -240,14 +212,7 @@ def estimate(scenario: Scenario) -> Report:
     closed form exists."""
     scenario.validate()
     start = time.perf_counter()
-    if scenario.mode in ("two-bidder", "k-bidder"):
-        estimates, exact, statistics, used = _marginal_mode(scenario)
-    elif scenario.mode == "position-randomized":
-        estimates, exact, statistics, used = _position_mode(scenario)
-    elif scenario.mode == "sequential":
-        estimates, exact, statistics, used = _sequential_mode(scenario)
-    else:
-        estimates, exact, statistics, used = _group_mode(scenario)
+    estimates, exact, statistics, used = MODES[scenario.mode].run(scenario)
     meta = {
         "seed": scenario.seed,
         "samples": used,
@@ -378,3 +343,17 @@ def _group_mode(scenario: Scenario):
     exact = _disadvantaged_split(auction.total, value, scenario.k)
     # no sampler exists for the grouped joint distribution; exact values only
     return (), tuple(exact), {"ks": None}, 0
+
+
+class Mode(NamedTuple):
+    run: Callable  # scenario -> (estimates, exact, statistics, samples used)
+    kinds: tuple[str, ...]  # the adversary kinds it accepts, the first by default
+
+
+MODES = {
+    "two-bidder": Mode(_marginal_mode, ("copycat", "fixed")),
+    "k-bidder": Mode(_marginal_mode, ("copycat", "fixed")),
+    "position-randomized": Mode(_position_mode, ("dp-optimal", "undercut", "fixed")),
+    "sequential": Mode(_sequential_mode, ("steady", "fixed")),
+    "group": Mode(_group_mode, ("fixed",)),
+}

@@ -33,9 +33,9 @@ class MarginalSpec:
 
     def __post_init__(self) -> None:
         if self.k < 2:
-            raise ValueError("need at least two bidders")
+            raise DomainError("need at least two bidders")
         if self.n < self.k:
-            raise ValueError("need at least as many objects as bidders")
+            raise DomainError("need at least as many objects as bidders")
 
     @property
     def cap(self) -> Fraction:

@@ -14,7 +14,13 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .engine import Bid, BidSequence
-from .errors import Infeasible, LengthMismatch, NotDoublyStochastic, SizeLimitExceeded
+from .errors import (
+    DomainError,
+    Infeasible,
+    LengthMismatch,
+    NotDoublyStochastic,
+    SizeLimitExceeded,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ MAX_LADDER_N = 1_000_000
 def initial_bids(n: int, k: int) -> InitialBids:
     """Optimal initial sequence within the position-randomized class."""
     if k < 2 or n < k:
-        raise ValueError("need n >= k >= 2")
+        raise DomainError("need n >= k >= 2")
     if n > MAX_LADDER_N:
         raise SizeLimitExceeded(f"n = {n} exceeds the ladder limit of {MAX_LADDER_N} objects")
     weights = [i ** (k - 1) for i in range(1, n + 1)]

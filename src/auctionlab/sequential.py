@@ -83,8 +83,8 @@ def steady_strategy(n: int, k: int) -> Strategy:
 
     For k | n this guarantees at least n/k objects against any opponents.
     """
-    if n % k:
-        raise NotMultiple(f"{k} bidders do not divide {n} objects")
+    if n < k or n % k:
+        raise NotMultiple(f"{k} bidders do not divide {n} objects into positive shares")
     amount = Fraction(k, n)
 
     @_markov

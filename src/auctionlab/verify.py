@@ -234,5 +234,7 @@ SUITES = {
 def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed: int = 0) -> list[Check]:
     if name != "all" and name not in SUITES:
         raise ScenarioError(f"unknown suite {name!r}; choose {', '.join(SUITES)} or all")
+    if samples < 1:
+        raise ScenarioError("need at least one sample")
     names = SUITES if name == "all" else [name]
     return [c for suite in names for c in SUITES[suite](n, k, samples, seed)]
