@@ -38,21 +38,15 @@ def wins_vs_marginal(spec: MarginalSpec, amounts: Sequence):
     n, k = spec.n, spec.k
     if len(amounts) != n:
         raise ValueError(f"expected {n} amounts, got {len(amounts)}")
-    if _all_rational(amounts):
-        vals = [Fraction(a) for a in amounts]
-        if any(a < 0 for a in vals):
-            raise DomainError("amounts must be nonnegative")
-        if sum(vals) > 1:
-            raise OverBudget(f"amounts total {sum(vals)} > 1")
-        slope = Fraction(n, k)
-        return sum(min(Fraction(1), slope * a) for a in vals)
-    vals = [float(a) for a in amounts]
+    exact = _all_rational(amounts)
+    number = Fraction if exact else float
+    vals = [number(a) for a in amounts]
     if any(a < 0 for a in vals):
         raise DomainError("amounts must be nonnegative")
-    if sum(vals) > 1.0 + FLOAT_BUDGET_SLACK:
+    if sum(vals) > 1 + (0 if exact else FLOAT_BUDGET_SLACK):
         raise OverBudget(f"amounts total {sum(vals)} > 1")
-    slope = n / k
-    return sum(min(1.0, slope * a) for a in vals)
+    slope = number(n) / k
+    return sum(min(number(1), slope * a) for a in vals)
 
 
 @dataclass(frozen=True)
@@ -88,25 +82,19 @@ def group_wins(auction: GroupAuction, amounts: Sequence):
             f"expected {len(auction.sizes)} amounts, got {len(amounts)}"
         )
     exact = _all_rational(amounts) and _all_rational(auction.sizes)
-    if exact:
-        sizes = [Fraction(s) for s in auction.sizes]
-        vals = [Fraction(a) for a in amounts]
-        n = sum(sizes)
-        cap = Fraction(auction.k) / n
-        one = Fraction(1)
-    else:
-        sizes = [float(s) for s in auction.sizes]
-        vals = [float(a) for a in amounts]
-        n = sum(sizes)
-        cap = auction.k / n + FLOAT_BUDGET_SLACK
-        one = 1.0 + FLOAT_BUDGET_SLACK
+    number = Fraction if exact else float
+    slack = 0 if exact else FLOAT_BUDGET_SLACK
+    sizes = [number(s) for s in auction.sizes]
+    vals = [number(a) for a in amounts]
+    n = sum(sizes)
+    cap = number(auction.k) / n + slack
     for a in vals:
         if a < 0 or a > cap:
             raise DomainError(f"group amount {a} outside [0, k/n]")
     spend = sum(s * a for s, a in zip(sizes, vals))
-    if spend > one:
+    if spend > 1 + slack:
         raise OverBudget(f"group bids total {spend} > 1")
-    slope = n / Fraction(auction.k) if exact else n / auction.k
+    slope = n / number(auction.k)
     return sum(s * slope * a for s, a in zip(sizes, vals))
 
 
@@ -149,9 +137,4 @@ def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -
         return np.stack([draw_k_bidder(n, k, rng, size=length) for _ in range(k)]), None
 
     tally = play(k, n, samples, seed, stack)
-    return CopycatEstimate(
-        mean=tally.mean(0),
-        stderr=tally.stderr(0),
-        expected=Fraction(n, k),
-        samples=samples,
-    )
+    return CopycatEstimate(tally.mean(0), tally.stderr(0), Fraction(n, k), samples)

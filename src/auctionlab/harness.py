@@ -84,8 +84,12 @@ class Scenario:
             raise ScenarioError(f"{mode} mode requires n >= k")
         if mode in ("k-bidder", "sequential") and n % k:
             raise ScenarioError(f"{mode} mode requires k | n")
-        if mode == "group" and not (self.group_sizes and all(s > 0 for s in self.group_sizes)):
-            raise ScenarioError("group mode requires positive group_sizes")
+        if mode == "group":
+            sizes = [as_fraction(s) for s in self.group_sizes or ()]
+            if not (sizes and all(s > 0 for s in sizes)):
+                raise ScenarioError("group mode requires positive group_sizes")
+            if sum(sizes) != n:
+                raise ScenarioError(f"group mode requires n = {sum(sizes)}, the group_sizes total")
         kind, bids = self.adversary.kind, self.adversary.bids
         if kind != "fixed" and bids is not None:
             raise ScenarioError(f"adversary kind {kind!r} takes no bids; only 'fixed' does")
@@ -97,8 +101,8 @@ class Scenario:
         if kind != "fixed":
             return
         if mode == "sequential":
-            if bids is None:
-                raise ScenarioError("fixed adversary needs a bid script")
+            if bids is None or any(b < 0 or b > 1 for b in bids):
+                raise ScenarioError("fixed adversary needs a bid script of amounts in [0, 1]")
             return
         count = len(self.group_sizes) if mode == "group" else n
         if bids is None or len(bids) != count:
@@ -234,17 +238,16 @@ def _disadvantaged_split(n, adversary_value: Fraction, k: int) -> list[Fraction]
     return [adversary_value] + [share] * (k - 1)
 
 
-def _sampler_for(scenario: Scenario):
-    if scenario.mode == "two-bidder":
-        return lambda rng, m: draw_two_bidder(scenario.n, rng, size=m)
-    return lambda rng, m: draw_k_bidder(scenario.n, scenario.k, rng, size=m)
-
-
 def _marginal_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     spec = MarginalSpec(n, k)
     fixed = scenario.adversary.kind == "fixed"
-    draw = _sampler_for(scenario)
+
+    def draw(rng, m):
+        if scenario.mode == "two-bidder":
+            return draw_two_bidder(n, rng, size=m)
+        return draw_k_bidder(n, k, rng, size=m)
+
     if fixed:
         adversary_value = wins_vs_marginal(spec, list(scenario.adversary.bids))
         adversary_row = np.array([float(b) for b in scenario.adversary.bids])
@@ -311,9 +314,8 @@ def _position_mode(scenario: Scenario):
         base[0] = adversary_base
         eps[0] = adversary_eps
         for b in range(1, k):
-            base[b] = rng.generator.permuted(
-                np.broadcast_to(ladder_row, (length, n)).copy(), axis=1
-            )
+            base[b] = ladder_row
+            rng.generator.permuted(base[b], axis=1, out=base[b])
         return base, eps
 
     tally = play(k, n, scenario.samples, scenario.seed, stack)

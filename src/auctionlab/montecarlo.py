@@ -2,7 +2,10 @@
 
 Ties are realized by drawing a uniform winner among the tied top bidders
 (an unbiased realization of the equal-split rule), so per-draw win counts
-are integers.  Sums and sums of squares accumulate in exact integer
+are integers.  Every object draws its tie variate whether or not it is
+tied, so the random stream does not depend on how often ties occur, but
+only the tied objects are ordered; the counts are bit-identical to ordering
+every object.  Sums and sums of squares accumulate in exact integer
 arithmetic, which makes aggregation order-independent: chunked, parallel
 and serial runs produce bit-identical statistics.
 """
@@ -31,19 +34,34 @@ def win_counts(base: np.ndarray, eps: np.ndarray | None, gen: np.random.Generato
 
     base has shape (k, N, n); eps, when given, holds the integer
     infinitesimal coefficients used to break base-amount ties.  Each object
-    is awarded to exactly one of its top bidders, chosen uniformly.
-    Returns an int64 array of shape (k, N).
+    goes to its top bidder of rank floor(u * ties), u being its entry of
+    one ``gen.random((N, n))`` draw that covers every object.  Only objects
+    whose top base amount is shared are eps-masked and ranked, which gives
+    the counts of ranking them all, bit for bit.  Returns an int64 array of
+    shape (k, N).
     """
-    top = base.max(axis=0)
-    at_top = base == top
+    k, rows, n = base.shape
+    at_top = base == base.max(axis=0)
+    u = gen.random((rows, n))
+    # credit every top bidder: uint8 einsum sums are exact up to 255 objects
+    wins = np.zeros((k, rows), dtype=np.int64)
+    for start in range(0, n, 255):
+        wins += np.einsum("brn->br", at_top[..., start:start + 255].view(np.uint8))
+    # one bidder keeps each shared object's credit, the others lose theirs
+    shared = np.flatnonzero(at_top.sum(axis=0, dtype=np.min_scalar_type(k)) > 1)
+    if shared.size == 0:
+        return wins
+    tied = at_top.reshape(k, -1)[:, shared]
+    best = tied
     if eps is not None:
-        masked = np.where(at_top, eps, _EPS_FLOOR)
-        at_top = masked == masked.max(axis=0)
-    ties = at_top.sum(axis=0)
-    pick = (gen.random(top.shape) * ties).astype(np.int64)
-    order = np.cumsum(at_top, axis=0) - 1
-    winner = at_top & (order == pick)
-    return winner.sum(axis=2).astype(np.int64)
+        masked = np.where(tied, eps.reshape(k, -1)[:, shared], _EPS_FLOOR)
+        best = masked == masked.max(axis=0)
+    pick = (u.ravel()[shared] * best.sum(axis=0)).astype(np.int64)
+    winner = best & (np.cumsum(best, axis=0) - 1 == pick)
+    bidder, column = np.nonzero(tied & ~winner)
+    losses = np.bincount(bidder * rows + shared[column] // n, minlength=k * rows)
+    wins -= losses.reshape(k, rows)
+    return wins
 
 
 def chunks(total: int, size: int = CHUNK):

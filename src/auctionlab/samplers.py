@@ -147,7 +147,6 @@ def _two_bidder_array(n: int, gen: np.random.Generator, size: int) -> np.ndarray
     if n % 2 == 0:
         m = n // 2
         cols = [b1] * m + [2.0 / n - b1] * m
-        out = np.stack(cols, axis=1)
     else:
         m = (n - 1) // 2
         tri = draw_triple(gen, size)
@@ -159,8 +158,7 @@ def _two_bidder_array(n: int, gen: np.random.Generator, size: int) -> np.ndarray
             scale * (y - z + ONE_THIRD),
             scale * (z - x + ONE_THIRD),
         ]
-        out = np.stack(cols, axis=1)
-    return _renormalize_rows(out, gen, lambda g, m: _two_bidder_array(n, g, m))
+    return _renormalize_rows(np.stack(cols, axis=1), gen, lambda g, m: _two_bidder_array(n, g, m))
 
 
 def draw_simplex(k: int, rng, size: int | None = None):
@@ -219,8 +217,7 @@ def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
     if not error <= SUM_TOLERANCE:
         raise InvariantError(f"sampled rows miss a unit total by {error}")
     out /= sums[:, None]
-    bad = np.any(out <= 0.0, axis=1)
-    while np.any(bad):
-        out[bad] = redraw(gen, int(bad.sum()))
+    while not out.min() > 0.0:
         bad = np.any(out <= 0.0, axis=1)
+        out[bad] = redraw(gen, int(bad.sum()))
     return out

@@ -80,6 +80,15 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["estimates"] == []
 
+    def test_group_n_other_than_sizes_total_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--mode", "group",
+            "--group-sizes", "1,2", "--adversary", "fixed:0.3,0.3",
+        )
+        assert code == 1 and out == ""
+        assert "n = 3" in err
+
     def test_usage_error(self, capsys):
         assert main(["simulate", "--bogus"]) == 1
 
@@ -236,6 +245,14 @@ class TestSequentialCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["exact"][1] == {"num": 2, "den": 1, "decimal": "2"}
+
+    def test_script_amount_outside_unit_range_exits_1(self, capsys):
+        for script in ("fixed:-1,0.5", "fixed:2,2,2,2"):
+            code, out, err = run_cli(
+                capsys, "sequential", "--n", "4", "--k", "2", "--adversary", script,
+            )
+            assert code == 1 and out == ""
+            assert "[0, 1]" in err
 
     def test_default_adversary_is_steady(self, capsys):
         code, out, _ = run_cli(capsys, "sequential", "--n", "4", "--k", "2", "--samples", "20")

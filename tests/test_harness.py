@@ -144,6 +144,21 @@ class TestScenarioValidation:
                 adversary=AdversaryPlan.fixed([Fraction(1, 3)]),
             ).validate()
 
+    def test_group_n_must_equal_sizes_total(self):
+        plan = AdversaryPlan.fixed([Fraction(1, 3), Fraction(1, 3)])
+        Scenario("group", 3, 2, plan, group_sizes=(1, 2)).validate()
+        for n in (4, 7):
+            with pytest.raises(ScenarioError, match="n = 3"):
+                Scenario("group", n, 2, plan, group_sizes=(1, 2)).validate()
+
+    @pytest.mark.parametrize("script", [["-1", "0.5"], ["2", "2", "2", "2"], ["0.5", "1.01"]])
+    def test_sequential_script_amounts_in_unit_range(self, script):
+        with pytest.raises(ScenarioError, match=r"in \[0, 1\]"):
+            Scenario("sequential", 4, 2, AdversaryPlan.fixed(script)).validate()
+
+    def test_sequential_script_zero_and_one_allowed(self):
+        Scenario("sequential", 4, 2, AdversaryPlan.fixed(["0", "1", "0.5"])).validate()
+
     def test_position_adversary_kinds(self):
         with pytest.raises(ScenarioError):
             Scenario(mode="position-randomized", n=4, adversary=AdversaryPlan("copycat")).validate()

@@ -1,0 +1,116 @@
+"""``win_counts`` against the dense resolver it replaced.
+
+``dense_win_counts`` orders the top bidders of every object; the library
+orders only the objects whose top base amount is shared.  Both draw one
+tie variate per object, so they must agree on every count and leave the
+generator in the same state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from auctionlab.montecarlo import win_counts
+
+EPS_FLOOR = np.iinfo(np.int64).min
+
+
+def dense_win_counts(base, eps, gen):
+    """Order every object's top bidders and award it to rank
+    floor(u * ties)."""
+    top = base.max(axis=0)
+    at_top = base == top
+    if eps is not None:
+        masked = np.where(at_top, eps, EPS_FLOOR)
+        at_top = masked == masked.max(axis=0)
+    ties = at_top.sum(axis=0)
+    pick = (gen.random(top.shape) * ties).astype(np.int64)
+    order = np.cumsum(at_top, axis=0) - 1
+    winner = at_top & (order == pick)
+    return winner.sum(axis=2).astype(np.int64)
+
+
+def assert_matches_oracle(base, eps, seed=0):
+    gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    wins = win_counts(base, eps, gen)
+    expected = dense_win_counts(base, eps, oracle_gen)
+    assert wins.dtype == np.int64
+    np.testing.assert_array_equal(wins, expected)
+    assert gen.bit_generator.state == oracle_gen.bit_generator.state
+    return wins
+
+
+@st.composite
+def tied_stacks(draw):
+    """Bid stacks on a coarse grid, so that base ties are common; one grid
+    level makes every object an all-k tie.  eps, when present, also comes
+    from a coarse grid, so that it breaks some base ties and leaves others
+    tied."""
+    k = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 4))
+    eps_levels = draw(st.one_of(st.none(), st.integers(1, 3)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = gen.integers(0, levels, size=(k, rows, n)) / levels
+    eps = None if eps_levels is None else gen.integers(-1, eps_levels - 1, size=(k, rows, n))
+    return base, eps, draw(st.integers(0, 2**32 - 1))
+
+
+class TestWinCountsOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tied_stacks())
+    def test_equals_dense_resolver(self, case):
+        base, eps, seed = case
+        wins = assert_matches_oracle(base, eps, seed)
+        assert np.all(wins.sum(axis=0) == base.shape[2])
+
+    def test_no_ties_takes_one_draw_per_object(self):
+        gen = np.random.default_rng(1)
+        base = gen.random((3, 500, 7))
+        wins = assert_matches_oracle(base, None)
+        np.testing.assert_array_equal(wins, (base == base.max(axis=0)).sum(axis=2))
+        twin = np.random.default_rng(0)
+        twin.random((500, 7))
+        gen = np.random.default_rng(0)
+        win_counts(base, None, gen)
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("eps_row", [None, 0, 1])
+    def test_all_k_tie(self, eps_row):
+        base = np.full((4, 50, 6), 0.25)
+        eps = None
+        if eps_row is not None:
+            # eps 0 everywhere keeps the four-way tie; one raised row
+            # leaves bidder 2 alone on top
+            eps = np.zeros(base.shape, dtype=np.int64)
+            eps[2] = eps_row
+        wins = assert_matches_oracle(base, eps, seed=3)
+        if eps_row == 1:
+            assert np.all(wins[2] == 6)
+        else:
+            assert np.all(wins.sum(axis=0) == 6) and np.all(wins.sum(axis=1) > 0)
+
+    def test_eps_tie_within_base_tie(self):
+        # bidders 0, 1 and 2 tie on base; eps lifts 1 and 2 above 0, and
+        # they stay tied with each other
+        base = np.full((3, 200, 4), 0.5)
+        eps = np.zeros(base.shape, dtype=np.int64)
+        eps[1:] = 2
+        wins = assert_matches_oracle(base, eps, seed=5)
+        assert np.all(wins[0] == 0) and wins[1].sum() > 0 and wins[2].sum() > 0
+
+    def test_more_than_255_objects(self):
+        base = np.zeros((2, 3, 600))
+        base[0] = 1.0
+        base[:, 1, :300] = 1.0  # row 1 ties on half of its objects
+        wins = assert_matches_oracle(base, None, seed=7)
+        assert wins[0, 0] == 600 and wins[1, 0] == 0
+        assert wins[0, 1] + wins[1, 1] == 600 and wins[0, 1] >= 300
+
+    def test_more_than_255_bidders(self):
+        # 257 top bidders would wrap a uint8 tie count to 1
+        base = np.full((257, 4, 3), 0.5)
+        wins = assert_matches_oracle(base, None, seed=9)
+        assert np.all(wins.sum(axis=0) == 3)
