@@ -20,7 +20,7 @@ import numpy as np
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
-from .errors import EmptySample, LengthMismatch, ScenarioError
+from .errors import EmptySample, LengthMismatch, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import WinTally, play
 from .position_randomized import (
@@ -34,6 +34,9 @@ from .sequential import _sample_wins, run_sequential, scripted_strategy, steady_
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
+
+# Most samples x objects a KS table holds at once: 256 MB of float64 draws
+KS_CELLS = 1 << 25
 
 SEQUENTIAL_TRIAL_CAP = 10_000
 
@@ -84,6 +87,8 @@ class Scenario:
             raise ScenarioError(f"{mode} mode requires n >= k")
         if mode in ("k-bidder", "sequential") and n % k:
             raise ScenarioError(f"{mode} mode requires k | n")
+        if self.ks_stats and mode in ("two-bidder", "k-bidder"):
+            check_ks_size(self.samples, n)
         if mode == "group":
             sizes = [as_fraction(s) for s in self.group_sizes or ()]
             if not (sizes and all(s > 0 for s in sizes)):
@@ -255,20 +260,31 @@ def _marginal_mode(scenario: Scenario):
         adversary_value = Fraction(n, k)
     exact = _disadvantaged_split(n, adversary_value, k)
 
-    coords: list[np.ndarray] = []
+    # the last bidder's draws, chunk after chunk, for the KS table
+    coords = np.empty((scenario.samples, n)) if scenario.ks_stats else None
+    filled = 0
 
     def stack(rng, length):
+        nonlocal filled
         first = np.broadcast_to(adversary_row, (length, n)) if fixed else draw(rng, length)
         base = np.stack([first] + [draw(rng, length) for _ in range(k - 1)])
-        if scenario.ks_stats:
-            coords.append(base[k - 1].copy())
+        if coords is not None:
+            coords[filled:filled + length] = base[k - 1]
+            filled += length
         return base, None
 
     tally = play(k, n, scenario.samples, scenario.seed, stack)
-    statistics: dict = {"ks": None}
-    if scenario.ks_stats:
-        statistics["ks"] = ks_table(np.vstack(coords), spec)
+    statistics: dict = {"ks": None if coords is None else ks_table(coords, spec)}
     return _tally_estimates(tally), tuple(exact), statistics, scenario.samples
+
+
+def check_ks_size(samples: int, n: int) -> None:
+    """Refuse a KS table of more than KS_CELLS draws before any is made."""
+    if samples * n > KS_CELLS:
+        raise SizeLimitExceeded(
+            f"a KS table of {samples} samples x {n} objects exceeds the "
+            f"{KS_CELLS:,}-cell limit; use at most {KS_CELLS // n:,} samples"
+        )
 
 
 def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
@@ -305,14 +321,14 @@ def _position_mode(scenario: Scenario):
     exact = _disadvantaged_split(n, adversary_value, k)
 
     adversary_base = np.array([float(b.base) for b in adversary_seq.bids])
-    adversary_eps = np.array([b.eps for b in adversary_seq.bids], dtype=np.int64)
     ladder_row = np.array([float(c) for c in ladder.bids])
+    # only the adversary bids eps; one row of it serves every chunk row
+    eps = np.zeros((k, 1, n), dtype=np.int64)
+    eps[0, 0] = [b.eps for b in adversary_seq.bids]
 
     def stack(rng, length):
         base = np.empty((k, length, n))
-        eps = np.zeros((k, length, n), dtype=np.int64)
         base[0] = adversary_base
-        eps[0] = adversary_eps
         for b in range(1, k):
             base[b] = ladder_row
             rng.generator.permuted(base[b], axis=1, out=base[b])

@@ -22,8 +22,8 @@ from .samplers import RngStream
 
 CHUNK = 1 << 16
 
-# Most bid cells (bidders x rows x objects) per chunk: 32 MB of float64 base
-# and as much int64 eps.  Chunks keep CHUNK rows while k*n <= 32.
+# Most bid cells (bidders x rows x objects) per chunk: 16 MB of float64 base.
+# Chunks keep CHUNK rows while k*n <= 32.
 CELLS = 32 * CHUNK
 
 _EPS_FLOOR = np.iinfo(np.int64).min
@@ -33,7 +33,8 @@ def win_counts(base: np.ndarray, eps: np.ndarray | None, gen: np.random.Generato
     """Per-bidder object counts for a stack of sealed-bid auctions.
 
     base has shape (k, N, n); eps, when given, holds the integer
-    infinitesimal coefficients used to break base-amount ties.  Each object
+    infinitesimal coefficients used to break base-amount ties, in any shape
+    that broadcasts to base's (a (k, 1, n) eps serves every row).  Each object
     goes to its top bidder of rank floor(u * ties), u being its entry of
     one ``gen.random((N, n))`` draw that covers every object.  Only objects
     whose top base amount is shared are eps-masked and ranked, which gives
@@ -54,7 +55,8 @@ def win_counts(base: np.ndarray, eps: np.ndarray | None, gen: np.random.Generato
     tied = at_top.reshape(k, -1)[:, shared]
     best = tied
     if eps is not None:
-        masked = np.where(tied, eps.reshape(k, -1)[:, shared], _EPS_FLOOR)
+        tied_eps = np.broadcast_to(eps, base.shape)[:, shared // n, shared % n]
+        masked = np.where(tied, tied_eps, _EPS_FLOOR)
         best = masked == masked.max(axis=0)
     pick = (u.ravel()[shared] * best.sum(axis=0)).astype(np.int64)
     winner = best & (np.cumsum(best, axis=0) - 1 == pick)
@@ -106,9 +108,10 @@ def play(k: int, n: int, samples: int, seed: int, stack: Callable) -> WinTally:
     """Tally k bidders' wins over ``samples`` seeded auctions of n objects.
 
     Chunk i draws from its own ``RngStream(seed, i)``: ``stack(rng, length)``
-    returns the chunk's (base, eps) bid stack of shape (k, length, n), and
-    its ties are then realized on the same generator.  A chunk holds at most
-    CHUNK rows, and at most CELLS cells unless one row alone is larger.
+    returns the chunk's (base, eps) bid stack, base of shape (k, length, n)
+    and eps None or broadcastable to it, and its ties are then realized on
+    the same generator.  A chunk holds at most CHUNK rows, and at most
+    CELLS cells unless one row alone is larger.
     """
     tally = WinTally(k)
     rows = min(CHUNK, max(1, CELLS // (k * n)))

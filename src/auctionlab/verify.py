@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .adversary import copycat_value
 from .errors import ScenarioError
-from .harness import ks_table
+from .harness import check_ks_size, ks_table
 from .marginals import (
     MarginalSpec,
     pair_density,
@@ -85,6 +84,8 @@ def triple_cube_integral(nodes_xy: int = 200, nodes_z: int = 60) -> float:
 def pair_density_quadrature(x: float, y: float) -> float:
     """Independent oracle for the closed-form pair density: adaptive
     quadrature of the triple density over the third coordinate."""
+    from scipy import integrate
+
     value, _ = integrate.quad(
         lambda z: triple_density(x, y, z),
         0.0,
@@ -148,6 +149,7 @@ def density_suite(points_per_axis: int = 10) -> list[Check]:
 def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> list[Check]:
     """Sampler marginals: per-coordinate KS distance against the closed-form
     CDF at the 99.9% critical value, plus the exact-sum property."""
+    check_ks_size(samples, n)
     spec = MarginalSpec(n, k)
     rng = RngStream(seed, 0)
     if k == 2:

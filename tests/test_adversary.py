@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import (
     DomainError,
@@ -17,6 +19,19 @@ from auctionlab import (
     group_wins,
     wins_vs_marginal,
 )
+
+
+@st.composite
+def exact_splits(draw):
+    """A MarginalSpec and an exact split of at most the unit budget: small
+    integer weights over their total, or over a larger denominator that
+    leaves part of the budget unspent."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 12))
+    weights = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    unspent = draw(st.sampled_from((0, 0, 1, sum(weights))))
+    scale = max(sum(weights) + unspent, 1)
+    return MarginalSpec(n, k), [Fraction(w, scale) for w in weights]
 
 
 class TestWinsVsMarginal:
@@ -46,19 +61,15 @@ class TestWinsVsMarginal:
         value = wins_vs_marginal(MarginalSpec(4, 2), [0.25, 0.25, 0.25, 0.25])
         assert isinstance(value, float) and value == pytest.approx(2.0)
 
-    def test_upper_bound_and_equality_condition(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            k = rng.randint(2, 5)
-            n = k * rng.randint(1, 4)
-            spec = MarginalSpec(n, k)
-            weights = [rng.randint(0, 8) for _ in range(n)]
-            scale = max(sum(weights), 1) * rng.choice((1, 1, 2))
-            amounts = [Fraction(w, scale) for w in weights]
-            value = wins_vs_marginal(spec, amounts)
-            assert value <= Fraction(n, k)
-            saturated = sum(amounts) == 1 and all(a <= spec.cap for a in amounts)
-            assert (value == Fraction(n, k)) == saturated
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(exact_splits())
+    def test_upper_bound_and_equality_condition(self, case):
+        spec, amounts = case
+        value = wins_vs_marginal(spec, amounts)
+        assert isinstance(value, Fraction)
+        assert value <= Fraction(spec.n, spec.k)
+        saturated = sum(amounts) == 1 and all(a <= spec.cap for a in amounts)
+        assert (value == Fraction(spec.n, spec.k)) == saturated
 
     def test_closed_form_matches_sampler_monte_carlo(self):
         # links the linear closed form to the actual two-bidder sampler

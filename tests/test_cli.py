@@ -4,7 +4,7 @@ import json
 import time
 from fractions import Fraction
 
-from auctionlab import position_randomized, sequential
+from auctionlab import harness, position_randomized, sequential, verify
 from auctionlab.cli import main
 
 
@@ -303,6 +303,35 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert {c["name"] for c in payload["checks"]} >= {"ks_coordinate_0", "max_sum_error"}
+
+
+class TestKsSizeLimit:
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("drew samples for a refused KS run")
+
+        for module in (harness, verify):
+            monkeypatch.setattr(module, "draw_two_bidder", refuse)
+
+    def test_oversized_simulate_ks_exits_1(self, capsys, monkeypatch):
+        self.no_draws(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "simulate", "--mode", "two-bidder", "--n", "4",
+            "--samples", "1000000000", "--ks",
+        )
+        assert code == 1
+        assert out == ""
+        assert "cell limit" in err
+
+    def test_oversized_verify_marginals_exits_1(self, capsys, monkeypatch):
+        self.no_draws(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "marginals", "--n", "4",
+            "--samples", "1000000000",
+        )
+        assert code == 1
+        assert out == ""
+        assert "cell limit" in err
 
 
 class TestConfigSchema:

@@ -10,11 +10,12 @@ from auctionlab import (
     LengthMismatch,
     Scenario,
     ScenarioError,
+    SizeLimitExceeded,
     estimate,
     initial_bids,
     ks_distance,
 )
-from auctionlab import montecarlo
+from auctionlab import harness, montecarlo
 from auctionlab.montecarlo import WinTally, chunks, win_counts
 
 
@@ -169,6 +170,14 @@ class TestScenarioValidation:
         for mode in ("two-bidder", "position-randomized", "sequential"):
             with pytest.raises(ScenarioError, match="takes no bids"):
                 Scenario(mode, 2, 2, plan).validate()
+
+    def test_ks_table_size_limit(self):
+        limit = harness.KS_CELLS // 8
+        Scenario("k-bidder", 8, 2, samples=limit, ks_stats=True).validate()
+        with pytest.raises(SizeLimitExceeded, match="cell limit"):
+            Scenario("k-bidder", 8, 2, samples=limit + 1, ks_stats=True).validate()
+        # no KS table, no limit
+        Scenario("k-bidder", 8, 2, samples=limit + 1).validate()
 
 
 def small_scenario(**overrides):

@@ -66,6 +66,20 @@ class TestWinCountsOracle:
         wins = assert_matches_oracle(base, eps, seed)
         assert np.all(wins.sum(axis=0) == base.shape[2])
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(tied_stacks())
+    def test_broadcast_eps_equals_materialized(self, case):
+        # position mode passes one (k, 1, n) eps row for every chunk row
+        base, eps, seed = case
+        eps_row = np.zeros((base.shape[0], 1, base.shape[2]), dtype=np.int64)
+        if eps is not None:
+            eps_row = eps[:, :1]
+        full = np.broadcast_to(eps_row, base.shape).copy()
+        gen, full_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(win_counts(base, eps_row, gen), win_counts(base, full, full_gen))
+        assert gen.bit_generator.state == full_gen.bit_generator.state
+        assert_matches_oracle(base, full, seed)
+
     def test_no_ties_takes_one_draw_per_object(self):
         gen = np.random.default_rng(1)
         base = gen.random((3, 500, 7))

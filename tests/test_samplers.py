@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from auctionlab import (
@@ -24,7 +26,7 @@ from auctionlab import (
 )
 from auctionlab import cli, samplers
 from auctionlab.harness import KS_FACTOR, ks_distance
-from auctionlab.samplers import _renormalize_rows
+from auctionlab.samplers import SUM_TOLERANCE, _renormalize_rows
 
 N_KS = 200_000
 KS_THRESHOLD = KS_FACTOR / math.sqrt(N_KS)
@@ -164,6 +166,32 @@ class TestDrawTwoBidder:
         draws = draw_two_bidder(n, RngStream(13), size=N_KS)
         for c in range(n):
             assert ks_distance(draws[:, c], partial(marginal_cdf, spec)) <= KS_THRESHOLD
+
+
+def assert_capped_unit_rows(rows, n, cap):
+    """Positive rows of n bids that total 1 within SUM_TOLERANCE, none
+    above the cap by more than the renormalization's rounding."""
+    assert rows.shape[1] == n
+    assert rows.min() > 0.0
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= SUM_TOLERANCE
+    assert rows.max() <= cap * (1.0 + SUM_TOLERANCE)
+
+
+class TestSampledRowProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 500), st.integers(0, 2**32 - 1))
+    def test_two_bidder_rows(self, n, size, seed):
+        rows = draw_two_bidder(n, RngStream(seed), size=size)
+        assert rows.shape[0] == size
+        assert_capped_unit_rows(rows, n, 2.0 / n)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 500), st.integers(0, 2**32 - 1))
+    def test_k_bidder_rows(self, k, groups, size, seed):
+        n = k * groups
+        rows = draw_k_bidder(n, k, RngStream(seed), size=size)
+        assert rows.shape[0] == size
+        assert_capped_unit_rows(rows, n, k / n)
 
 
 class TestDrawSimplex:

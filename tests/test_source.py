@@ -1,6 +1,11 @@
 """Source-level rules for the library package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import auctionlab
@@ -17,3 +22,51 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_top_level_scipy_import():
+    # scipy costs most of the start-up; only the quadrature oracles load it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert found == []
+
+
+ISOLATION_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import auctionlab
+    import auctionlab.cli as cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(list(argv))
+        return code, out.getvalue()
+
+    codes = [run(*argv)[0] for argv in (
+        ("simulate", "--mode", "two-bidder", "--n", "4", "--samples", "2000", "--ks"),
+        ("sequential", "--n", "4", "--k", "2", "--samples", "50"),
+        ("best-response", "--n", "6", "--k", "3"),
+        ("marginals", "--grid", "4"),
+        ("verify", "--suite", "marginals", "--samples", "2000"),
+    )]
+    before = "scipy" in sys.modules
+    code, out = run("verify", "--suite", "density", "--format", "json")
+    print(json.dumps({"codes": codes, "before": before, "density": [code, json.loads(out)],
+                      "after": "scipy" in sys.modules}))
+""")
+
+
+def test_only_the_density_suite_loads_scipy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", ISOLATION_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 5
+    assert result["before"] is False
+    code, payload = result["density"]
+    assert code == 0 and payload["passed"] and all(c["passed"] for c in payload["checks"])
+    assert result["after"] is True
