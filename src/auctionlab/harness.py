@@ -30,15 +30,13 @@ from .position_randomized import (
     undercut_sequence,
 )
 from .samplers import draw_k_bidder, draw_two_bidder
-from .sequential import _sample_wins, run_sequential, scripted_strategy, steady_strategy
+from .sequential import _run_exact, sample_graph, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
 
 # Most samples x objects a KS table holds at once: 256 MB of float64 draws
 KS_CELLS = 1 << 25
-
-SEQUENTIAL_TRIAL_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -221,10 +219,10 @@ def estimate(scenario: Scenario) -> Report:
     closed form exists."""
     scenario.validate()
     start = time.perf_counter()
-    estimates, exact, statistics, used = MODES[scenario.mode].run(scenario)
+    estimates, exact, statistics, counts = MODES[scenario.mode].run(scenario)
     meta = {
         "seed": scenario.seed,
-        "samples": used,
+        **counts,
         "version": VERSION,
         "elapsed_s": time.perf_counter() - start,
     }
@@ -275,7 +273,7 @@ def _marginal_mode(scenario: Scenario):
 
     tally = play(k, n, scenario.samples, scenario.seed, stack)
     statistics: dict = {"ks": None if coords is None else ks_table(coords, spec)}
-    return _tally_estimates(tally), tuple(exact), statistics, scenario.samples
+    return _tally_estimates(tally), tuple(exact), statistics, {"samples": scenario.samples}
 
 
 def check_ks_size(samples: int, n: int) -> None:
@@ -335,7 +333,7 @@ def _position_mode(scenario: Scenario):
         return base, eps
 
     tally = play(k, n, scenario.samples, scenario.seed, stack)
-    return _tally_estimates(tally), tuple(exact), {"ks": None}, scenario.samples
+    return _tally_estimates(tally), tuple(exact), {"ks": None}, {"samples": scenario.samples}
 
 
 def _sequential_mode(scenario: Scenario):
@@ -345,13 +343,17 @@ def _sequential_mode(scenario: Scenario):
     else:
         opponent = steady_strategy(n, k)
     strategies = [opponent] + [steady_strategy(n, k) for _ in range(k - 1)]
-    exact = run_sequential(strategies, n, k, mode="exact")
-
-    trials = min(scenario.samples, SEQUENTIAL_TRIAL_CAP)
-    wins = _sample_wins(strategies, n, k, [[scenario.seed, t] for t in range(trials)])
-    tally = WinTally(k)
-    tally.add(np.array(wins, dtype=np.int64).T)
-    return _tally_estimates(tally), tuple(exact), {"ks": None}, trials
+    # one exact walk gives the exact values and the graph the trials walk
+    run = _run_exact(strategies, n, k, graph=True)
+    tally = sample_graph(run.graph, scenario.samples, scenario.seed)
+    counters = {
+        "peak_states": run.peak_states,
+        "state_rounds": run.state_rounds,
+        "trials": tally.count,
+        "graph_nodes": run.graph.nodes,
+    }
+    counts = {"samples": tally.count, "counters": counters}
+    return _tally_estimates(tally), run.expected, {"ks": None}, counts
 
 
 def _group_mode(scenario: Scenario):
@@ -360,11 +362,11 @@ def _group_mode(scenario: Scenario):
     value = group_wins(auction, list(scenario.adversary.bids))
     exact = _disadvantaged_split(auction.total, value, scenario.k)
     # no sampler exists for the grouped joint distribution; exact values only
-    return (), tuple(exact), {"ks": None}, 0
+    return (), tuple(exact), {"ks": None}, {"samples": 0}
 
 
 class Mode(NamedTuple):
-    run: Callable  # scenario -> (estimates, exact, statistics, samples used)
+    run: Callable  # scenario -> (estimates, exact, statistics, meta entries)
     kinds: tuple[str, ...]  # the adversary kinds it accepts, the first by default
 
 

@@ -9,25 +9,30 @@ bidder may pass (distinct from the forbidden zero bid); an object every
 bidder passes on goes unsold.
 
 The library strategies (``steady_strategy``, ``scripted_strategy`` and
-``pass_strategy``) are Markov: their bid depends only on the round, the
-budgets and the win counts.  When every strategy of a run is Markov, their
-``RoundView.history`` is empty, and states that reach the same budgets and
-win counts by different histories merge: the exact mode sums their
-probabilities, and the sampled trials of one call share a cached transition
-graph.  Any other callable gets the full history, and its run keeps one
-state per history.
+``pass_strategy``) are per-round scripts: bid ``amount[r]`` in round r when
+it is positive and within budget, and pass otherwise.  Each carries its
+script in its ``__dict__``, which ``functools.wraps`` copies onto wrappers.
+When every strategy of an exact run has a script, no strategy is called:
+the walk holds budgets as integers in units of 1/D, D the lcm of the script
+denominators, reads each round's bids from an integer table, and merges
+states that reach the same budgets and win counts.  The same walk can
+record its states as a transition graph, over which ``sample_graph`` walks
+many sampled trials at once.  Any other callable is asked for every bid
+with the full history, and its run keeps one state per history.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .engine import as_fraction
 from .errors import NotMultiple, OverBudget, SizeLimitExceeded, ZeroBid
+from .montecarlo import WinTally, chunks
 
 
 @dataclass(frozen=True)
@@ -42,9 +47,7 @@ class RoundResult:
 class RoundView:
     """Everything a strategy may look at when asked for a bid: the round
     number, own identity and budget, all public budgets and win counts, and
-    the history of winners and prices.  The history is complete for custom
-    callables and empty when every strategy of the run is a library (Markov)
-    strategy, whose bids never read it."""
+    the full history of winners and prices."""
 
     round_index: int
     n: int
@@ -61,61 +64,56 @@ class RoundView:
 
 Strategy = Callable[[RoundView], Optional[Fraction]]
 
-# Most states one exact round may hold, and most nodes the sampled mode's
-# transition graph caches.  Markov runs merge states on (budgets, wins):
-# all-steady (24,2), (12,3) and (60,3) peak at 13, 19 and 331 states.  A
-# custom callable keeps one state per history, so the count grows with every
-# tie: all-steady (18,2) and (12,3) peak at 48,620 and 34,650 states there,
-# (20,2) at 184,756.
+# Most states one exact round may hold.  Scripted runs merge states on
+# (budgets, wins): all-steady (24,2), (12,3) and (60,3) peak at 13, 19 and
+# 331 states.  A custom callable keeps one state per history, so the count
+# grows with every tie: all-steady (18,2) and (12,3) peak at 48,620 and
+# 34,650 states there, (20,2) at 184,756.
 MAX_STATES = 50_000
 
+# Most state-visits (states summed over rounds) one exact run may make, so
+# every accepted run does bounded work: the per-round cap alone let a run of
+# many mid-sized rounds go on for a minute.  All-steady (60,3), (40,4) and
+# (100,4) make 9,260, 14,640 and 456,975 visits.
+MAX_STATE_ROUNDS = 500_000
 
-def _markov(strategy: Strategy) -> Strategy:
-    """Mark a strategy whose bid never reads ``RoundView.history``.  The
-    mark lives in the function's ``__dict__``, which ``functools.wraps``
-    copies onto wrappers."""
-    strategy._markov = True
+
+def _scripted(script: tuple[Fraction, ...]) -> Strategy:
+    """The strategy that bids ``script[r]`` in round r + 1 when it is
+    positive and within budget, and passes otherwise; the script rides in
+    its ``__dict__``."""
+
+    def strategy(view: RoundView) -> Optional[Fraction]:
+        i = view.round_index - 1
+        amount = script[i] if i < len(script) else 0
+        return amount if 0 < amount <= view.budget else None
+
+    strategy._script = script
     return strategy
 
 
 def steady_strategy(n: int, k: int) -> Strategy:
-    """Bid k/n every round while the budget allows, then pass.
+    """Bid k/n in each of n rounds while the budget allows, then pass.
 
     For k | n this guarantees at least n/k objects against any opponents.
     """
     if n < k or n % k:
         raise NotMultiple(f"{k} bidders do not divide {n} objects into positive shares")
-    amount = Fraction(k, n)
-
-    @_markov
-    def strategy(view: RoundView) -> Optional[Fraction]:
-        return amount if view.budget >= amount else None
-
-    return strategy
+    return _scripted((Fraction(k, n),) * n)
 
 
 def scripted_strategy(amounts: Sequence) -> Strategy:
     """Bid a fixed per-round amount, passing when the script runs out, says
     0/None, or the remaining budget cannot cover the amount."""
-    script = [None if a in (None, 0) else as_fraction(a) for a in amounts]
-
-    @_markov
-    def strategy(view: RoundView) -> Optional[Fraction]:
-        i = view.round_index - 1
-        if i >= len(script):
-            return None
-        amount = script[i]
-        if amount is None or amount <= 0 or amount > view.budget:
-            return None
-        return amount
-
-    return strategy
+    return _scripted(tuple(Fraction(0) if a is None else as_fraction(a) for a in amounts))
 
 
-@_markov
 def pass_strategy(view: RoundView) -> Optional[Fraction]:
     """Never bids."""
     return None
+
+
+pass_strategy._script = ()
 
 
 def _collect_bids(
@@ -141,17 +139,18 @@ def _collect_bids(
     return bids
 
 
-def _round(strategies, round_index, n, budgets, wins, history):
+def _round(bids, budgets, wins):
     """One round from one state: ``(top, winners, children)``.
 
-    ``winners`` are the tied top bidders and ``children`` the (budgets,
-    wins) each one's win leads to.  When every bidder passes, the object
-    goes unsold: ``top`` is None, ``winners`` is ``(None,)`` and the state
-    itself is the only child.
+    ``bids`` holds each bidder's amount, None or 0 for a pass.  ``winners``
+    are the tied top bidders and ``children`` the (budgets, wins) each one's
+    win leads to.  When every bidder passes, the object goes unsold: ``top``
+    is None, ``winners`` is ``(None,)`` and the state itself is the only
+    child.
     """
     top, winners = None, (None,)
-    for b, amount in enumerate(_collect_bids(strategies, round_index, n, budgets, wins, history)):
-        if amount is None:
+    for b, amount in enumerate(bids):
+        if not amount:
             continue
         if top is None or amount > top:
             top, winners = amount, (b,)
@@ -159,108 +158,200 @@ def _round(strategies, round_index, n, budgets, wins, history):
             winners += (b,)
     if top is None:
         return None, winners, ((budgets, wins),)
-    children = tuple(
-        (
-            budgets[:w] + (budgets[w] - top,) + budgets[w + 1:],
-            wins[:w] + (wins[w] + 1,) + wins[w + 1:],
-        )
-        for w in winners
-    )
+    children = []
+    for w in winners:
+        child_budgets, child_wins = list(budgets), list(wins)
+        child_budgets[w] -= top
+        child_wins[w] += 1
+        children.append((tuple(child_budgets), tuple(child_wins)))
     return top, winners, children
 
 
-def _is_markov(strategies: Sequence[Strategy]) -> bool:
-    return all(getattr(s, "_markov", False) for s in strategies)
+def _scripts(strategies: Sequence[Strategy]) -> Optional[list[tuple[Fraction, ...]]]:
+    """Every strategy's script, or None if one of them has none."""
+    scripts = [getattr(s, "_script", None) for s in strategies]
+    return None if any(s is None for s in scripts) else scripts
+
+
+def _unit_table(scripts, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The budget in units of 1/D, D the lcm of the scripts' denominators,
+    and each round's bids in those units (0 for a pass)."""
+    unit = math.lcm(*(a.denominator for script in scripts for a in script[:n]))
+    columns = [
+        [max(a.numerator, 0) * (unit // a.denominator) for a in script[:n]]
+        + [0] * (n - len(script[:n]))
+        for script in scripts
+    ]
+    return unit, list(zip(*columns))
+
+
+class Graph(NamedTuple):
+    """A scripted run's merged states as a transition graph.  Node 0 is the
+    start; node i has ``ties[i]`` equally likely children, at
+    ``target[first[i]:first[i] + ties[i]]``.  After n rounds a trial stands
+    on a leaf, node ``leaf_offset + j``, whose win counts are
+    ``leaf_wins[:, j]``."""
+
+    rounds: int
+    ties: np.ndarray
+    first: np.ndarray
+    target: np.ndarray
+    leaf_offset: int
+    leaf_wins: np.ndarray
+
+    @property
+    def nodes(self) -> int:
+        return self.leaf_offset + self.leaf_wins.shape[1]
+
+
+class ExactRun(NamedTuple):
+    """An exact run's expected wins with its work counters, and the merged
+    transition graph when one was asked for."""
+
+    expected: tuple[Fraction, ...]
+    peak_states: int
+    state_rounds: int
+    graph: Optional[Graph]
 
 
 def _too_many(round_index: int) -> SizeLimitExceeded:
     return SizeLimitExceeded(f"exact round {round_index} exceeds {MAX_STATES} states")
 
 
-def _run_exact(strategies, n: int, k: int) -> tuple[Fraction, ...]:
-    markov = _is_markov(strategies)
-    # (budgets, wins, history, probability); Markov states keep no history
+def _too_long(round_index: int) -> SizeLimitExceeded:
+    return SizeLimitExceeded(
+        f"exact run exceeds {MAX_STATE_ROUNDS:,} state-visits (states x rounds) "
+        f"at round {round_index}"
+    )
+
+
+def _merged_walk(scripts, n: int, k: int, graph: bool) -> ExactRun:
+    """The exact walk of an all-scripted profile on integer budgets, merging
+    states on (budgets, wins).  Probabilities are exact: integer weights
+    over one common denominator, ``scale``, which a round multiplies by the
+    lcm of its tie counts."""
+    unit, table = _unit_table(scripts, n)
+    # the round's states in node order, (budgets, wins) -> position, and
+    # their weights
+    states, weights = {((unit,) * k, (0,) * k): 0}, [1]
+    scale = 1
+    peak = visits = 0
+    ties: list[int] = []
+    target: list[int] = []
+    for round_index, bids in enumerate(table, 1):
+        visits += len(weights)
+        if visits > MAX_STATE_ROUNDS:
+            raise _too_long(round_index)
+        steps = [
+            _round([a if a <= budgets[b] else 0 for b, a in enumerate(bids)], budgets, wins)[2]
+            for budgets, wins in states
+        ]
+        split = math.lcm(*{len(children) for children in steps})
+        scale *= split
+        nxt: dict = {}
+        nxt_weights: list[int] = []
+        for children, weight in zip(steps, weights):
+            share = weight * (split // len(children))
+            for child in children:
+                i = nxt.setdefault(child, len(nxt_weights))
+                if i == len(nxt_weights):
+                    nxt_weights.append(share)
+                else:
+                    nxt_weights[i] += share
+                if graph:
+                    target.append(visits + i)
+            if graph:
+                ties.append(len(children))
+        if len(nxt_weights) > MAX_STATES:
+            raise _too_many(round_index)
+        peak = max(peak, len(nxt_weights))
+        states, weights = nxt, nxt_weights
+
+    totals = [0] * k
+    for (_, wins), weight in zip(states, weights):
+        for b in range(k):
+            totals[b] += weight * wins[b]
+    expected = tuple(Fraction(total, scale) for total in totals)
+    paths = None
+    if graph:
+        ties_array = np.array(ties, dtype=np.intp)
+        first = np.zeros_like(ties_array)
+        np.cumsum(ties_array[:-1], out=first[1:])
+        leaf_wins = np.array([wins for _, wins in states], dtype=np.int64).reshape(-1, k).T
+        paths = Graph(n, ties_array, first, np.array(target, dtype=np.intp), visits, leaf_wins)
+    return ExactRun(expected, peak, visits, paths)
+
+
+def _history_walk(strategies, n: int, k: int) -> ExactRun:
+    """The exact walk of a profile with a custom callable: one state per
+    history, every bid asked of its strategy."""
+    # (budgets, wins, history, probability)
     states = [((Fraction(1),) * k, (0,) * k, (), Fraction(1))]
+    peak = visits = 0
     for round_index in range(1, n + 1):
+        visits += len(states)
+        if visits > MAX_STATE_ROUNDS:
+            raise _too_long(round_index)
         nxt = []
         for budgets, wins, history, prob in states:
-            top, winners, children = _round(strategies, round_index, n, budgets, wins, history)
+            bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
+            top, winners, children = _round(bids, budgets, wins)
             share = prob if len(winners) == 1 else prob / len(winners)
             for w, (child_budgets, child_wins) in zip(winners, children):
-                child_history = history if markov else history + (RoundResult(w, top),)
-                nxt.append((child_budgets, child_wins, child_history, share))
-            if not markov and len(nxt) > MAX_STATES:
+                nxt.append((child_budgets, child_wins, history + (RoundResult(w, top),), share))
+            if len(nxt) > MAX_STATES:
                 raise _too_many(round_index)
-        # merge after a round that branched, where shared keys are common;
-        # elsewhere hashing the Fraction keys costs more than it saves, and a
-        # key two states still share only means one more state to walk
-        if markov and len(nxt) > len(states):
-            merged: dict = {}
-            for budgets, wins, _, prob in nxt:
-                key = (budgets, wins)
-                merged[key] = merged[key] + prob if key in merged else prob
-            if len(merged) > MAX_STATES:
-                raise _too_many(round_index)
-            nxt = [(budgets, wins, (), prob) for (budgets, wins), prob in merged.items()]
+        peak = max(peak, len(nxt))
         states = nxt
 
     expected = [Fraction(0)] * k
     for _, wins, _, prob in states:
         for b in range(k):
             expected[b] += prob * wins[b]
-    return tuple(expected)
+    return ExactRun(tuple(expected), peak, visits, None)
 
 
-class _Node:
-    """A sampled-walk state; ``step`` caches its ``_round`` with child nodes."""
+def _run_exact(strategies, n: int, k: int, graph: bool = False) -> ExactRun:
+    """The merged integer walk when every strategy has a script (with its
+    transition graph if ``graph``), else the history walk."""
+    scripts = _scripts(strategies)
+    if scripts is None:
+        return _history_walk(strategies, n, k)
+    return _merged_walk(scripts, n, k, graph)
 
-    __slots__ = ("budgets", "wins", "step")
 
-    def __init__(self, budgets, wins):
-        self.budgets, self.wins, self.step = budgets, wins, None
+def sample_graph(graph: Graph, trials: int, seed) -> WinTally:
+    """Tally ``trials`` sampled runs walked together over ``graph``.
 
-
-def _sample_wins(strategies, n: int, k: int, seeds) -> list[tuple[int, ...]]:
-    """One trajectory's integer win counts per seed (any numpy seed
-    material); each trial draws its tie winners from its own generator.
-
-    Markov profiles share one lazily built transition graph across the
-    trials, node -> (top, tied winners, child nodes), keyed on the round,
-    budgets and wins.  Past ``MAX_STATES`` nodes the graph stops growing and
-    further steps are computed uncached.  Other profiles compute every step
-    along the trial's own history.  Either way each round with a live bid
-    draws ``gen.integers(len(winners))`` once, so the draws do not depend on
-    the caching.
+    One ``np.random.default_rng(seed)`` serves every trial.  The trials go
+    in chunks of ``montecarlo.CHUNK``; in each round a chunk draws one
+    ``gen.random(length)`` vector and moves every trial to child
+    floor(u * ties) of its node, so a round costs O(length).
     """
-    markov = _is_markov(strategies)
-    root = _Node((Fraction(1),) * k, (0,) * k)
-    nodes: dict = {}
-    out = []
-    for seed in seeds:
-        gen = np.random.default_rng(seed)
-        node, history = root, ()
-        for round_index in range(1, n + 1):
-            step = node.step
-            if step is None:
-                top, winners, children = _round(
-                    strategies, round_index, n, node.budgets, node.wins, history
-                )
-                cache = markov and len(nodes) < MAX_STATES
-                children = tuple(
-                    nodes.setdefault((round_index, *child), _Node(*child))
-                    if cache else _Node(*child)
-                    for child in children
-                )
-                step = (top, winners, children)
-                if cache:
-                    node.step = step
-            top, winners, children = step
-            i = 0 if top is None else int(gen.integers(len(winners)))
-            if not markov:
-                history += (RoundResult(winners[i], top),)
-            node = children[i]
-        out.append(node.wins)
-    return out
+    gen = np.random.default_rng(seed)
+    tally = WinTally(graph.leaf_wins.shape[0])
+    for _, length in chunks(trials):
+        node = np.zeros(length, dtype=np.intp)
+        for _ in range(graph.rounds):
+            pick = (gen.random(length) * graph.ties[node]).astype(np.intp)
+            node = graph.target[graph.first[node] + pick]
+        tally.add(graph.leaf_wins[:, node - graph.leaf_offset])
+    return tally
+
+
+def _sample_wins(strategies, n: int, k: int, seed) -> tuple[int, ...]:
+    """One trajectory's integer win counts along its own history, each tie's
+    winner drawn by ``gen.integers(len(winners))`` from a generator seeded
+    with ``seed`` (any numpy seed material)."""
+    gen = np.random.default_rng(seed)
+    budgets, wins, history = (Fraction(1),) * k, (0,) * k, ()
+    for round_index in range(1, n + 1):
+        bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
+        top, winners, children = _round(bids, budgets, wins)
+        i = 0 if top is None else int(gen.integers(len(winners)))
+        history += (RoundResult(winners[i], top),)
+        budgets, wins = children[i]
+    return wins
 
 
 def run_sequential(
@@ -274,14 +365,15 @@ def run_sequential(
 
     mode="exact" (deterministic strategies only) returns per-bidder expected
     wins as Fractions over every tie branch; a round that would hold more
-    than ``MAX_STATES`` states raises SizeLimitExceeded.
+    than ``MAX_STATES`` states, or a run past ``MAX_STATE_ROUNDS`` state
+    visits, raises SizeLimitExceeded.
     mode="sample" returns one trajectory's integer win counts, ties resolved
     by a generator seeded with ``seed`` (any numpy seed material).
     """
     if len(strategies) != k:
         raise ValueError(f"expected {k} strategies, got {len(strategies)}")
     if mode == "exact":
-        return _run_exact(strategies, n, k)
+        return _run_exact(strategies, n, k).expected
     if mode == "sample":
-        return _sample_wins(strategies, n, k, [seed])[0]
+        return _sample_wins(strategies, n, k, seed)
     raise ValueError(f"unknown mode {mode!r}")

@@ -239,4 +239,7 @@ def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed:
     if samples < 1:
         raise ScenarioError("need at least one sample")
     names = SUITES if name == "all" else [name]
+    if "marginals" in names:
+        # refuse an oversized KS table before the other suites spend time
+        check_ks_size(samples, n)
     return [c for suite in names for c in SUITES[suite](n, k, samples, seed)]

@@ -333,6 +333,22 @@ class TestKsSizeLimit:
         assert out == ""
         assert "cell limit" in err
 
+    def test_oversized_verify_all_exits_1_before_any_suite(self, capsys, monkeypatch):
+        self.no_draws(monkeypatch)
+
+        def refuse():
+            raise RuntimeError("ran the density suite before the KS size check")
+
+        monkeypatch.setattr(verify, "density_suite", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--samples", "1000000000",
+        )
+        assert time.perf_counter() - start < 0.3
+        assert code == 1
+        assert out == ""
+        assert "cell limit" in err
+
 
 class TestConfigSchema:
     def test_unknown_key_rejected(self, capsys, tmp_path):

@@ -269,6 +269,22 @@ class TestEstimate:
         assert report.meta["samples"] == 500
         assert report.estimates[1].mean >= 2.0
 
+    def test_sequential_counters(self):
+        # all-steady (6,2) visits 1 + 2 + 3 + 4 + 3 + 2 merged states, and
+        # the graph holds those 15 nodes plus one leaf
+        report = estimate(Scenario("sequential", 6, 2, samples=300, seed=4))
+        assert report.meta["samples"] == 300
+        assert report.meta["counters"] == {
+            "peak_states": 4, "state_rounds": 15, "trials": 300, "graph_nodes": 16,
+        }
+        assert all(type(v) is int for v in report.meta["counters"].values())
+        assert "counters" not in estimate(small_scenario()).meta
+
+    def test_sequential_samples_are_trials(self):
+        # no cap: every sample is one trial
+        report = estimate(Scenario("sequential", 4, 2, samples=20_001, seed=4))
+        assert report.meta["samples"] == report.meta["counters"]["trials"] == 20_001
+
     def test_group_mode_exact_only(self):
         report = estimate(
             Scenario(

@@ -19,11 +19,12 @@ from auctionlab import (
     steady_strategy,
 )
 from auctionlab import sequential
+from auctionlab.montecarlo import CHUNK
 
 
 def unmarked(strategy):
-    """The same bids behind a plain callable, which the Markov mark does not
-    reach, so the run keeps one state per history."""
+    """The same bids behind a plain callable, which carries no script, so
+    the run asks it for every bid and keeps one state per history."""
     return lambda view, s=strategy: s(view)
 
 
@@ -179,6 +180,18 @@ class TestStateCap:
         with pytest.raises(SizeLimitExceeded, match="round 3 exceeds 3 states"):
             run_sequential(strategies, 6, 2)
 
+    def test_work_bound_refuses_a_run_with_too_many_state_visits(self, monkeypatch):
+        # all-steady (6,2) visits 1 + 2 + 3 + 4 + 3 + 2 = 15 merged states,
+        # and 1 + 2 + 4 + 8 + 14 + 20 = 49 histories
+        merged = [steady_strategy(6, 2), steady_strategy(6, 2)]
+        walked = [unmarked(s) for s in merged]
+        for profile, visits in ((merged, 15), (walked, 49)):
+            monkeypatch.setattr(sequential, "MAX_STATE_ROUNDS", visits)
+            assert run_sequential(profile, 6, 2) == (Fraction(3), Fraction(3))
+            monkeypatch.setattr(sequential, "MAX_STATE_ROUNDS", visits - 1)
+            with pytest.raises(SizeLimitExceeded, match=f"exceeds {visits - 1} state-visits .* round 6"):
+                run_sequential(profile, 6, 2)
+
     def test_cap_does_not_bound_sampled_mode(self, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 1)
         strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
@@ -187,9 +200,12 @@ class TestStateCap:
 
 class TestMarkov:
     def test_library_strategies_are_marked(self):
-        for strategy in (steady_strategy(4, 2), scripted_strategy([0.5]), pass_strategy):
-            assert sequential._is_markov([strategy])
-        assert not sequential._is_markov([steady_strategy(4, 2), unmarked(pass_strategy)])
+        # the mark is the per-round script each library strategy carries
+        assert steady_strategy(4, 2)._script == (Fraction(1, 2),) * 4
+        assert scripted_strategy([0.5, None, 0])._script == (Fraction(1, 2), 0, 0)
+        assert pass_strategy._script == ()
+        assert sequential._scripts([steady_strategy(4, 2), pass_strategy]) is not None
+        assert sequential._scripts([steady_strategy(4, 2), unmarked(pass_strategy)]) is None
 
     def test_mark_survives_functools_wraps(self):
         inner = steady_strategy(4, 2)
@@ -198,17 +214,20 @@ class TestMarkov:
         def counted(view):
             return inner(view)
 
-        assert sequential._is_markov([counted, pass_strategy])
+        assert sequential._scripts([counted, pass_strategy]) == [inner._script, ()]
 
     def test_markov_views_see_no_history_and_custom_ones_do(self):
+        # a scripted profile is walked from its scripts, so no strategy is
+        # asked for a bid; a custom callable is asked with the full history
         def recorder(views):
             return lambda view: views.append(view) or None
 
         merged, walked = [], []
-        marked = sequential._markov(recorder(merged))
+        marked = recorder(merged)
+        marked._script = ()
         run_sequential([marked, steady_strategy(4, 2)], 4, 2)
         run_sequential([recorder(walked), steady_strategy(4, 2)], 4, 2)
-        assert all(view.history == () for view in merged)
+        assert merged == []
         assert [len(view.history) for view in walked] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("n,k", [(24, 2), (12, 3)])
@@ -217,33 +236,57 @@ class TestMarkov:
         assert all(type(w) is Fraction for w in wins)
         assert wins == (Fraction(n, k),) * k
 
-    @pytest.mark.parametrize("n,k", [(8, 2), (12, 2), (6, 3), (9, 3), (8, 4)])
+    @pytest.mark.parametrize(
+        "n,k", [(8, 2), (12, 2), (6, 3), (9, 3), (8, 4), (5, 5), (6, 6)]
+    )
     def test_merged_walk_equals_history_walk_all_steady(self, n, k):
         profile = [steady_strategy(n, k) for _ in range(k)]
         assert run_sequential(profile, n, k) == run_sequential(
             [unmarked(s) for s in profile], n, k
         )
 
-    def test_capped_graph_keeps_the_draws(self, monkeypatch):
-        profile = [scripted_strategy([0.5, 0.5, 0.25, 0.25, 0.5, 0.5])] + [
-            steady_strategy(6, 3) for _ in range(2)
-        ]
-        full = sequential._sample_wins(profile, 6, 3, range(40))
-        monkeypatch.setattr(sequential, "MAX_STATES", 2)
-        assert sequential._sample_wins(profile, 6, 3, range(40)) == full
+    def test_units_are_the_lcm_of_the_script_denominators(self):
+        scripts = [(Fraction(1, 4), Fraction(0), Fraction(1, 6)), (Fraction(1, 3),)]
+        unit, table = sequential._unit_table(scripts, 4)
+        assert unit == 12
+        assert table == [(3, 4), (0, 0), (2, 0), (0, 0)]
+
+
+def graph_walk(graph, seed):
+    """One trial over the transition graph with the per-seed walk's draws:
+    ``gen.integers(ties)`` at each branching node (``integers(1)`` draws
+    nothing, so single-winner and unsold rounds agree)."""
+    gen = np.random.default_rng(seed)
+    node = 0
+    for _ in range(graph.rounds):
+        ties = int(graph.ties[node])
+        pick = int(gen.integers(ties)) if ties > 1 else 0
+        node = int(graph.target[graph.first[node] + pick])
+    return tuple(int(w) for w in graph.leaf_wins[:, node - graph.leaf_offset])
+
+
+EIGHTHS = st.integers(0, 8).map(lambda v: Fraction(v, 8))
+
+# eighths, thirds and sevenths tie with each other and with the exact binary
+# floats; other floats carry denominators up to 2**1074
+MIXED_AMOUNTS = st.one_of(
+    EIGHTHS,
+    st.integers(0, 3).map(lambda v: Fraction(v, 3)),
+    st.integers(0, 7).map(lambda v: Fraction(v, 7)),
+    st.sampled_from([0.25, 0.5, 0.75, 1 / 3, 0.1]),
+    st.floats(0, 1),
+)
 
 
 @st.composite
-def scripted_profiles(draw):
-    """k <= 3 scripted bidders over n <= 6 rounds bidding multiples of 1/8
-    (0 passes), plus a steady last bidder when k | n, so ties are common."""
+def scripted_profiles(draw, amounts=EIGHTHS):
+    """k <= 3 scripted bidders over n <= 6 rounds bidding ``amounts`` (0
+    passes; multiples of 1/8 by default), plus a steady last bidder when
+    k | n, so ties are common."""
     k = draw(st.integers(2, 3), label="k")
     n = draw(st.integers(1, 6), label="n")
-    eighths = st.lists(st.integers(0, 8), min_size=n, max_size=n)
-    scripts = [
-        [Fraction(v, 8) for v in draw(eighths, label=f"script {b}")] for b in range(k)
-    ]
-    profile = [scripted_strategy(script) for script in scripts]
+    scripts = st.lists(amounts, min_size=n, max_size=n)
+    profile = [scripted_strategy(draw(scripts, label=f"script {b}")) for b in range(k)]
     if n % k == 0 and draw(st.booleans(), label="steady"):
         profile[-1] = steady_strategy(n, k)
     return n, k, profile
@@ -253,13 +296,71 @@ class TestMarkovProperty:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(scripted_profiles())
     def test_merged_and_cached_walks_equal_the_history_walk(self, case):
+        # "cached" is the transition graph the batched trials walk: stepped
+        # with the per-seed walk's draws, it ends where that walk ends
         n, k, profile = case
         walked = [unmarked(s) for s in profile]
-        assert sequential._is_markov(profile) and not sequential._is_markov(walked)
-        merged = run_sequential(profile, n, k)
-        assert all(type(w) is Fraction for w in merged)
-        assert merged == run_sequential(walked, n, k)
+        assert sequential._scripts(walked) is None
+        run = sequential._run_exact(profile, n, k, graph=True)
+        assert all(type(w) is Fraction for w in run.expected)
+        assert run.expected == run_sequential(walked, n, k)
         seeds = range(20)
-        assert sequential._sample_wins(profile, n, k, seeds) == [
+        assert [graph_walk(run.graph, s) for s in seeds] == [
             run_sequential(walked, n, k, seed=s, mode="sample") for s in seeds
         ]
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(scripted_profiles(MIXED_AMOUNTS))
+    def test_integer_walk_equals_history_walk_on_mixed_denominators(self, case):
+        n, k, profile = case
+        merged = run_sequential(profile, n, k)
+        assert all(type(w) is Fraction for w in merged)
+        assert merged == run_sequential([unmarked(s) for s in profile], n, k)
+
+
+def tie_heavy(n, k, script):
+    """An opponent playing ``script`` against k - 1 steady bidders."""
+    return [scripted_strategy(script)] + [steady_strategy(n, k) for _ in range(k - 1)]
+
+
+class TestBatchedSampling:
+    # seed picked once, before any result was seen
+    SEED = 20_240_917
+    TRIALS = 100_000
+
+    @pytest.mark.parametrize(
+        "n,k,script",
+        [
+            (4, 2, ["1/2", "1/2", 0, 0]),
+            (6, 3, ["1/3"] * 3 + [0] * 3),
+            (6, 3, ["1/3", "1/2", "1/3", "1/3", "1/6", "1/3"]),
+            (6, 2, ["1/3", "1/3", "1/3", "1/3", "1/3", "1/3"]),
+            (8, 4, ["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"]),
+        ],
+    )
+    def test_batched_means_near_exact(self, n, k, script):
+        profile = tie_heavy(n, k, script)
+        run = sequential._run_exact(profile, n, k, graph=True)
+        tally = sequential.sample_graph(run.graph, self.TRIALS, self.SEED)
+        assert tally.count == self.TRIALS
+        for b, exact in enumerate(run.expected):
+            assert abs(tally.mean(b) - float(exact)) <= 5 * tally.stderr(b)
+        assert sum(tally.sums) <= n * self.TRIALS
+
+    def test_deterministic_given_seed_and_chunked(self):
+        profile = tie_heavy(6, 3, ["1/3"] * 3 + [0] * 3)
+        graph = sequential._run_exact(profile, 6, 3, graph=True).graph
+        trials = CHUNK + 100  # two chunks
+        a = sequential.sample_graph(graph, trials, 5)
+        b = sequential.sample_graph(graph, trials, 5)
+        assert (a.count, a.sums, a.squares) == (b.count, b.sums, b.squares)
+        assert a.count == trials
+
+    def test_graph_counts_its_nodes(self):
+        # all-steady (6,2) holds 1, 2, 3, 4, 3, 2 states before rounds 1..6
+        # and ends on one leaf, (3, 3) wins with both budgets spent
+        run = sequential._run_exact([steady_strategy(6, 2)] * 2, 6, 2, graph=True)
+        assert (run.peak_states, run.state_rounds) == (4, 15)
+        assert run.graph.nodes == 16
+        assert run.graph.leaf_wins.tolist() == [[3], [3]]
+        assert sequential._run_exact([unmarked(steady_strategy(6, 2))] * 2, 6, 2).graph is None
