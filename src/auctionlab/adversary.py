@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from numbers import Rational
 from typing import Sequence
 
@@ -131,10 +132,13 @@ def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -
     if k != 2 and n % k:
         raise NotMultiple(f"no sampler for k={k}, n={n}: k must divide n")
 
+    draw = partial(draw_two_bidder, n) if k == 2 else partial(draw_k_bidder, n, k)
+
     def stack(rng, length):
-        if k == 2:
-            return np.stack([draw_two_bidder(n, rng, size=length) for _ in range(k)]), None
-        return np.stack([draw_k_bidder(n, k, rng, size=length) for _ in range(k)]), None
+        base = np.empty((k, length, n))
+        for plane in base:
+            draw(rng, length, plane)
+        return base, None
 
     tally = play(k, n, samples, seed, stack)
     return CopycatEstimate(tally.mean(0), tally.stderr(0), Fraction(n, k), samples)

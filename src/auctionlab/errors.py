@@ -14,7 +14,7 @@ class OverBudget(InputError):
 
 
 class LengthMismatch(InputError):
-    """Sequences or matrices that must share a size do not."""
+    """Sequences or arrays that must share a size or layout do not."""
 
 
 class DomainError(InputError):

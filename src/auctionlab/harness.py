@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
 from .errors import EmptySample, LengthMismatch, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import WinTally, play
+from .montecarlo import CHUNK, WinTally, play
 from .position_randomized import (
     best_response,
     initial_bids,
@@ -194,24 +195,35 @@ class Report:
 def ks_distance(sample, cdf: Callable) -> float:
     """Sup-norm distance between a sample's empirical CDF and ``cdf``.
 
-    ``cdf`` must map an array elementwise: it is called once on the sorted
-    sample, and an output of any other shape raises LengthMismatch.  Both
-    functions are compared at the sample points' right limits, so a
-    theoretical CDF that steps exactly where the sample does scores 0; for
-    a continuous CDF this differs from the two-sided supremum by at most
-    1/N, far below the critical values used here.
+    ``cdf`` must map an array elementwise: it is called once per block of
+    ``CHUNK`` sorted sample points, and an output of any other shape raises
+    LengthMismatch.  Both functions are compared at the sample points'
+    right limits, so a theoretical CDF that steps exactly where the sample
+    does scores 0; for a continuous CDF this differs from the two-sided
+    supremum by at most 1/N, far below the critical values used here.
     """
     values = np.sort(np.asarray(sample, dtype=float))
     size = values.size
     if size == 0:
         raise EmptySample("cannot compute a KS distance on an empty sample")
-    theory = np.asarray(cdf(values), dtype=float)
-    if theory.shape != values.shape:
-        raise LengthMismatch(
-            f"cdf returned shape {theory.shape} for a sample of shape {values.shape}"
-        )
-    empirical = np.arange(1, size + 1) / size
-    return float(np.max(np.abs(theory - empirical)))
+    distance = 0.0
+    for start in range(0, size, CHUNK):
+        block = values[start:start + CHUNK]
+        theory = np.asarray(cdf(block), dtype=float)
+        if theory.shape != block.shape:
+            raise LengthMismatch(
+                f"cdf returned shape {theory.shape} for a sample of shape {block.shape}"
+            )
+        # the sorted points are not needed again: the block takes the cdf,
+        # so the gaps to i/N are the only other block-sized array
+        block[...] = theory
+        del theory
+        gap = np.arange(start + 1, start + block.size + 1, dtype=float)
+        gap /= size
+        gap -= block
+        distance = max(distance, float(np.abs(gap, out=gap).max()))
+        del gap
+    return distance
 
 
 def estimate(scenario: Scenario) -> Report:
@@ -246,10 +258,7 @@ def _marginal_mode(scenario: Scenario):
     spec = MarginalSpec(n, k)
     fixed = scenario.adversary.kind == "fixed"
 
-    def draw(rng, m):
-        if scenario.mode == "two-bidder":
-            return draw_two_bidder(n, rng, size=m)
-        return draw_k_bidder(n, k, rng, size=m)
+    draw = partial(draw_two_bidder, n) if scenario.mode == "two-bidder" else partial(draw_k_bidder, n, k)
 
     if fixed:
         adversary_value = wins_vs_marginal(spec, list(scenario.adversary.bids))
@@ -264,8 +273,11 @@ def _marginal_mode(scenario: Scenario):
 
     def stack(rng, length):
         nonlocal filled
-        first = np.broadcast_to(adversary_row, (length, n)) if fixed else draw(rng, length)
-        base = np.stack([first] + [draw(rng, length) for _ in range(k - 1)])
+        base = np.empty((k, length, n))
+        if fixed:
+            base[0] = adversary_row
+        for plane in base[int(fixed):]:
+            draw(rng, length, plane)
         if coords is not None:
             coords[filled:filled + length] = base[k - 1]
             filled += length
@@ -297,10 +309,9 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
         {"coordinate": c, "distance": d, "threshold": threshold, "passed": d <= threshold}
         for c, d in enumerate(distances)
     ]
-    return {
-        "entries": entries,
-        "max_sum_error": float(np.max(np.abs(draws.sum(axis=1) - 1.0))),
-    }
+    sum_error = draws.sum(axis=1)
+    sum_error -= 1.0
+    return {"entries": entries, "max_sum_error": float(np.abs(sum_error, out=sum_error).max())}
 
 
 def _position_mode(scenario: Scenario):

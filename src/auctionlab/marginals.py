@@ -57,7 +57,10 @@ def marginal_cdf(spec: MarginalSpec, b):
     exponent = 1.0 / (spec.k - 1)
     if values.ndim == 0:  # Python's **, which numpy's power can miss by 1 ULP
         return 1.0 if values >= cap else ((spec.n / spec.k) * float(values)) ** exponent
-    return np.where(values >= cap, 1.0, ((spec.n / spec.k) * values) ** exponent)
+    result = (spec.n / spec.k) * values
+    result **= exponent
+    result[values >= cap] = 1.0
+    return result
 
 
 def spread_density(v: float) -> float:

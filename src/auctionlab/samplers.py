@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import Bid, BidSequence
-from .errors import InvariantError, NotMultiple
+from .errors import InvariantError, LengthMismatch, NotMultiple
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -85,16 +85,23 @@ def draw_triple(rng, size: int | None = None):
         u, v, w = gen.random(3)
         perm = int(gen.integers(6))
         return triple_from_uniforms(u, v, w, perm)
-    n = int(size)
-    u = gen.random(n)
-    v = gen.random(n)
-    w = gen.random(n)
-    d = ONE_THIRD * np.cbrt(u)
-    lo = v * (ONE_THIRD - d)
-    mid = lo + w * d
-    tri = np.stack([lo, mid, lo + d], axis=1)
-    perm = gen.integers(0, 6, n)
-    return np.take_along_axis(tri, _PERMS3[perm], axis=1)
+    return _fill_triple(gen, np.empty((int(size), 3)))
+
+
+def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Write N triple draws into the (N, 3) array ``out``, column by column."""
+    size = out.shape[0]
+    d, lo, mid = gen.random(size), gen.random(size), gen.random(size)  # u, v, w
+    np.cbrt(d, out=d)
+    d *= ONE_THIRD
+    lo *= ONE_THIRD - d
+    mid *= d
+    mid += lo
+    d += lo  # the maximum
+    perm = gen.integers(0, 6, size)
+    for c in range(3):
+        np.choose(perm, [(lo, mid, d)[p[c]] for p in _PERMS3], out=out[:, c])
+    return out
 
 
 def _triple_bids_exact(n: int, xyz) -> list[Fraction]:
@@ -108,7 +115,7 @@ def _triple_bids_exact(n: int, xyz) -> list[Fraction]:
     return [scale * (x - y + third), scale * (y - z + third), scale * (z - x + third)]
 
 
-def draw_two_bidder(n: int, rng, size: int | None = None):
+def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None = None):
     """Sample an n-bid sequence whose every coordinate is uniform on [0, 2/n]
     and whose total is exactly 1.
 
@@ -116,14 +123,26 @@ def draw_two_bidder(n: int, rng, size: int | None = None):
     m copies of 2/n - b.  Odd n = 2m+1: m-1 copies of each, then the three
     bids derived from a triple draw.  For n = 3 the paired bids vanish and
     the sequence is the derived triple alone.  The measure-zero event of a
-    zero bid is resampled away.
+    zero bid is resampled away.  With ``size``, the rows are written into
+    ``out``, a C-contiguous (size, n) float64 array, when one is given, and
+    that array is returned.
     """
     if n < 2:
         raise ValueError("need at least two objects")
     gen = _gen_of(rng)
-    if size is None:
+    if size is None and out is None:
         return _two_bidder_one(n, gen)
-    return _two_bidder_array(n, gen, int(size))
+    return _two_bidder_array(n, gen, _rows_out(out, size, n))
+
+
+def _rows_out(out: np.ndarray | None, size, n: int) -> np.ndarray:
+    """The array a vectorized draw fills: ``out`` once checked, else a new one."""
+    if out is None:
+        return np.empty((int(size), n))
+    fits = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
+    if not fits or out.shape != (size, n):
+        raise LengthMismatch(f"out must be a C-contiguous float64 array of shape ({size}, {n})")
+    return out
 
 
 def _two_bidder_one(n: int, gen: np.random.Generator) -> BidSequence:
@@ -142,23 +161,22 @@ def _two_bidder_one(n: int, gen: np.random.Generator) -> BidSequence:
             return _unit_total(BidSequence(tuple(Bid(b) for b in bids)))
 
 
-def _two_bidder_array(n: int, gen: np.random.Generator, size: int) -> np.ndarray:
-    b1 = gen.random(size) * (2.0 / n)
-    if n % 2 == 0:
-        m = n // 2
-        cols = [b1] * m + [2.0 / n - b1] * m
-    else:
-        m = (n - 1) // 2
-        tri = draw_triple(gen, size)
-        x, y, z = tri[:, 0], tri[:, 1], tri[:, 2]
-        scale = 3.0 / n
-        cols = [b1] * (m - 1) + [2.0 / n - b1] * (m - 1)
-        cols += [
-            scale * (x - y + ONE_THIRD),
-            scale * (y - z + ONE_THIRD),
-            scale * (z - x + ONE_THIRD),
-        ]
-    return _renormalize_rows(np.stack(cols, axis=1), gen, lambda g, m: _two_bidder_array(n, g, m))
+def _two_bidder_array(n: int, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    b1 = gen.random(out.shape[0]) * (2.0 / n)
+    pairs = n // 2 if n % 2 == 0 else (n - 3) // 2
+    out[:, :pairs] = b1[:, None]
+    np.subtract(2.0 / n, b1[:, None], out=out[:, pairs:2 * pairs])
+    del b1  # freed before the triple's and the row sums' columns are made
+    if n % 2:
+        tri = _fill_triple(gen, out[:, 2 * pairs:])
+        x, y, z = tri.T
+        cyclic = z - x
+        x -= y
+        y -= z
+        z[...] = cyclic
+        tri += ONE_THIRD
+        tri *= 3.0 / n
+    return _renormalize_rows(out, gen, lambda g, m: draw_two_bidder(n, g, m))
 
 
 def draw_simplex(k: int, rng, size: int | None = None):
@@ -184,28 +202,31 @@ def draw_simplex(k: int, rng, size: int | None = None):
     while np.any(bad):
         g[bad] = gen.standard_gamma(shape, (int(bad.sum()), k))
         bad = np.any(g <= 0.0, axis=1)
-    return g / g.sum(axis=1, keepdims=True)
+    return np.divide(g, g.sum(axis=1, keepdims=True), out=g)
 
 
-def draw_k_bidder(n: int, k: int, rng, size: int | None = None):
+def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray | None = None):
     """Sample an n-bid sequence with per-coordinate CDF ((n/k)*b)**(1/(k-1)).
 
     Requires k | n.  One simplex draw is copied to all n/k groups of k
     objects and every bid is scaled by k/n, preserving the marginal shape
-    while the total stays exactly 1.
+    while the total stays exactly 1.  With ``size``, the rows are written
+    into ``out``, a C-contiguous (size, n) float64 array, when one is given,
+    and that array is returned.
     """
     if n % k:
         raise NotMultiple(f"{k} bidders do not divide {n} objects")
     m = n // k
     gen = _gen_of(rng)
-    if size is None:
+    if size is None and out is None:
         group = draw_simplex(k, gen)
         fracs = [Fraction(float(g)) for g in group]
         total = sum(fracs)
         bids = [f / (m * total) for f in fracs] * m
         return _unit_total(BidSequence(tuple(Bid(b) for b in bids)))
-    groups = draw_simplex(k, gen, size)
-    out = np.tile(groups / m, (1, m))
+    out = _rows_out(out, size, n)
+    groups = draw_simplex(k, gen, out.shape[0])
+    np.divide(groups[:, None, :], m, out=out.reshape(-1, m, k))
     return _renormalize_rows(out, gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 
@@ -213,7 +234,8 @@ def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
     """Force rows to sum to 1, checking the correction is within tolerance;
     rows containing a zero bid (measure-zero) are redrawn."""
     sums = out.sum(axis=1)
-    error = np.max(np.abs(sums - 1.0))
+    deviation = sums - 1.0
+    error = np.abs(deviation, out=deviation).max()
     if not error <= SUM_TOLERANCE:
         raise InvariantError(f"sampled rows miss a unit total by {error}")
     out /= sums[:, None]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,13 @@ from auctionlab import (
     AdversaryPlan,
     EmptySample,
     LengthMismatch,
+    MarginalSpec,
+    RngStream,
     Scenario,
     ScenarioError,
     SizeLimitExceeded,
+    draw_k_bidder,
+    draw_two_bidder,
     estimate,
     initial_bids,
     ks_distance,
@@ -43,11 +48,61 @@ class TestKsDistance:
             ks_distance([], lambda v: v)
 
     def test_cdf_output_shape_must_match_sample(self):
-        # the cdf is called once on the whole sorted sample, never per point
+        # the cdf is called once per block of sorted points, never per point
         with pytest.raises(LengthMismatch, match=r"shape \(\) for a sample of shape \(1,\)"):
             ks_distance([0.5], lambda v: 0.5)
         with pytest.raises(LengthMismatch):
             ks_distance([0.1, 0.2, 0.3], lambda v: np.clip(v, 0, 1)[:-1])
+
+
+    def test_cdf_called_once_per_block(self):
+        calls = []
+
+        def cdf(v):
+            calls.append(v.size)
+            return np.clip(v, 0, 1)
+
+        ks_distance(np.random.default_rng(3).random(2 * montecarlo.CHUNK + 1), cdf)
+        assert calls == [montecarlo.CHUNK, montecarlo.CHUNK, 1]
+
+
+MEMORY_ROWS = 1 << 18
+MEMORY_CASES = [(2, 2), (5, 2), (7, 2), (6, 3)]
+
+
+def traced_peak(run):
+    """run()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory_draws(n, k):
+    if k == 2:
+        return draw_two_bidder(n, RngStream(8), size=MEMORY_ROWS)
+    return draw_k_bidder(n, k, RngStream(8), size=MEMORY_ROWS)
+
+
+class TestKsMemory:
+    """A KS run holds its draws plus about one column: the samplers write
+    in place and ks_table scores each sorted column in blocks."""
+
+    def test_draws_peak_within_two_and_a_half_times_their_size(self):
+        ratios = {}
+        for n, k in MEMORY_CASES:
+            draws, peak = traced_peak(lambda: memory_draws(n, k))
+            ratios[n, k] = peak / draws.nbytes
+        assert max(ratios.values()) <= 2.5, ratios
+
+    def test_ks_table_peaks_within_one_and_three_quarter_times_the_draws(self):
+        ratios = {}
+        for n, k in MEMORY_CASES:
+            draws = memory_draws(n, k)
+            _, peak = traced_peak(lambda: harness.ks_table(draws, MarginalSpec(n, k)))
+            ratios[n, k] = (draws.nbytes + peak) / draws.nbytes
+        assert max(ratios.values()) <= 1.75, ratios
 
 
 class TestWinCounts:

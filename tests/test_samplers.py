@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 from auctionlab import (
     InvariantError,
+    LengthMismatch,
     MarginalSpec,
     NotMultiple,
     RngStream,
@@ -288,6 +289,69 @@ class TestRenormalizeRows:
         rows = np.array([[0.25, 0.25, 0.5 + 4e-13]])
         out = _renormalize_rows(rows, np.random.default_rng(0), None)
         assert abs(out.sum() - 1.0) <= 1e-15
+
+
+def vector_sampler(n, k):
+    """The sampler a Monte Carlo chunk uses for (n, k): two-bidder for k = 2."""
+    return partial(draw_two_bidder, n) if k == 2 else partial(draw_k_bidder, n, k)
+
+
+OUT_CASES = [(n, 2) for n in range(2, 12)] + [(6, 3), (8, 4), (9, 3)]
+
+
+class TestDrawIntoOut:
+    @pytest.mark.parametrize("n,k", OUT_CASES)
+    def test_out_gets_the_allocating_draws_bit_for_bit(self, n, k):
+        draw = vector_sampler(n, k)
+        want = draw(RngStream(41, n), 3_000)
+        out = np.full((3_000, n), np.nan)
+        assert draw(RngStream(41, n), 3_000, out) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,k", [(6, 2), (6, 3)])
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((10, 5)),
+            np.empty((9, 6)),
+            np.empty((10, 6), dtype=np.float32),
+            np.empty((6, 10)).T,
+            [[0.0] * 6] * 10,
+        ],
+        ids=["columns", "rows", "float32", "fortran", "list"],
+    )
+    def test_bad_out_is_refused(self, n, k, out):
+        with pytest.raises(LengthMismatch, match=r"out must be a C-contiguous float64 array"):
+            vector_sampler(n, k)(RngStream(0), 10, out)
+
+    def test_out_needs_a_size(self):
+        with pytest.raises(LengthMismatch):
+            draw_two_bidder(6, RngStream(0), out=np.empty((10, 6)))
+
+    @pytest.mark.parametrize(
+        "n,k,zero_row",
+        [(4, 2, [0.0, 0.0, 0.5, 0.5]), (6, 3, [0.0, 0.25, 0.25, 0.0, 0.25, 0.25])],
+    )
+    def test_zero_bid_redraw_lands_in_out(self, monkeypatch, n, k, zero_row):
+        real = samplers._renormalize_rows
+        planted = []
+
+        def plant_zero_row(out, gen, redraw):
+            if not planted:  # the first call gets a zero bid; the redraw's is left alone
+                planted.append(True)
+                out[3] = zero_row
+            return real(out, gen, redraw)
+
+        monkeypatch.setattr(samplers, "_renormalize_rows", plant_zero_row)
+        out = np.empty((8, n))
+        assert vector_sampler(n, k)(RngStream(42), 8, out) is out
+        monkeypatch.setattr(samplers, "_renormalize_rows", real)
+        # the redrawn row is the stream's next one-row draw; the others are untouched
+        rng = RngStream(42)
+        want = vector_sampler(n, k)(rng, 8)
+        want[3] = vector_sampler(n, k)(rng, 1)[0]
+        assert out.tobytes() == want.tobytes()
+        assert out.min() > 0.0
 
 
 class TestGroupScaling:
