@@ -193,14 +193,14 @@ class Report:
 
 
 def ks_distance(sample, cdf: Callable) -> float:
-    """Sup-norm distance between a sample's empirical CDF and ``cdf``.
+    """Two-sided Kolmogorov-Smirnov distance between a sample's empirical
+    CDF and ``cdf``: the largest of i/N - F(x_i) and F(x_i) - (i-1)/N over
+    the sorted points x_1 <= ... <= x_N.
 
     ``cdf`` must map an array elementwise: it is called once per block of
     ``CHUNK`` sorted sample points, and an output of any other shape raises
-    LengthMismatch.  Both functions are compared at the sample points'
-    right limits, so a theoretical CDF that steps exactly where the sample
-    does scores 0; for a continuous CDF this differs from the two-sided
-    supremum by at most 1/N, far below the critical values used here.
+    LengthMismatch.  The statistic assumes a continuous ``cdf``: one that
+    steps exactly where the sample does scores 1/N, not 0.
     """
     values = np.sort(np.asarray(sample, dtype=float))
     size = values.size
@@ -221,7 +221,8 @@ def ks_distance(sample, cdf: Callable) -> float:
         gap = np.arange(start + 1, start + block.size + 1, dtype=float)
         gap /= size
         gap -= block
-        distance = max(distance, float(np.abs(gap, out=gap).max()))
+        # F(x_i) - (i-1)/N is 1/N - (i/N - F(x_i)), so one array serves both sides
+        distance = max(distance, float(gap.max()), 1.0 / size - float(gap.min()))
         del gap
     return distance
 

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from auctionlab import (
     AdversaryPlan,
@@ -19,6 +21,7 @@ from auctionlab import (
     estimate,
     initial_bids,
     ks_distance,
+    marginal_cdf,
 )
 from auctionlab import harness, montecarlo
 from auctionlab.montecarlo import WinTally, chunks, win_counts
@@ -28,14 +31,23 @@ class TestKsDistance:
     def test_single_sample_at_median(self):
         assert ks_distance([0.5], lambda v: np.clip(np.asarray(v), 0, 1)) == 0.5
 
-    def test_matching_step_function_is_zero(self):
+    def test_matching_step_function_scores_one_over_n(self):
+        # F(x_i) - (i-1)/N is the empirical CDF's jump at each point
         sample = [1.0, 2.0, 3.0, 4.0]
 
         def step_cdf(v):
             v = np.asarray(v, dtype=float)
             return np.floor(np.clip(v, 0, 4)) / 4.0
 
-        assert ks_distance(sample, step_cdf) == 0.0
+        assert ks_distance(sample, step_cdf) == 0.25
+
+    def test_agrees_with_scipy_two_sided_statistic(self):
+        # 200,000 rows span four CHUNK blocks
+        draws = draw_k_bidder(6, 3, RngStream(9), size=200_000)
+        cdf = partial(marginal_cdf, MarginalSpec(6, 3))
+        for c in range(6):
+            want = stats.ks_1samp(draws[:, c], cdf).statistic
+            assert ks_distance(draws[:, c], cdf) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_self_drawn_sample_within_critical_value(self):
         gen = np.random.default_rng(77)

@@ -9,7 +9,9 @@ their random streams in a fixed order (per chunk: adversary, bidders
 1..k-1, then tie realization), so a fixed seed must keep reproducing these
 numbers bit for bit.  Means and standard errors are compared exactly.  KS
 distances may move by one ULP at k >= 3, where numpy's ``power`` and
-Python's ``**`` can round differently, so they get 1e-15.
+Python's ``**`` can round differently, so they get 1e-15.  They were
+re-recorded when ``ks_distance`` became the two-sided statistic, which
+moved each up by at most 1/N; no draw changed.
 
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
