@@ -214,9 +214,7 @@ def ks_distance(sample, cdf: Callable) -> float:
             raise LengthMismatch(
                 f"cdf returned shape {theory.shape} for a sample of shape {block.shape}"
             )
-        # the sorted points are not needed again: the block takes the cdf,
-        # so the gaps to i/N are the only other block-sized array
-        block[...] = theory
+        block[...] = theory  # the sorted points are spent; theory's memory is freed
         del theory
         gap = np.arange(start + 1, start + block.size + 1, dtype=float)
         gap /= size

@@ -91,16 +91,23 @@ def draw_triple(rng, size: int | None = None):
 def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Write N triple draws into the (N, 3) array ``out``, column by column."""
     size = out.shape[0]
-    d, lo, mid = gen.random(size), gen.random(size), gen.random(size)  # u, v, w
-    np.cbrt(d, out=d)
-    d *= ONE_THIRD
-    lo *= ONE_THIRD - d
-    mid *= d
+    lo, mid, hi = vals = np.empty((3, size))
+    for row in (hi, lo, mid):  # u, v, w
+        gen.random(out=row)
+    np.cbrt(hi, out=hi)
+    hi *= ONE_THIRD  # the range d
+    lo *= ONE_THIRD - hi
+    mid *= hi
     mid += lo
-    d += lo  # the maximum
+    hi += lo
     perm = gen.integers(0, 6, size)
-    for c in range(3):
-        np.choose(perm, [(lo, mid, d)[p[c]] for p in _PERMS3], out=out[:, c])
+    # row i's coordinate c is vals.flat[_PERMS3[perm[i], c] * N + i]; row blocks bound the indices
+    for start in range(0, size, 1 << 16):
+        block = perm[start:start + (1 << 16)]
+        for c in range(3):
+            index = (_PERMS3[:, c] * size).take(block)
+            index += np.arange(start, start + block.size)
+            vals.take(index, out=out[start:start + block.size, c])
     return out
 
 
@@ -123,9 +130,8 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     m copies of 2/n - b.  Odd n = 2m+1: m-1 copies of each, then the three
     bids derived from a triple draw.  For n = 3 the paired bids vanish and
     the sequence is the derived triple alone.  The measure-zero event of a
-    zero bid is resampled away.  With ``size``, the rows are written into
-    ``out``, a C-contiguous (size, n) float64 array, when one is given, and
-    that array is returned.
+    zero bid is resampled away.  ``out``, a C-contiguous (size, n) float64
+    array, receives the rows of a vectorized draw and is returned.
     """
     if n < 2:
         raise ValueError("need at least two objects")
@@ -168,14 +174,11 @@ def _two_bidder_array(n: int, gen: np.random.Generator, out: np.ndarray) -> np.n
     np.subtract(2.0 / n, b1[:, None], out=out[:, pairs:2 * pairs])
     del b1  # freed before the triple's and the row sums' columns are made
     if n % 2:
-        tri = _fill_triple(gen, out[:, 2 * pairs:])
-        x, y, z = tri.T
-        cyclic = z - x
-        x -= y
-        y -= z
-        z[...] = cyclic
-        tri += ONE_THIRD
-        tri *= 3.0 / n
+        x, y, z = _fill_triple(gen, out[:, 2 * pairs:]).T
+        for column, bid in zip((x, y, z), [x - y, y - z, z - x]):
+            bid += ONE_THIRD
+            bid *= 3.0 / n
+            column[...] = bid
     return _renormalize_rows(out, gen, lambda g, m: draw_two_bidder(n, g, m))
 
 
@@ -210,9 +213,8 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
 
     Requires k | n.  One simplex draw is copied to all n/k groups of k
     objects and every bid is scaled by k/n, preserving the marginal shape
-    while the total stays exactly 1.  With ``size``, the rows are written
-    into ``out``, a C-contiguous (size, n) float64 array, when one is given,
-    and that array is returned.
+    while the total stays exactly 1.  ``out``, a C-contiguous (size, n)
+    float64 array, receives the rows of a vectorized draw and is returned.
     """
     if n % k:
         raise NotMultiple(f"{k} bidders do not divide {n} objects")
@@ -234,8 +236,7 @@ def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
     """Force rows to sum to 1, checking the correction is within tolerance;
     rows containing a zero bid (measure-zero) are redrawn."""
     sums = out.sum(axis=1)
-    deviation = sums - 1.0
-    error = np.abs(deviation, out=deviation).max()
+    error = max(sums.max() - 1.0, 1.0 - sums.min())  # max |sums - 1|, as rounding is monotone
     if not error <= SUM_TOLERANCE:
         raise InvariantError(f"sampled rows miss a unit total by {error}")
     out /= sums[:, None]
