@@ -214,7 +214,7 @@ def ks_distance(sample, cdf: Callable) -> float:
             raise LengthMismatch(
                 f"cdf returned shape {theory.shape} for a sample of shape {block.shape}"
             )
-        block[...] = theory  # the sorted points are spent; theory's memory is freed
+        block[...] = theory  # the sorted points are spent: the block keeps the cdf
         del theory
         gap = np.arange(start + 1, start + block.size + 1, dtype=float)
         gap /= size
