@@ -12,8 +12,6 @@ from functools import partial
 from numbers import Rational
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, NotMultiple, OverBudget
 from .marginals import MarginalSpec
 from .montecarlo import play
@@ -134,11 +132,10 @@ def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -
 
     draw = partial(draw_two_bidder, n) if k == 2 else partial(draw_k_bidder, n, k)
 
-    def stack(rng, length):
-        base = np.empty((k, length, n))
+    def stack(rng, base):
         for plane in base:
-            draw(rng, length, plane)
-        return base, None
+            draw(rng, base.shape[1], plane)
+        return None
 
     tally = play(k, n, samples, seed, stack)
     return CopycatEstimate(tally.mean(0), tally.stderr(0), Fraction(n, k), samples)

@@ -23,7 +23,7 @@ from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
 from .errors import EmptySample, LengthMismatch, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import CHUNK, WinTally, play
+from .montecarlo import CHUNK, WinTally, chunk_rows, play
 from .position_randomized import (
     best_response,
     initial_bids,
@@ -36,7 +36,8 @@ from .sequential import _run_exact, sample_graph, scripted_strategy, steady_stra
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
 
-# Most samples x objects a KS table holds at once: 256 MB of float64 draws
+# Most samples x objects a KS table holds at once: 256 MB of float64 draws.
+# It also caps bidders x objects in one sampled row, the least a chunk holds.
 KS_CELLS = 1 << 25
 
 
@@ -86,6 +87,11 @@ class Scenario:
             raise ScenarioError(f"{mode} mode requires n >= k")
         if mode in ("k-bidder", "sequential") and n % k:
             raise ScenarioError(f"{mode} mode requires k | n")
+        if mode in ("two-bidder", "k-bidder", "position-randomized") and k * n > KS_CELLS:
+            raise SizeLimitExceeded(
+                f"a sampled row of {k} bidders x {n} objects exceeds the "
+                f"{KS_CELLS:,}-cell limit"
+            )
         if self.ks_stats and mode in ("two-bidder", "k-bidder"):
             check_ks_size(self.samples, n)
         if mode == "group":
@@ -266,21 +272,20 @@ def _marginal_mode(scenario: Scenario):
         adversary_value = Fraction(n, k)
     exact = _disadvantaged_split(n, adversary_value, k)
 
-    # the last bidder's draws, chunk after chunk, for the KS table
+    # the last bidder's draws for the KS table, chunk i at row i * rows
     coords = np.empty((scenario.samples, n)) if scenario.ks_stats else None
-    filled = 0
+    rows = chunk_rows(k, n)
 
-    def stack(rng, length):
-        nonlocal filled
-        base = np.empty((k, length, n))
+    def stack(rng, base):
+        length = base.shape[1]
         if fixed:
             base[0] = adversary_row
         for plane in base[int(fixed):]:
             draw(rng, length, plane)
         if coords is not None:
-            coords[filled:filled + length] = base[k - 1]
-            filled += length
-        return base, None
+            start = rng.stream * rows
+            coords[start:start + length] = base[k - 1]
+        return None
 
     tally = play(k, n, scenario.samples, scenario.seed, stack)
     statistics: dict = {"ks": None if coords is None else ks_table(coords, spec)}
@@ -334,13 +339,12 @@ def _position_mode(scenario: Scenario):
     eps = np.zeros((k, 1, n), dtype=np.int64)
     eps[0, 0] = [b.eps for b in adversary_seq.bids]
 
-    def stack(rng, length):
-        base = np.empty((k, length, n))
+    def stack(rng, base):
         base[0] = adversary_base
         for b in range(1, k):
             base[b] = ladder_row
             rng.generator.permuted(base[b], axis=1, out=base[b])
-        return base, eps
+        return eps
 
     tally = play(k, n, scenario.samples, scenario.seed, stack)
     return _tally_estimates(tally), tuple(exact), {"ks": None}, {"samples": scenario.samples}

@@ -26,6 +26,9 @@ CHUNK = 1 << 16
 # Chunks keep CHUNK rows while k*n <= 32.
 CELLS = 32 * CHUNK
 
+# Most bid cells win_counts resolves at once: its tie temporaries stay near 2 MB
+BLOCK_CELLS = 1 << 18
+
 _EPS_FLOOR = np.iinfo(np.int64).min
 
 
@@ -36,34 +39,47 @@ def win_counts(base: np.ndarray, eps: np.ndarray | None, gen: np.random.Generato
     infinitesimal coefficients used to break base-amount ties, in any shape
     that broadcasts to base's (a (k, 1, n) eps serves every row).  Each object
     goes to its top bidder of rank floor(u * ties), u being its entry of
-    one ``gen.random((N, n))`` draw that covers every object.  Only objects
-    whose top base amount is shared are eps-masked and ranked, which gives
-    the counts of ranking them all, bit for bit.  Returns an int64 array of
-    shape (k, N).
+    one ``gen.random((N, n))`` draw that covers every object.  The stack is
+    resolved in blocks of rows of about BLOCK_CELLS cells, each drawing its
+    own rows of u in turn, so the temporaries stay small whatever N is and
+    the counts and generator state match one pass over all rows.  Only
+    objects whose top base amount is shared are eps-masked and ranked, which
+    gives the counts of ranking them all, bit for bit.  Returns an int64
+    array of shape (k, N).
     """
+    k, rows, n = base.shape
+    if eps is not None:
+        eps = np.broadcast_to(eps, base.shape)
+    wins = np.zeros((k, rows), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // (k * n))
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        _resolve(base[:, block], None if eps is None else eps[:, block], gen, wins[:, block])
+    return wins
+
+
+def _resolve(base: np.ndarray, eps, gen: np.random.Generator, wins: np.ndarray) -> None:
+    """Add one row block's counts to ``wins``, drawing its tie variates."""
     k, rows, n = base.shape
     at_top = base == base.max(axis=0)
     u = gen.random((rows, n))
     # credit every top bidder: uint8 einsum sums are exact up to 255 objects
-    wins = np.zeros((k, rows), dtype=np.int64)
     for start in range(0, n, 255):
         wins += np.einsum("brn->br", at_top[..., start:start + 255].view(np.uint8))
     # one bidder keeps each shared object's credit, the others lose theirs
     shared = np.flatnonzero(at_top.sum(axis=0, dtype=np.min_scalar_type(k)) > 1)
     if shared.size == 0:
-        return wins
+        return
     tied = at_top.reshape(k, -1)[:, shared]
     best = tied
     if eps is not None:
-        tied_eps = np.broadcast_to(eps, base.shape)[:, shared // n, shared % n]
-        masked = np.where(tied, tied_eps, _EPS_FLOOR)
+        masked = np.where(tied, eps[:, shared // n, shared % n], _EPS_FLOOR)
         best = masked == masked.max(axis=0)
     pick = (u.ravel()[shared] * best.sum(axis=0)).astype(np.int64)
     winner = best & (np.cumsum(best, axis=0) - 1 == pick)
     bidder, column = np.nonzero(tied & ~winner)
     losses = np.bincount(bidder * rows + shared[column] // n, minlength=k * rows)
     wins -= losses.reshape(k, rows)
-    return wins
 
 
 def chunks(total: int, size: int = CHUNK):
@@ -104,19 +120,29 @@ class WinTally:
         return math.sqrt(max(var, 0.0) / n)
 
 
+def chunk_rows(k: int, n: int) -> int:
+    """Rows per chunk: CHUNK, or fewer so that a chunk holds at most CELLS
+    cells unless one row alone is larger."""
+    return min(CHUNK, max(1, CELLS // (k * n)))
+
+
 def play(k: int, n: int, samples: int, seed: int, stack: Callable) -> WinTally:
     """Tally k bidders' wins over ``samples`` seeded auctions of n objects.
 
-    Chunk i draws from its own ``RngStream(seed, i)``: ``stack(rng, length)``
-    returns the chunk's (base, eps) bid stack, base of shape (k, length, n)
-    and eps None or broadcastable to it, and its ties are then realized on
-    the same generator.  A chunk holds at most CHUNK rows, and at most
-    CELLS cells unless one row alone is larger.
+    One (k, rows, n) float64 buffer, rows being ``chunk_rows(k, n)`` or
+    ``samples`` if fewer, serves every chunk.  Chunk i draws from its own
+    ``RngStream(seed, i)``: ``stack(rng, base)`` fills ``base``, the
+    buffer's first ``length`` rows of every bidder (each bidder's plane a
+    C-contiguous (length, n) view), in place and returns eps, None or
+    broadcastable to base; the chunk's ties are then realized on the same
+    generator.  A callback that keeps draws past its call must copy them.
     """
     tally = WinTally(k)
-    rows = min(CHUNK, max(1, CELLS // (k * n)))
+    rows = chunk_rows(k, n)
+    buffer = np.empty((k, min(rows, samples), n))
     for index, length in chunks(samples, rows):
         rng = RngStream(seed, index)
-        base, eps = stack(rng, length)
+        base = buffer[:, :length]
+        eps = stack(rng, base)
         tally.add(win_counts(base, eps, rng.generator))
     return tally

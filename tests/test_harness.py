@@ -117,6 +117,42 @@ class TestKsMemory:
         assert max(ratios.values()) <= 1.75, ratios
 
 
+CHUNK_SAMPLES = 3 * montecarlo.CHUNK + 5
+CHUNK_CASES = [
+    Scenario("position-randomized", 8, 3, AdversaryPlan("undercut"), samples=CHUNK_SAMPLES),
+    Scenario("k-bidder", 6, 3, samples=CHUNK_SAMPLES),
+    Scenario("two-bidder", 5, samples=CHUNK_SAMPLES),
+    Scenario("two-bidder", 8, adversary=AdversaryPlan.fixed(["1/8"] * 8), samples=CHUNK_SAMPLES),
+]
+
+
+class TestChunkMemory:
+    """A Monte Carlo run holds one reused chunk stack, and win_counts
+    resolves it in row blocks."""
+
+    @pytest.mark.parametrize("scenario", CHUNK_CASES, ids=lambda sc: f"{sc.mode}-{sc.n}-{sc.k}")
+    def test_estimate_peaks_within_one_and_three_quarter_chunk_stacks(self, scenario):
+        _, peak = traced_peak(lambda: estimate(scenario))
+        stack_bytes = scenario.k * montecarlo.CHUNK * scenario.n * 8
+        assert peak <= 1.75 * stack_bytes, peak / stack_bytes
+
+
+class TestKsOffsets:
+    def test_ks_columns_follow_chunk_streams(self):
+        # the partial last chunk lands at row 2 * CHUNK
+        n, seed, samples = 5, 13, 2 * montecarlo.CHUNK + 7
+        with_ks = estimate(Scenario("two-bidder", n, samples=samples, seed=seed, ks_stats=True))
+        without = estimate(Scenario("two-bidder", n, samples=samples, seed=seed))
+        assert with_ks.estimates == without.estimates
+        last = []
+        for index, length in chunks(samples):
+            rng = RngStream(seed, index)
+            draw_two_bidder(n, rng, size=length)  # the adversary's copycat draw
+            last.append(draw_two_bidder(n, rng, size=length))
+        expected = harness.ks_table(np.concatenate(last), MarginalSpec(n, 2))
+        assert with_ks.statistics["ks"] == expected
+
+
 class TestWinCounts:
     def test_per_draw_totals_equal_object_count(self):
         gen = np.random.default_rng(5)
@@ -245,6 +281,19 @@ class TestScenarioValidation:
             Scenario("k-bidder", 8, 2, samples=limit + 1, ks_stats=True).validate()
         # no KS table, no limit
         Scenario("k-bidder", 8, 2, samples=limit + 1).validate()
+
+    def test_sampled_row_size_limit(self):
+        # one row of k x n bids is the least a chunk holds: 3.2 GB here
+        with pytest.raises(SizeLimitExceeded, match="cell limit"):
+            Scenario("k-bidder", 20_000, 20_000, samples=10).validate()
+        half = harness.KS_CELLS // 2
+        Scenario("two-bidder", half, samples=10).validate()
+        with pytest.raises(SizeLimitExceeded, match="cell limit"):
+            Scenario("two-bidder", half + 1, samples=10).validate()
+        undercut = AdversaryPlan("undercut")
+        Scenario("position-randomized", 10**6, 3, undercut, samples=10).validate()
+        with pytest.raises(SizeLimitExceeded, match="cell limit"):
+            Scenario("position-randomized", harness.KS_CELLS // 3 + 1, 3, undercut).validate()
 
 
 def small_scenario(**overrides):

@@ -1,9 +1,9 @@
 """``win_counts`` against the dense resolver it replaced.
 
-``dense_win_counts`` orders the top bidders of every object; the library
-orders only the objects whose top base amount is shared.  Both draw one
-tie variate per object, so they must agree on every count and leave the
-generator in the same state.
+``dense_win_counts`` orders the top bidders of every object in one pass;
+the library orders only the objects whose top base amount is shared, one
+block of rows at a time.  Both draw one tie variate per object, so they
+must agree on every count and leave the generator in the same state.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlab import montecarlo
 from auctionlab.montecarlo import win_counts
 
 EPS_FLOOR = np.iinfo(np.int64).min
@@ -79,6 +80,19 @@ class TestWinCountsOracle:
         np.testing.assert_array_equal(win_counts(base, eps_row, gen), win_counts(base, full, full_gen))
         assert gen.bit_generator.state == full_gen.bit_generator.state
         assert_matches_oracle(base, full, seed)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tied_stacks(), st.integers(1, 8), st.sampled_from(["none", "row", "full"]))
+    def test_row_blocks_equal_dense_resolver(self, case, step, eps_shape):
+        # blocks of a few rows each: every block draws its own rows of u
+        base, eps, seed = case
+        k, rows, n = base.shape
+        if eps is None:
+            eps = np.random.default_rng(seed).integers(-1, 2, size=base.shape)
+        eps = {"none": None, "row": eps[:, :1], "full": eps}[eps_shape]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "BLOCK_CELLS", step * k * n)
+            assert_matches_oracle(base, eps, seed)
 
     def test_no_ties_takes_one_draw_per_object(self):
         gen = np.random.default_rng(1)
