@@ -10,13 +10,7 @@ auctions with budget depletion, and a seeded Monte Carlo harness with a CLI.
 """
 
 from ._version import VERSION as __version__
-from .adversary import (
-    CopycatEstimate,
-    GroupAuction,
-    copycat_value,
-    group_wins,
-    wins_vs_marginal,
-)
+from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import (
     Bid,
     BidSequence,
@@ -42,8 +36,10 @@ from .errors import (
 from .harness import (
     AdversaryPlan,
     BidderEstimate,
+    CopycatEstimate,
     Report,
     Scenario,
+    copycat_value,
     estimate,
     ks_distance,
 )

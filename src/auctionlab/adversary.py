@@ -1,21 +1,17 @@
 """Expected wins of an informed adversary against the marginal strategies.
 
-The closed forms are exact rational whenever the inputs are rational; the
-copycat estimator is Monte Carlo with deterministic seeded streams.
+The closed forms are exact rational whenever the inputs are rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from numbers import Rational
 from typing import Sequence
 
-from .errors import DomainError, NotMultiple, OverBudget
+from .errors import DomainError, OverBudget
 from .marginals import MarginalSpec
-from .montecarlo import play
-from .samplers import draw_k_bidder, draw_two_bidder
 
 FLOAT_BUDGET_SLACK = 1e-12
 
@@ -95,47 +91,3 @@ def group_wins(auction: GroupAuction, amounts: Sequence):
         raise OverBudget(f"group bids total {spend} > 1")
     slope = n / number(auction.k)
     return sum(s * slope * a for s, a in zip(sizes, vals))
-
-
-@dataclass(frozen=True)
-class CopycatEstimate:
-    """Monte Carlo mean and standard error of the copycat adversary's wins."""
-
-    mean: float
-    stderr: float
-    expected: Fraction
-    samples: int
-
-    @property
-    def within(self) -> float:
-        """Multiples of stderr separating the estimate from its expectation.
-
-        Zero when the gap itself is zero; the paired even-n construction has
-        genuinely zero variance, so stderr can legitimately vanish.
-        """
-        gap = abs(self.mean - float(self.expected))
-        if gap == 0.0:
-            return 0.0
-        return gap / self.stderr if self.stderr > 0 else float("inf")
-
-
-def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -> CopycatEstimate:
-    """Estimate the adversary's wins when every bidder, adversary included,
-    draws from the optimal strategy for (n, k).
-
-    By symmetry of the zero-sum auction the expectation is exactly n/k.
-    Requires k = 2 (any n) or k | n, matching the available samplers.
-    """
-    n, k = spec.n, spec.k
-    if k != 2 and n % k:
-        raise NotMultiple(f"no sampler for k={k}, n={n}: k must divide n")
-
-    draw = partial(draw_two_bidder, n) if k == 2 else partial(draw_k_bidder, n, k)
-
-    def stack(rng, base):
-        for plane in base:
-            draw(rng, base.shape[1], plane)
-        return None
-
-    tally = play(k, n, samples, seed, stack)
-    return CopycatEstimate(tally.mean(0), tally.stderr(0), Fraction(n, k), samples)

@@ -21,9 +21,9 @@ import numpy as np
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
-from .errors import EmptySample, LengthMismatch, ScenarioError, SizeLimitExceeded
+from .errors import EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import CHUNK, WinTally, chunk_rows, play
+from .montecarlo import CHUNK, WinTally, play
 from .position_randomized import (
     best_response,
     initial_bids,
@@ -258,37 +258,41 @@ def _disadvantaged_split(n, adversary_value: Fraction, k: int) -> list[Fraction]
     return [adversary_value] + [share] * (k - 1)
 
 
+def _sampler(draw: Callable) -> Callable:
+    """A filler that draws every row of its plane with ``draw(rng, size, out)``."""
+    return lambda rng, plane: draw(rng, len(plane), plane)
+
+
+def _fixed(row: np.ndarray) -> Callable:
+    """A filler that sets every row of its plane to ``row``."""
+    def fill(rng, plane):
+        plane[...] = row
+    return fill
+
+
+def _permuted(row: np.ndarray) -> Callable:
+    """A filler that puts ``row`` in every row of its plane, each shuffled."""
+    def fill(rng, plane):
+        plane[...] = row
+        rng.generator.permuted(plane, axis=1, out=plane)
+    return fill
+
+
 def _marginal_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     spec = MarginalSpec(n, k)
-    fixed = scenario.adversary.kind == "fixed"
-
     draw = partial(draw_two_bidder, n) if scenario.mode == "two-bidder" else partial(draw_k_bidder, n, k)
-
-    if fixed:
+    bidders = [_sampler(draw)] * k
+    if scenario.adversary.kind == "fixed":
         adversary_value = wins_vs_marginal(spec, list(scenario.adversary.bids))
-        adversary_row = np.array([float(b) for b in scenario.adversary.bids])
+        bidders[0] = _fixed(np.array([float(b) for b in scenario.adversary.bids]))
     else:
         adversary_value = Fraction(n, k)
     exact = _disadvantaged_split(n, adversary_value, k)
-
-    # the last bidder's draws for the KS table, chunk i at row i * rows
-    coords = np.empty((scenario.samples, n)) if scenario.ks_stats else None
-    rows = chunk_rows(k, n)
-
-    def stack(rng, base):
-        length = base.shape[1]
-        if fixed:
-            base[0] = adversary_row
-        for plane in base[int(fixed):]:
-            draw(rng, length, plane)
-        if coords is not None:
-            start = rng.stream * rows
-            coords[start:start + length] = base[k - 1]
-        return None
-
-    tally = play(k, n, scenario.samples, scenario.seed, stack)
-    statistics: dict = {"ks": None if coords is None else ks_table(coords, spec)}
+    # the last bidder's draws make the KS table
+    keep = k - 1 if scenario.ks_stats else None
+    tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=keep)
+    statistics: dict = {"ks": None if draws is None else ks_table(draws, spec)}
     return _tally_estimates(tally), tuple(exact), statistics, {"samples": scenario.samples}
 
 
@@ -333,20 +337,13 @@ def _position_mode(scenario: Scenario):
         adversary_value = ladder_wins(k, adversary_seq, ladder)
     exact = _disadvantaged_split(n, adversary_value, k)
 
-    adversary_base = np.array([float(b.base) for b in adversary_seq.bids])
-    ladder_row = np.array([float(c) for c in ladder.bids])
     # only the adversary bids eps; one row of it serves every chunk row
     eps = np.zeros((k, 1, n), dtype=np.int64)
     eps[0, 0] = [b.eps for b in adversary_seq.bids]
-
-    def stack(rng, base):
-        base[0] = adversary_base
-        for b in range(1, k):
-            base[b] = ladder_row
-            rng.generator.permuted(base[b], axis=1, out=base[b])
-        return eps
-
-    tally = play(k, n, scenario.samples, scenario.seed, stack)
+    ladder_row = np.array([float(c) for c in ladder.bids])
+    bidders = [_fixed(np.array([float(b.base) for b in adversary_seq.bids]))]
+    bidders += [_permuted(ladder_row)] * (k - 1)
+    tally, _ = play(n, scenario.samples, scenario.seed, bidders, eps)
     return _tally_estimates(tally), tuple(exact), {"ks": None}, {"samples": scenario.samples}
 
 
@@ -391,3 +388,41 @@ MODES = {
     "sequential": Mode(_sequential_mode, ("steady", "fixed")),
     "group": Mode(_group_mode, ("fixed",)),
 }
+
+
+@dataclass(frozen=True)
+class CopycatEstimate:
+    """Monte Carlo mean and standard error of the copycat adversary's wins."""
+
+    mean: float
+    stderr: float
+    expected: Fraction
+    samples: int
+
+    @property
+    def within(self) -> float:
+        """Multiples of stderr separating the estimate from its expectation.
+
+        Zero when the gap itself is zero; the paired even-n construction has
+        genuinely zero variance, so stderr can legitimately vanish.
+        """
+        gap = abs(self.mean - float(self.expected))
+        if gap == 0.0:
+            return 0.0
+        return gap / self.stderr if self.stderr > 0 else float("inf")
+
+
+def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -> CopycatEstimate:
+    """Estimate the adversary's wins when every bidder, adversary included,
+    draws from the optimal strategy for (n, k): bidder 0 of the copycat
+    scenario's ``estimate``.
+
+    By symmetry of the zero-sum auction the expectation is exactly n/k.
+    Requires k = 2 (any n) or k | n, matching the available samplers.
+    """
+    n, k = spec.n, spec.k
+    if k != 2 and n % k:
+        raise NotMultiple(f"no sampler for k={k}, n={n}: k must divide n")
+    mode = "two-bidder" if k == 2 else "k-bidder"
+    first = estimate(Scenario(mode, n, k, samples=samples, seed=seed)).estimates[0]
+    return CopycatEstimate(first.mean, first.stderr, Fraction(n, k), samples)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,12 +82,6 @@ def _resolve(base: np.ndarray, eps, gen: np.random.Generator, wins: np.ndarray) 
     wins -= losses.reshape(k, rows)
 
 
-def chunks(total: int, size: int = CHUNK):
-    """Split a sample count into (index, length) work units."""
-    for index, start in enumerate(range(0, total, size)):
-        yield index, min(size, total - start)
-
-
 @dataclass
 class WinTally:
     """Exact accumulator of integer per-draw win counts for k bidders."""
@@ -126,23 +120,31 @@ def chunk_rows(k: int, n: int) -> int:
     return min(CHUNK, max(1, CELLS // (k * n)))
 
 
-def play(k: int, n: int, samples: int, seed: int, stack: Callable) -> WinTally:
-    """Tally k bidders' wins over ``samples`` seeded auctions of n objects.
+def play(n: int, samples: int, seed: int, bidders: Sequence[Callable], eps=None, keep=None):
+    """Tally the wins of ``len(bidders)`` bidders over ``samples`` seeded
+    auctions of n objects; returns ``(tally, kept)``.
 
     One (k, rows, n) float64 buffer, rows being ``chunk_rows(k, n)`` or
     ``samples`` if fewer, serves every chunk.  Chunk i draws from its own
-    ``RngStream(seed, i)``: ``stack(rng, base)`` fills ``base``, the
-    buffer's first ``length`` rows of every bidder (each bidder's plane a
-    C-contiguous (length, n) view), in place and returns eps, None or
-    broadcastable to base; the chunk's ties are then realized on the same
-    generator.  A callback that keeps draws past its call must copy them.
+    ``RngStream(seed, i)``: each ``bidders[b](rng, plane)``, in bidder
+    order, fills bidder b's plane, a C-contiguous (length, n) view of the
+    buffer, in place; the chunk's ties are then realized on the same
+    generator, with ``eps`` (None, or broadcastable to the stack) breaking
+    base ties.  With ``keep`` = b, ``kept`` holds bidder b's rows in sample
+    order, else it is None.  A filler that keeps draws past its call must
+    copy them.
     """
+    k = len(bidders)
     tally = WinTally(k)
     rows = chunk_rows(k, n)
     buffer = np.empty((k, min(rows, samples), n))
-    for index, length in chunks(samples, rows):
+    kept = None if keep is None else np.empty((samples, n))
+    for index, start in enumerate(range(0, samples, rows)):
         rng = RngStream(seed, index)
-        base = buffer[:, :length]
-        eps = stack(rng, base)
+        base = buffer[:, :samples - start]
+        for fill, plane in zip(bidders, base):
+            fill(rng, plane)
+        if kept is not None:
+            kept[start:start + rows] = base[keep]
         tally.add(win_counts(base, eps, rng.generator))
-    return tally
+    return tally, kept

@@ -32,7 +32,7 @@ import numpy as np
 
 from .engine import as_fraction
 from .errors import NotMultiple, OverBudget, SizeLimitExceeded, ZeroBid
-from .montecarlo import WinTally, chunks
+from .montecarlo import CHUNK, WinTally
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,8 @@ def sample_graph(graph: Graph, trials: int, seed) -> WinTally:
     """
     gen = np.random.default_rng(seed)
     tally = WinTally(graph.leaf_wins.shape[0])
-    for _, length in chunks(trials):
+    for start in range(0, trials, CHUNK):
+        length = min(CHUNK, trials - start)
         node = np.zeros(length, dtype=np.intp)
         for _ in range(graph.rounds):
             pick = (gen.random(length) * graph.ties[node]).astype(np.intp)

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .adversary import copycat_value
 from .errors import ScenarioError
-from .harness import check_ks_size, ks_table
+from .harness import check_ks_size, copycat_value, ks_table
 from .marginals import (
     MarginalSpec,
     pair_density,

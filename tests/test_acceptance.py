@@ -29,7 +29,7 @@ from auctionlab import (
     undercut_sequence,
     wins_vs_marginal,
 )
-from auctionlab.montecarlo import WinTally, chunks, win_counts
+from auctionlab.montecarlo import CHUNK, WinTally, win_counts
 from auctionlab.verify import (
     marginal_suite,
     pair_density_quadrature,
@@ -75,7 +75,8 @@ def test_c1_two_bidder_optimality():
             assert wins_vs_marginal(spec, amounts) == Fraction(n, 2)
         tallies = [WinTally(2) for _ in sequences]
         rows = [np.array([float(a) for a in amounts]) for amounts in sequences]
-        for index, length in chunks(SAMPLES):
+        for index, start in enumerate(range(0, SAMPLES, CHUNK)):
+            length = min(CHUNK, SAMPLES - start)
             stream = RngStream(101 + n, index)
             draws = draw_two_bidder(n, stream, size=length)
             gen = stream.generator

@@ -14,11 +14,16 @@ from auctionlab import (
     NotMultiple,
     OverBudget,
     RngStream,
+    Scenario,
+    ScenarioError,
+    SizeLimitExceeded,
     copycat_value,
     draw_two_bidder,
+    estimate,
     group_wins,
     wins_vs_marginal,
 )
+from auctionlab import harness
 
 
 @st.composite
@@ -150,3 +155,18 @@ class TestCopycat:
         a = copycat_value(MarginalSpec(6, 3), samples=50_000, seed=9)
         b = copycat_value(MarginalSpec(6, 3), samples=50_000, seed=9)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    @pytest.mark.parametrize("n,k,mode", [(5, 2, "two-bidder"), (6, 3, "k-bidder")])
+    def test_is_bidder_0_of_the_copycat_estimate(self, n, k, mode):
+        r = copycat_value(MarginalSpec(n, k), samples=20_000, seed=4)
+        first = estimate(Scenario(mode, n, k, samples=20_000, seed=4)).estimates[0]
+        assert (r.mean, r.stderr, r.samples) == (first.mean, first.stderr, 20_000)
+
+    def test_refuses_zero_samples(self):
+        with pytest.raises(ScenarioError, match="at least one sample"):
+            copycat_value(MarginalSpec(4, 2), samples=0)
+
+    def test_refuses_a_row_over_the_cell_limit(self):
+        # refused before the first chunk is allocated
+        with pytest.raises(SizeLimitExceeded):
+            copycat_value(MarginalSpec(harness.KS_CELLS // 2 + 1, 2), samples=1)

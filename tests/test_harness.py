@@ -24,7 +24,7 @@ from auctionlab import (
     marginal_cdf,
 )
 from auctionlab import harness, montecarlo
-from auctionlab.montecarlo import WinTally, chunks, win_counts
+from auctionlab.montecarlo import WinTally, play, win_counts
 
 
 class TestKsDistance:
@@ -145,7 +145,8 @@ class TestKsOffsets:
         without = estimate(Scenario("two-bidder", n, samples=samples, seed=seed))
         assert with_ks.estimates == without.estimates
         last = []
-        for index, length in chunks(samples):
+        for index, start in enumerate(range(0, samples, montecarlo.CHUNK)):
+            length = min(montecarlo.CHUNK, samples - start)
             rng = RngStream(seed, index)
             draw_two_bidder(n, rng, size=length)  # the adversary's copycat draw
             last.append(draw_two_bidder(n, rng, size=length))
@@ -177,9 +178,22 @@ class TestWinCounts:
         share = wins[0].mean()
         assert abs(share - 0.5) < 3 * 0.5 / math.sqrt(40_000)
 
-    def test_chunks_cover_total(self):
-        sizes = [length for _, length in chunks(1_000_000)]
-        assert sum(sizes) == 1_000_000
+    def test_play_fills_every_sample_once_per_stream(self):
+        # chunk i fills its rows from stream i, bidders in order
+        samples = 2 * montecarlo.CHUNK + 7
+        calls = []
+
+        def recording(b):
+            def fill(rng, plane):
+                calls.append((rng.stream, b, plane.shape))
+                plane[...] = b
+            return fill
+
+        tally, kept = play(3, samples, 5, [recording(0), recording(1)], keep=1)
+        lengths = [montecarlo.CHUNK, montecarlo.CHUNK, 7]
+        assert calls == [(i, b, (length, 3)) for i, length in enumerate(lengths) for b in (0, 1)]
+        assert tally.count == samples and tally.sums == [0, 3 * samples]
+        assert kept.shape == (samples, 3) and np.all(kept == 1)
 
     def test_large_position_chunk_stays_within_cell_budget(self, monkeypatch):
         # a 65,536-row chunk at n = 10,000, k = 3 would stack 2e9 cells

@@ -70,3 +70,10 @@ def test_only_the_density_suite_loads_scipy():
     code, payload = result["density"]
     assert code == 0 and payload["passed"] and all(c["passed"] for c in payload["checks"])
     assert result["after"] is True
+
+
+def test_adversary_is_exact_only():
+    # the Monte Carlo copycat lives in harness; adversary keeps the closed forms
+    tree = ast.parse((PACKAGE / "adversary.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not modules & {"montecarlo", "samplers"}, modules
