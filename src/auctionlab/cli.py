@@ -24,11 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from ._version import VERSION
-from .errors import InputError, ScenarioError
+from .errors import InputError, ScenarioError, SizeLimitExceeded
 from .harness import MODES, AdversaryPlan, Scenario, estimate, fraction_json
 from .marginals import MarginalSpec, marginal_cdf, spread_density
 from .position_randomized import best_response
 from .verify import SUITES, run_suite
+
+# Most steps a marginals grid may take: a report of about a megabyte.
+MAX_GRID = 10_000
 
 
 def _parse_amount(text) -> Fraction:
@@ -158,6 +161,8 @@ def _cmd_best_response(args) -> int:
 def _cmd_marginals(args) -> int:
     if args.grid < 1:
         raise ScenarioError("the grid needs at least one step")
+    if args.grid > MAX_GRID:
+        raise SizeLimitExceeded(f"a grid of {args.grid:,} steps exceeds the {MAX_GRID:,}-step limit")
     spec = MarginalSpec(args.n, args.k)
     bs = np.linspace(0.0, 1.0, args.grid + 1)
     cdf = [{"b": float(b), "value": marginal_cdf(spec, float(b))} for b in bs]

@@ -31,7 +31,7 @@ from .position_randomized import (
     undercut_sequence,
 )
 from .samplers import draw_k_bidder, draw_two_bidder
-from .sequential import _run_exact, sample_graph, scripted_strategy, steady_strategy
+from .sequential import _run_exact, check_rounds, sample_graph, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
@@ -87,12 +87,18 @@ class Scenario:
             raise ScenarioError(f"{mode} mode requires n >= k")
         if mode in ("k-bidder", "sequential") and n % k:
             raise ScenarioError(f"{mode} mode requires k | n")
+        if mode == "sequential":
+            check_rounds(n)
+        if self.ks_stats and mode not in ("two-bidder", "k-bidder"):
+            raise ScenarioError(f"KS statistics need a sampled marginal; {mode} mode has none")
+        if self.group_sizes is not None and mode != "group":
+            raise ScenarioError(f"group_sizes apply to group mode only, not {mode} mode")
         if mode in ("two-bidder", "k-bidder", "position-randomized") and k * n > KS_CELLS:
             raise SizeLimitExceeded(
                 f"a sampled row of {k} bidders x {n} objects exceeds the "
                 f"{KS_CELLS:,}-cell limit"
             )
-        if self.ks_stats and mode in ("two-bidder", "k-bidder"):
+        if self.ks_stats:
             check_ks_size(self.samples, n)
         if mode == "group":
             sizes = [as_fraction(s) for s in self.group_sizes or ()]

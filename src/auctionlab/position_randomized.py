@@ -7,6 +7,7 @@ game value.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,17 +39,33 @@ class InitialBids:
         return BidSequence(tuple(Bid(b) for b in self.bids))
 
 
-# Each ladder rank holds a Fraction of about 200 bytes, and a best-response
-# witness as much again: a million ranks take a few hundred megabytes.
-MAX_LADDER_N = 1_000_000
+# Python's default cap on the digits of an int it prints: a ladder whose
+# exact values may run longer is refused, since no report could show them.
+MAX_VALUE_DIGITS = 4300
+
+# Most digits a ladder may hold, counted as n ranks of k * log10(n) digits
+# each.  (10**6, 3) holds 1.8e7 and its best response takes seconds and a
+# few hundred megabytes, a Fraction of about 200 bytes per rank and a
+# witness as much again.
+MAX_LADDER_DIGITS = 20_000_000
 
 
 def initial_bids(n: int, k: int) -> InitialBids:
     """Optimal initial sequence within the position-randomized class."""
     if k < 2 or n < k:
         raise DomainError("need n >= k >= 2")
-    if n > MAX_LADDER_N:
-        raise SizeLimitExceeded(f"n = {n} exceeds the ladder limit of {MAX_LADDER_N} objects")
+    # weight_total, the ladder's largest integer, is below n**k
+    digits = k * math.log10(n)
+    if digits >= MAX_VALUE_DIGITS:
+        raise SizeLimitExceeded(
+            f"the exact values of the n = {n}, k = {k} ladder run to about {digits:,.0f} "
+            f"digits, past the {MAX_VALUE_DIGITS:,} that can be printed"
+        )
+    if n * digits > MAX_LADDER_DIGITS:
+        raise SizeLimitExceeded(
+            f"the n = {n}, k = {k} ladder holds about {n * digits:,.0f} digits, past the "
+            f"ladder limit of {MAX_LADDER_DIGITS:,}"
+        )
     weights = [i ** (k - 1) for i in range(1, n + 1)]
     total = sum(weights)
     return InitialBids(
@@ -108,23 +125,15 @@ def rank_win_expectation(n: int, k: int, p: int) -> Fraction:
     the k-1 disadvantaged bidders places a uniformly random ladder rank on
     the same object.
 
-    Summation over the number of opponents tying at rank p:
+    Summing over the number of opponents tying at rank p,
 
-        sum_{i=0}^{k-1} 1/(i+1) * C(k-1, i) * (1/n)**i * ((p-1)/n)**(k-1-i)
+        sum_{i=0}^{k-1} 1/(i+1) * C(k-1, i) * (1/n)**i * ((p-1)/n)**(k-1-i),
 
-    which telescopes to (p**k - (p-1)**k) / (k * n**(k-1)).
+    telescopes to (p**k - (p-1)**k) / (k * n**(k-1)), returned directly.
     """
     if not 1 <= p <= n:
         raise ValueError(f"rank {p} outside 1..{n}")
-    return sum(
-        (
-            Fraction(comb(k - 1, i), i + 1)
-            * Fraction(1, n) ** i
-            * Fraction(p - 1, n) ** (k - 1 - i)
-            for i in range(k)
-        ),
-        Fraction(0),
-    )
+    return Fraction(p**k - (p - 1) ** k, k * n ** (k - 1))
 
 
 def _tie_aware_win(

@@ -225,6 +225,16 @@ def _too_long(round_index: int) -> SizeLimitExceeded:
     )
 
 
+def check_rounds(n: int) -> None:
+    """Refuse n rounds before any work: every round visits at least one
+    state, so n > MAX_STATE_ROUNDS can never finish."""
+    if n > MAX_STATE_ROUNDS:
+        raise SizeLimitExceeded(
+            f"{n:,} rounds exceed the {MAX_STATE_ROUNDS:,} state-visits an exact run "
+            f"may make, and every round visits at least one state"
+        )
+
+
 def _merged_walk(scripts, n: int, k: int, graph: bool) -> ExactRun:
     """The exact walk of an all-scripted profile on integer budgets, merging
     states on (budgets, wins).  Probabilities are exact: integer weights
@@ -314,6 +324,7 @@ def _history_walk(strategies, n: int, k: int) -> ExactRun:
 def _run_exact(strategies, n: int, k: int, graph: bool = False) -> ExactRun:
     """The merged integer walk when every strategy has a script (with its
     transition graph if ``graph``), else the history walk."""
+    check_rounds(n)
     scripts = _scripts(strategies)
     if scripts is None:
         return _history_walk(strategies, n, k)

@@ -29,7 +29,7 @@ from .position_randomized import (
     undercut_sequence,
 )
 from .samplers import RngStream, draw_k_bidder, draw_two_bidder
-from .sequential import run_sequential, scripted_strategy, steady_strategy
+from .sequential import check_rounds, run_sequential, scripted_strategy, steady_strategy
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,7 @@ def copycat_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> li
 def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list[Check]:
     """The steady strategy never falls below n/k expected objects against
     randomized opponent scripts."""
+    check_rounds(n)
     gen = np.random.default_rng([seed, 777])
     target = Fraction(n, k)
     violations = 0
@@ -238,7 +239,9 @@ def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed:
     if samples < 1:
         raise ScenarioError("need at least one sample")
     names = SUITES if name == "all" else [name]
+    # refuse an oversized KS table or run before the other suites spend time
     if "marginals" in names:
-        # refuse an oversized KS table before the other suites spend time
         check_ks_size(samples, n)
+    if "sequential" in names:
+        check_rounds(n)
     return [c for suite in names for c in SUITES[suite](n, k, samples, seed)]

@@ -209,7 +209,7 @@ class TestBestResponse:
         assert row[:2] == [str(value.numerator), str(value.denominator)]
 
     def test_oversized_ladder_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(position_randomized, "MAX_LADDER_N", 50)
+        monkeypatch.setattr(position_randomized, "MAX_LADDER_DIGITS", 50)
         code, out, err = run_cli(capsys, "best-response", "--n", "51", "--k", "2")
         assert code == 1
         assert out == ""

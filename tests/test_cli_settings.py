@@ -4,12 +4,13 @@ from bugs (2)."""
 
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from auctionlab import AdversaryPlan, Scenario, ScenarioError, estimate, harness
-from auctionlab.cli import build_parser, main, parse_args
+from auctionlab.cli import MAX_GRID, build_parser, main, parse_args
 from auctionlab.verify import run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -158,6 +159,28 @@ class TestExitCodes:
     )
     def test_bad_input_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "best-response --n 1500 --k 1500",
+            "simulate --mode position-randomized --n 1500 --k 1500 --samples 10",
+            f"marginals --grid {MAX_GRID + 1}",
+            "sequential --n 1000000 --k 2",
+            "verify --suite sequential --n 1000000 --k 2 --samples 10",
+            "verify --suite all --n 1000000 --k 2 --samples 10",
+            f"verify --suite copycat --n {harness.KS_CELLS // 2 + 1} --k 2 --samples 1",
+            "simulate --mode position-randomized --n 4 --ks",
+            "simulate --mode two-bidder --n 4 --group-sizes 1,2",
+        ],
+    )
+    def test_oversized_or_unused_input_exits_1_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err

@@ -226,6 +226,16 @@ class TestWinCounts:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("mode", ["position-randomized", "sequential", "group"])
+    def test_ks_only_in_sampled_marginal_modes(self, mode):
+        with pytest.raises(ScenarioError, match="KS statistics"):
+            Scenario(mode, 4, 2, ks_stats=True).validate()
+
+    @pytest.mark.parametrize("mode", ["two-bidder", "k-bidder", "position-randomized", "sequential"])
+    def test_group_sizes_only_in_group_mode(self, mode):
+        with pytest.raises(ScenarioError, match="group_sizes"):
+            Scenario(mode, 4, 2, group_sizes=(1, 3)).validate()
+
     def test_unknown_mode(self):
         with pytest.raises(ScenarioError):
             Scenario(mode="auction", n=4).validate()

@@ -56,12 +56,19 @@ class TestInitialBids:
         validate_sequence(ladder.as_sequence())
 
     def test_size_limit(self, monkeypatch):
-        monkeypatch.setattr(position_randomized, "MAX_LADDER_N", 8)
+        # (8, 2) holds 8 * 2 * log10(8) = 14.4 digits, (9, 2) 17.2
+        monkeypatch.setattr(position_randomized, "MAX_LADDER_DIGITS", 15)
         assert initial_bids(8, 2).n == 8
         with pytest.raises(SizeLimitExceeded):
             initial_bids(9, 2)
         with pytest.raises(SizeLimitExceeded):
             best_response(9, 2)
+
+    def test_value_digit_limit(self):
+        # weight_total < n**k: refused once n**k may need 4,300 digits or more
+        for n, k in ((10**2150, 2), (1500, 1500)):
+            with pytest.raises(SizeLimitExceeded, match="can be printed"):
+                initial_bids(n, k)
 
 
 def brute_rank_win(n, k, p):
@@ -88,11 +95,17 @@ class TestRankWinExpectation:
                     assert rank_win_expectation(n, k, p) == brute_rank_win(n, k, p)
 
     def test_matches_telescoped_form(self):
-        for k in range(2, 6):
-            for n in range(k, 10):
+        # the closed form against the sum over tying opponents it telescopes from
+        for k in range(2, 8):
+            for n in range(k, 30):
                 for p in range(1, n + 1):
-                    closed = Fraction(p**k - (p - 1) ** k, k * n ** (k - 1))
-                    assert rank_win_expectation(n, k, p) == closed
+                    tie_sum = sum(
+                        Fraction(comb(k - 1, i), i + 1)
+                        * Fraction(1, n) ** i
+                        * Fraction(p - 1, n) ** (k - 1 - i)
+                        for i in range(k)
+                    )
+                    assert rank_win_expectation(n, k, p) == tie_sum
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from auctionlab import (
     NotMultiple,
     OverBudget,
+    Scenario,
     SizeLimitExceeded,
     ZeroBid,
     pass_strategy,
@@ -18,7 +19,7 @@ from auctionlab import (
     scripted_strategy,
     steady_strategy,
 )
-from auctionlab import sequential
+from auctionlab import sequential, verify
 from auctionlab.montecarlo import CHUNK
 
 
@@ -191,6 +192,22 @@ class TestStateCap:
             monkeypatch.setattr(sequential, "MAX_STATE_ROUNDS", visits - 1)
             with pytest.raises(SizeLimitExceeded, match=f"exceeds {visits - 1} state-visits .* round 6"):
                 run_sequential(profile, 6, 2)
+
+    def test_more_rounds_than_state_visits_refused_before_any_work(self, monkeypatch):
+        # every round visits a state: 8 rounds cannot fit in 7 visits
+        def untouched(*args, **kwargs):
+            raise AssertionError("built before the round check")
+
+        monkeypatch.setattr(sequential, "MAX_STATE_ROUNDS", 7)
+        monkeypatch.setattr(sequential, "_unit_table", untouched)
+        monkeypatch.setattr(verify, "scripted_strategy", untouched)
+        refusal = "8 rounds exceed the 7 state-visits"
+        with pytest.raises(SizeLimitExceeded, match=refusal):
+            run_sequential([steady_strategy(8, 2), steady_strategy(8, 2)], 8, 2)
+        with pytest.raises(SizeLimitExceeded, match=refusal):
+            Scenario("sequential", 8, 2, samples=10).validate()
+        with pytest.raises(SizeLimitExceeded, match=refusal):
+            verify.sequential_suite(8, 2, trials=10)
 
     def test_cap_does_not_bound_sampled_mode(self, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 1)
