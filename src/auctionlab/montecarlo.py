@@ -120,7 +120,9 @@ def chunk_rows(k: int, n: int) -> int:
     return min(CHUNK, max(1, CELLS // (k * n)))
 
 
-def play(n: int, samples: int, seed: int, bidders: Sequence[Callable], eps=None, keep=None):
+def play(
+    n: int, samples: int, seed: int, bidders: Sequence[Callable], eps=None, keep=None
+) -> tuple[WinTally, np.ndarray | None]:
     """Tally the wins of ``len(bidders)`` bidders over ``samples`` seeded
     auctions of n objects; returns ``(tally, kept)``.
 
