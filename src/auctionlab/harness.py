@@ -24,12 +24,7 @@ from .engine import BidSequence, as_fraction
 from .errors import EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, play
-from .position_randomized import (
-    best_response,
-    initial_bids,
-    ladder_wins,
-    undercut_sequence,
-)
+from .position_randomized import _best_response, initial_bids, ladder_wins, undercut_sequence
 from .samplers import draw_k_bidder, draw_two_bidder
 from .sequential import _run_exact, check_rounds, sample_graph, scripted_strategy, steady_strategy
 
@@ -328,12 +323,27 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
     return {"entries": entries, "max_sum_error": float(np.abs(sum_error, out=sum_error).max())}
 
 
+def _exact_ranks(bids, ladder) -> np.ndarray:
+    """Each of ``bids``, then each ``ladder`` amount, as its float64 rank
+    among the distinct (base, eps) pairs: ranks order and tie as the bids
+    do, which floats of distinct Fractions need not.  float() of a Fraction
+    is monotone, so it leads the key and Fractions meet only on equal floats."""
+    keys = [(float(b.base), b.base, b.eps) for b in bids] + [(float(c), c, 0) for c in ladder]
+    ranks = [0] * len(keys)
+    rank, previous = -1, None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[i] != previous:
+            rank, previous = rank + 1, keys[i]
+        ranks[i] = rank
+    return np.array(ranks, dtype=float)
+
+
 def _position_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     ladder = initial_bids(n, k)
     kind = scenario.adversary.kind
     if kind == "dp-optimal":
-        response = best_response(n, k)
+        response = _best_response(ladder)
         adversary_seq, adversary_value = response.witness_sequence(), response.value
     else:
         if kind == "undercut":
@@ -343,13 +353,9 @@ def _position_mode(scenario: Scenario):
         adversary_value = ladder_wins(k, adversary_seq, ladder)
     exact = _disadvantaged_split(n, adversary_value, k)
 
-    # only the adversary bids eps; one row of it serves every chunk row
-    eps = np.zeros((k, 1, n), dtype=np.int64)
-    eps[0, 0] = [b.eps for b in adversary_seq.bids]
-    ladder_row = np.array([float(c) for c in ladder.bids])
-    bidders = [_fixed(np.array([float(b.base) for b in adversary_seq.bids]))]
-    bidders += [_permuted(ladder_row)] * (k - 1)
-    tally, _ = play(n, scenario.samples, scenario.seed, bidders, eps)
+    ranks = _exact_ranks(adversary_seq.bids, ladder.bids)
+    bidders = [_fixed(ranks[:n])] + [_permuted(ranks[n:])] * (k - 1)
+    tally, _ = play(n, scenario.samples, scenario.seed, bidders)
     return _tally_estimates(tally), tuple(exact), {"ks": None}, {"samples": scenario.samples}
 
 

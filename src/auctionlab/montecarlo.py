@@ -29,36 +29,30 @@ CELLS = 32 * CHUNK
 # Most bid cells win_counts resolves at once: its tie temporaries stay near 2 MB
 BLOCK_CELLS = 1 << 18
 
-_EPS_FLOOR = np.iinfo(np.int64).min
 
-
-def win_counts(base: np.ndarray, eps: np.ndarray | None, gen: np.random.Generator) -> np.ndarray:
+def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Per-bidder object counts for a stack of sealed-bid auctions.
 
-    base has shape (k, N, n); eps, when given, holds the integer
-    infinitesimal coefficients used to break base-amount ties, in any shape
-    that broadcasts to base's (a (k, 1, n) eps serves every row).  Each object
-    goes to its top bidder of rank floor(u * ties), u being its entry of
-    one ``gen.random((N, n))`` draw that covers every object.  The stack is
-    resolved in blocks of rows of about BLOCK_CELLS cells, each drawing its
-    own rows of u in turn, so the temporaries stay small whatever N is and
-    the counts and generator state match one pass over all rows.  Only
-    objects whose top base amount is shared are eps-masked and ranked, which
-    gives the counts of ranking them all, bit for bit.  Returns an int64
-    array of shape (k, N).
+    base has shape (k, N, n), and only its order matters: bids that compare
+    equal tie.  Each object goes to its top bidder of rank floor(u * ties),
+    u being its entry of one ``gen.random((N, n))`` draw that covers every
+    object.  The stack is resolved in blocks of rows of about BLOCK_CELLS
+    cells, each drawing its own rows of u in turn, so the temporaries stay
+    small whatever N is and the counts and generator state match one pass
+    over all rows.  Only objects whose top amount is shared are ranked,
+    which gives the counts of ranking them all, bit for bit.  Returns an
+    int64 array of shape (k, N).
     """
     k, rows, n = base.shape
-    if eps is not None:
-        eps = np.broadcast_to(eps, base.shape)
     wins = np.zeros((k, rows), dtype=np.int64)
     step = max(1, BLOCK_CELLS // (k * n))
     for start in range(0, rows, step):
         block = slice(start, start + step)
-        _resolve(base[:, block], None if eps is None else eps[:, block], gen, wins[:, block])
+        _resolve(base[:, block], gen, wins[:, block])
     return wins
 
 
-def _resolve(base: np.ndarray, eps, gen: np.random.Generator, wins: np.ndarray) -> None:
+def _resolve(base: np.ndarray, gen: np.random.Generator, wins: np.ndarray) -> None:
     """Add one row block's counts to ``wins``, drawing its tie variates."""
     k, rows, n = base.shape
     at_top = base == base.max(axis=0)
@@ -71,12 +65,8 @@ def _resolve(base: np.ndarray, eps, gen: np.random.Generator, wins: np.ndarray) 
     if shared.size == 0:
         return
     tied = at_top.reshape(k, -1)[:, shared]
-    best = tied
-    if eps is not None:
-        masked = np.where(tied, eps[:, shared // n, shared % n], _EPS_FLOOR)
-        best = masked == masked.max(axis=0)
-    pick = (u.ravel()[shared] * best.sum(axis=0)).astype(np.int64)
-    winner = best & (np.cumsum(best, axis=0) - 1 == pick)
+    pick = (u.ravel()[shared] * tied.sum(axis=0)).astype(np.int64)
+    winner = tied & (np.cumsum(tied, axis=0) - 1 == pick)
     bidder, column = np.nonzero(tied & ~winner)
     losses = np.bincount(bidder * rows + shared[column] // n, minlength=k * rows)
     wins -= losses.reshape(k, rows)
@@ -121,7 +111,7 @@ def chunk_rows(k: int, n: int) -> int:
 
 
 def play(
-    n: int, samples: int, seed: int, bidders: Sequence[Callable], eps=None, keep=None
+    n: int, samples: int, seed: int, bidders: Sequence[Callable], keep=None
 ) -> tuple[WinTally, np.ndarray | None]:
     """Tally the wins of ``len(bidders)`` bidders over ``samples`` seeded
     auctions of n objects; returns ``(tally, kept)``.
@@ -131,10 +121,9 @@ def play(
     ``RngStream(seed, i)``: each ``bidders[b](rng, plane)``, in bidder
     order, fills bidder b's plane, a C-contiguous (length, n) view of the
     buffer, in place; the chunk's ties are then realized on the same
-    generator, with ``eps`` (None, or broadcastable to the stack) breaking
-    base ties.  With ``keep`` = b, ``kept`` holds bidder b's rows in sample
-    order, else it is None.  A filler that keeps draws past its call must
-    copy them.
+    generator, bids that compare equal tying.  With ``keep`` = b, ``kept``
+    holds bidder b's rows in sample order, else it is None.  A filler that
+    keeps draws past its call must copy them.
     """
     k = len(bidders)
     tally = WinTally(k)
@@ -148,5 +137,5 @@ def play(
             fill(rng, plane)
         if kept is not None:
             kept[start:start + rows] = base[keep]
-        tally.add(win_counts(base, eps, rng.generator))
+        tally.add(win_counts(base, rng.generator))
     return tally, kept

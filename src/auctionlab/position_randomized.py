@@ -223,14 +223,15 @@ def best_response(n: int, k: int) -> BestResponse:
     infinitesimal plus ranks 2..n spend exactly, so the optimum is
     (weight_total - 1) / n**(k-1).
     """
-    ladder = initial_bids(n, k)
+    return _best_response(initial_bids(n, k))
+
+
+def _best_response(ladder: InitialBids) -> BestResponse:
+    """``best_response`` to a ladder already built."""
+    n, k = ladder.n, ladder.k
     witness = (Bid(Fraction(0), +1),) + tuple(Bid(c, +1) for c in ladder.bids[1:])
-    return BestResponse(
-        n=n,
-        k=k,
-        value=Fraction(ladder.weight_total - 1, n ** (k - 1)),
-        witness=witness,
-    )
+    value = Fraction(ladder.weight_total - 1, n ** (k - 1))
+    return BestResponse(n=n, k=k, value=value, witness=witness)
 
 
 def undercut_sequence(b_sorted: BidSequence) -> BidSequence:

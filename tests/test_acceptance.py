@@ -82,7 +82,7 @@ def test_c1_two_bidder_optimality():
             gen = stream.generator
             for tally, row in zip(tallies, rows):
                 stack = np.stack([np.broadcast_to(row, (length, n)), draws])
-                tally.add(win_counts(stack, None, gen))
+                tally.add(win_counts(stack, gen))
         for tally in tallies:
             gap = abs(tally.mean(0) - n / 2)
             band = 3 * tally.stderr(0)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -9,6 +10,7 @@ from scipy import stats
 
 from auctionlab import (
     AdversaryPlan,
+    Bid,
     EmptySample,
     LengthMismatch,
     MarginalSpec,
@@ -159,22 +161,14 @@ class TestWinCounts:
         gen = np.random.default_rng(5)
         base = gen.random((3, 500, 4))
         base[1, :250] = base[0, :250]  # force plenty of ties
-        wins = win_counts(base, None, gen)
+        wins = win_counts(base, gen)
         assert wins.shape == (3, 500)
         assert np.all(wins.sum(axis=0) == 4)
-
-    def test_eps_breaks_base_ties(self):
-        base = np.full((2, 10, 3), 0.5)
-        eps = np.zeros((2, 10, 3), dtype=np.int64)
-        eps[1] = 1
-        gen = np.random.default_rng(0)
-        wins = win_counts(base, eps, gen)
-        assert np.all(wins[1] == 3) and np.all(wins[0] == 0)
 
     def test_tie_sampling_is_fair(self):
         base = np.full((2, 40_000, 1), 0.5)
         gen = np.random.default_rng(9)
-        wins = win_counts(base, None, gen)
+        wins = win_counts(base, gen)
         share = wins[0].mean()
         assert abs(share - 0.5) < 3 * 0.5 / math.sqrt(40_000)
 
@@ -199,9 +193,9 @@ class TestWinCounts:
         # a 65,536-row chunk at n = 10,000, k = 3 would stack 2e9 cells
         shapes = []
 
-        def recording(base, eps, gen):
+        def recording(base, gen):
             shapes.append(base.shape)
-            return win_counts(base, eps, gen)
+            return win_counts(base, gen)
 
         monkeypatch.setattr(montecarlo, "win_counts", recording)
         scenario = Scenario(
@@ -387,6 +381,30 @@ class TestEstimate:
             for est, exact in zip(report.estimates, report.exact):
                 assert abs(est.mean - float(exact)) <= 5 * est.stderr
 
+    def test_amounts_one_float_apart_stay_distinct(self):
+        # ladder[0] + 1e-30 has the double of ladder[0] but beats it; a run
+        # that placed float amounts scored it a tie and sat about 8 stderr low
+        ladder = initial_bids(6, 3).bids
+        amounts = [ladder[0] + Fraction(1, 10**30), *ladder[1:5], ladder[5] - Fraction(1, 1000)]
+        assert float(amounts[0]) == float(ladder[0])
+        report = estimate(
+            Scenario("position-randomized", 6, 3, AdversaryPlan.fixed(amounts), 100_000, 1)
+        )
+        first = report.estimates[0]
+        assert abs(first.mean - float(report.exact[0])) <= 3 * first.stderr
+
+    def test_exact_ranks_order_and_tie_as_bids(self):
+        # the middle three bases share one double
+        near, tiny = Fraction(1, 91), Fraction(1, 10**30)
+        bases = [Fraction(0), near - tiny, near, near + tiny, Fraction(1, 3)]
+        bids = [Bid(b, e) for b in bases for e in (-1, 0, 1)] * 2
+        random.Random(5).shuffle(bids)
+        ranks = harness._exact_ranks(bids, [])
+        for rank, bid in zip(ranks, bids):
+            assert [rank < r for r in ranks] == [bid < b for b in bids]
+            assert [rank == r for r in ranks] == [bid == b for b in bids]
+        assert sorted(set(ranks)) == list(range(15))
+
     def test_undercut_matches_dp_value(self):
         report = estimate(
             small_scenario(
@@ -463,7 +481,7 @@ class TestZeroSumPerDraw:
         gen = np.random.default_rng(31)
         base = np.stack([gen.random((200, 6)), gen.random((200, 6))])
         base[1, ::3] = base[0, ::3]
-        wins = win_counts(base, None, gen)
+        wins = win_counts(base, gen)
         assert np.all(wins.sum(axis=0) == 6)
 
 

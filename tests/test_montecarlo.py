@@ -1,9 +1,11 @@
 """``win_counts`` against the dense resolver it replaced.
 
-``dense_win_counts`` orders the top bidders of every object in one pass;
-the library orders only the objects whose top base amount is shared, one
-block of rows at a time.  Both draw one tie variate per object, so they
-must agree on every count and leave the generator in the same state.
+``dense_win_counts`` orders the top bidders of every object in one pass,
+in (base, eps) order; the library orders only the objects whose top amount
+is shared, one block of rows at a time, and sees a (base, eps) stack as the
+exact ranks of its pairs, as position mode places them.  Both draw one tie
+variate per object, so they must agree on every count and leave the
+generator in the same state.
 """
 
 import numpy as np
@@ -32,9 +34,24 @@ def dense_win_counts(base, eps, gen):
     return winner.sum(axis=2).astype(np.int64)
 
 
+def lexicographic_ranks(base, eps):
+    """The rank of each (base, eps) pair of a stack among its distinct
+    pairs, in lexicographic order: equal pairs share a rank."""
+    flat_base, flat_eps = base.ravel(), eps.ravel()
+    order = np.lexsort((flat_eps, flat_base))
+    new = np.ones(base.size, dtype=bool)
+    new[1:] = (np.diff(flat_base[order]) != 0) | (np.diff(flat_eps[order]) != 0)
+    ranks = np.empty(base.shape)
+    ranks.flat[order] = np.cumsum(new) - 1
+    return ranks
+
+
 def assert_matches_oracle(base, eps, seed=0):
+    """``win_counts`` on the stack, rank-encoded when it has eps, against
+    the dense resolver on (base, eps): counts and generator state."""
     gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-    wins = win_counts(base, eps, gen)
+    bids = base if eps is None else lexicographic_ranks(base, eps)
+    wins = win_counts(bids, gen)
     expected = dense_win_counts(base, eps, oracle_gen)
     assert wins.dtype == np.int64
     np.testing.assert_array_equal(wins, expected)
@@ -67,29 +84,12 @@ class TestWinCountsOracle:
         wins = assert_matches_oracle(base, eps, seed)
         assert np.all(wins.sum(axis=0) == base.shape[2])
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(tied_stacks())
-    def test_broadcast_eps_equals_materialized(self, case):
-        # position mode passes one (k, 1, n) eps row for every chunk row
-        base, eps, seed = case
-        eps_row = np.zeros((base.shape[0], 1, base.shape[2]), dtype=np.int64)
-        if eps is not None:
-            eps_row = eps[:, :1]
-        full = np.broadcast_to(eps_row, base.shape).copy()
-        gen, full_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        np.testing.assert_array_equal(win_counts(base, eps_row, gen), win_counts(base, full, full_gen))
-        assert gen.bit_generator.state == full_gen.bit_generator.state
-        assert_matches_oracle(base, full, seed)
-
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(tied_stacks(), st.integers(1, 8), st.sampled_from(["none", "row", "full"]))
-    def test_row_blocks_equal_dense_resolver(self, case, step, eps_shape):
+    @given(tied_stacks(), st.integers(1, 8))
+    def test_row_blocks_equal_dense_resolver(self, case, step):
         # blocks of a few rows each: every block draws its own rows of u
         base, eps, seed = case
         k, rows, n = base.shape
-        if eps is None:
-            eps = np.random.default_rng(seed).integers(-1, 2, size=base.shape)
-        eps = {"none": None, "row": eps[:, :1], "full": eps}[eps_shape]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "BLOCK_CELLS", step * k * n)
             assert_matches_oracle(base, eps, seed)
@@ -102,7 +102,7 @@ class TestWinCountsOracle:
         twin = np.random.default_rng(0)
         twin.random((500, 7))
         gen = np.random.default_rng(0)
-        win_counts(base, None, gen)
+        win_counts(base, gen)
         assert gen.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("eps_row", [None, 0, 1])
