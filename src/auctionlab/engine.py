@@ -48,6 +48,14 @@ class Bid:
         if self.base < 0:
             raise ValueError("bid base amount must be nonnegative")
 
+    @classmethod
+    def _unchecked(cls, base: Fraction, eps: int) -> "Bid":
+        """A bid from a nonnegative Fraction base and an int eps, taken unchecked."""
+        bid = object.__new__(cls)
+        object.__setattr__(bid, "base", base)
+        object.__setattr__(bid, "eps", eps)
+        return bid
+
     @property
     def is_positive(self) -> bool:
         return self.base > 0 or (self.base == 0 and self.eps > 0)

@@ -25,7 +25,7 @@ from .errors import EmptySample, LengthMismatch, NotMultiple, ScenarioError, Siz
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, play
 from .position_randomized import _best_response, initial_bids, ladder_wins, undercut_sequence
-from .samplers import draw_k_bidder, draw_two_bidder
+from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder
 from .sequential import _run_exact, check_rounds, sample_graph, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
@@ -93,6 +93,8 @@ class Scenario:
                 f"a sampled row of {k} bidders x {n} objects exceeds the "
                 f"{KS_CELLS:,}-cell limit"
             )
+        if mode == "k-bidder" and k > MAX_SIMPLEX_K:
+            raise SizeLimitExceeded(f"k-bidder draws of {k} bidders exceed the {MAX_SIMPLEX_K}-bidder limit")
         if self.ks_stats:
             check_ks_size(self.samples, n)
         if mode == "group":

@@ -2,12 +2,10 @@
 
 Ties are realized by drawing a uniform winner among the tied top bidders
 (an unbiased realization of the equal-split rule), so per-draw win counts
-are integers.  Every object draws its tie variate whether or not it is
-tied, so the random stream does not depend on how often ties occur, but
-only the tied objects are ordered; the counts are bit-identical to ordering
-every object.  Sums and sums of squares accumulate in exact integer
-arithmetic, which makes aggregation order-independent: chunked, parallel
-and serial runs produce bit-identical statistics.
+are integers; only the tied objects draw a variate and are ordered.  Sums
+and sums of squares accumulate in exact integer arithmetic, which makes
+aggregation order-independent: chunked, parallel and serial runs produce
+bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -34,14 +32,12 @@ def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Per-bidder object counts for a stack of sealed-bid auctions.
 
     base has shape (k, N, n), and only its order matters: bids that compare
-    equal tie.  Each object goes to its top bidder of rank floor(u * ties),
-    u being its entry of one ``gen.random((N, n))`` draw that covers every
-    object.  The stack is resolved in blocks of rows of about BLOCK_CELLS
-    cells, each drawing its own rows of u in turn, so the temporaries stay
-    small whatever N is and the counts and generator state match one pass
-    over all rows.  Only objects whose top amount is shared are ranked,
-    which gives the counts of ranking them all, bit for bit.  Returns an
-    int64 array of shape (k, N).
+    equal tie.  Each tied object goes to its top bidder of rank
+    floor(u * ties), u being one ``gen.random`` variate per tied object in
+    row-major (row, object) order; a tie-free stack draws nothing.  Blocks
+    of rows of about BLOCK_CELLS cells are resolved in turn, so temporaries
+    stay small whatever N is and the counts and generator state match one
+    pass.  Returns an int64 array of shape (k, N).
     """
     k, rows, n = base.shape
     wins = np.zeros((k, rows), dtype=np.int64)
@@ -53,10 +49,9 @@ def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 
 
 def _resolve(base: np.ndarray, gen: np.random.Generator, wins: np.ndarray) -> None:
-    """Add one row block's counts to ``wins``, drawing its tie variates."""
+    """Add one row block's counts to ``wins``, drawing one variate per tied object."""
     k, rows, n = base.shape
     at_top = base == base.max(axis=0)
-    u = gen.random((rows, n))
     # credit every top bidder: uint8 einsum sums are exact up to 255 objects
     for start in range(0, n, 255):
         wins += np.einsum("brn->br", at_top[..., start:start + 255].view(np.uint8))
@@ -65,7 +60,7 @@ def _resolve(base: np.ndarray, gen: np.random.Generator, wins: np.ndarray) -> No
     if shared.size == 0:
         return
     tied = at_top.reshape(k, -1)[:, shared]
-    pick = (u.ravel()[shared] * tied.sum(axis=0)).astype(np.int64)
+    pick = (gen.random(shared.size) * tied.sum(axis=0)).astype(np.int64)
     winner = tied & (np.cumsum(tied, axis=0) - 1 == pick)
     bidder, column = np.nonzero(tied & ~winner)
     losses = np.bincount(bidder * rows + shared[column] // n, minlength=k * rows)

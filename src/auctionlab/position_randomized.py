@@ -229,7 +229,7 @@ def best_response(n: int, k: int) -> BestResponse:
 def _best_response(ladder: InitialBids) -> BestResponse:
     """``best_response`` to a ladder already built."""
     n, k = ladder.n, ladder.k
-    witness = (Bid(Fraction(0), +1),) + tuple(Bid(c, +1) for c in ladder.bids[1:])
+    witness = (Bid._unchecked(Fraction(0), +1),) + tuple(Bid._unchecked(c, +1) for c in ladder.bids[1:])
     value = Fraction(ladder.weight_total - 1, n ** (k - 1))
     return BestResponse(n=n, k=k, value=value, witness=witness)
 
@@ -250,6 +250,6 @@ def undercut_sequence(b_sorted: BidSequence) -> BidSequence:
     first = bids[0]
     if first.base == 0:
         raise Infeasible("cannot undercut a zero-amount lowest bid")
-    out = [Bid(first.base, first.eps - (n - 1))]
-    out += [Bid(b.base, b.eps + 1) for b in bids[1:]]
+    out = [Bid._unchecked(first.base, first.eps - (n - 1))]
+    out += [Bid._unchecked(b.base, b.eps + 1) for b in bids[1:]]
     return BidSequence(tuple(out))

@@ -89,6 +89,18 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert "n = 3" in err
 
+    def test_too_many_simplex_bidders_exits_1(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("drew samples for a refused k-bidder run")
+
+        monkeypatch.setattr(harness, "draw_k_bidder", refuse)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--mode", "k-bidder", "--n", "200", "--k", "200", "--samples", "1000",
+        )
+        assert code == 1 and out == ""
+        assert "83-bidder limit" in err
+
     def test_usage_error(self, capsys):
         assert main(["simulate", "--bogus"]) == 1
 

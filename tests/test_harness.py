@@ -27,6 +27,7 @@ from auctionlab import (
 )
 from auctionlab import harness, montecarlo
 from auctionlab.montecarlo import WinTally, play, win_counts
+from auctionlab.samplers import MAX_SIMPLEX_K
 
 
 class TestKsDistance:
@@ -312,6 +313,14 @@ class TestScenarioValidation:
         Scenario("position-randomized", 10**6, 3, undercut, samples=10).validate()
         with pytest.raises(SizeLimitExceeded, match="cell limit"):
             Scenario("position-randomized", harness.KS_CELLS // 3 + 1, 3, undercut).validate()
+
+    def test_simplex_bidder_limit(self):
+        # past MAX_SIMPLEX_K nearly every k-bidder row would hold an underflowed gamma
+        Scenario("k-bidder", MAX_SIMPLEX_K, MAX_SIMPLEX_K, samples=10).validate()
+        with pytest.raises(SizeLimitExceeded, match="bidder limit"):
+            Scenario("k-bidder", 200, 200, samples=1000).validate()
+        with pytest.raises(SizeLimitExceeded, match="bidder limit"):
+            Scenario("k-bidder", 2 * (MAX_SIMPLEX_K + 1), MAX_SIMPLEX_K + 1).validate()
 
 
 def small_scenario(**overrides):

@@ -13,6 +13,15 @@ Python's ``**`` can round differently, so they get 1e-15.  They were
 re-recorded when ``ks_distance`` became the two-sided statistic, which
 moved each up by at most 1/N; no draw changed.
 
+Two changes of random-number use re-recorded five entries: ties now draw
+one variate per tied object instead of one per object, and the simplex
+gammas are drawn as Gamma(1 + 1/(k-1)) * U**(k-1) with one normalization.
+The reports ``k_bidder_copycat_ks``, ``k_bidder_fixed`` and
+``position_dp_optimal`` (whose k = 3 ranks can tie), ``copycat_value``
+``6_3`` and ``marginal_suite_6_3`` moved; the two-bidder reports,
+``position_undercut`` (k = 2 ranks cannot tie), ``copycat_value`` ``5_2``
+and every ``sequential`` entry did not.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.

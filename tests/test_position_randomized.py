@@ -451,6 +451,21 @@ class TestUndercut:
         with pytest.raises(ValueError):
             undercut_sequence(BidSequence.of(Fraction(1, 3), Fraction(1, 3)))
 
+    @pytest.mark.parametrize("n,k", [(6, 3), (36, 5), (10**4, 3)])
+    def test_unchecked_bids_equal_checked_ones(self, n, k):
+        # the witness and the undercut skip Bid's checks; the checked constructor must agree
+        ladder = initial_bids(n, k)
+        first, *rest = ladder.as_sequence().bids
+        witness = best_response(n, k).witness
+        undercut = undercut_sequence(ladder.as_sequence())
+        checked_witness = (Bid(0, 1),) + tuple(Bid(c, 1) for c in ladder.bids[1:])
+        checked_undercut = (Bid(first.base, first.eps - (n - 1)),)
+        checked_undercut += tuple(Bid(b.base, b.eps + 1) for b in rest)
+        assert witness == checked_witness
+        assert BidSequence(witness) == BidSequence(checked_witness)
+        assert undercut == BidSequence(checked_undercut)
+        assert all(type(b.base) is Fraction and type(b.eps) is int for b in witness + undercut.bids)
+
 
 def matrix_wins(k, seq, ladder):
     """The oracle: ``expected_wins_perm`` with identity Q and uniform P."""

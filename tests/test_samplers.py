@@ -14,6 +14,7 @@ from auctionlab import (
     MarginalSpec,
     NotMultiple,
     RngStream,
+    SizeLimitExceeded,
     draw_k_bidder,
     draw_simplex,
     draw_triple,
@@ -27,7 +28,7 @@ from auctionlab import (
 )
 from auctionlab import cli, samplers
 from auctionlab.harness import KS_FACTOR, ks_distance
-from auctionlab.samplers import SUM_TOLERANCE, _renormalize_rows
+from auctionlab.samplers import MAX_SIMPLEX_K, SUM_TOLERANCE, _renormalize_rows
 
 N_KS = 200_000
 KS_THRESHOLD = KS_FACTOR / math.sqrt(N_KS)
@@ -296,6 +297,22 @@ def vector_sampler(n, k):
     return partial(draw_two_bidder, n) if k == 2 else partial(draw_k_bidder, n, k)
 
 
+class PlantedUniform(np.random.Generator):
+    """A PCG64 generator whose first ``random`` draw has ``tiny`` at flat index ``at``."""
+
+    def __init__(self, seed, tiny, at):
+        super().__init__(np.random.PCG64(seed))
+        self.plant = (tiny, at)
+
+    def random(self, *args, **kwargs):
+        u = super().random(*args, **kwargs)
+        if self.plant is not None:
+            tiny, at = self.plant
+            u.flat[at] = tiny
+            self.plant = None
+        return u
+
+
 OUT_CASES = [(n, 2) for n in range(2, 12)] + [(6, 3), (8, 4), (9, 3)]
 
 
@@ -324,6 +341,11 @@ class TestDrawIntoOut:
         with pytest.raises(LengthMismatch, match=r"out must be a C-contiguous float64 array"):
             vector_sampler(n, k)(RngStream(0), 10, out)
 
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (3, 3)])
+    def test_no_rows(self, n, k):
+        assert vector_sampler(n, k)(RngStream(0), 0).shape == (0, n)
+        assert draw_simplex(k, RngStream(0), size=0).shape == (0, k)
+
     def test_out_needs_a_size(self):
         with pytest.raises(LengthMismatch):
             draw_two_bidder(6, RngStream(0), out=np.empty((10, 6)))
@@ -333,25 +355,66 @@ class TestDrawIntoOut:
         [(4, 2, [0.0, 0.0, 0.5, 0.5]), (6, 3, [0.0, 0.25, 0.25, 0.0, 0.25, 0.25])],
     )
     def test_zero_bid_redraw_lands_in_out(self, monkeypatch, n, k, zero_row):
-        real = samplers._renormalize_rows
+        # both samplers hand their normalized rows to _unit_rows, which redraws zero bids
+        real = samplers._unit_rows
         planted = []
 
-        def plant_zero_row(out, gen, redraw):
+        def plant_zero_row(out, sums, gen, redraw):
             if not planted:  # the first call gets a zero bid; the redraw's is left alone
                 planted.append(True)
                 out[3] = zero_row
-            return real(out, gen, redraw)
+            return real(out, sums, gen, redraw)
 
-        monkeypatch.setattr(samplers, "_renormalize_rows", plant_zero_row)
+        monkeypatch.setattr(samplers, "_unit_rows", plant_zero_row)
         out = np.empty((8, n))
         assert vector_sampler(n, k)(RngStream(42), 8, out) is out
-        monkeypatch.setattr(samplers, "_renormalize_rows", real)
+        monkeypatch.setattr(samplers, "_unit_rows", real)
         # the redrawn row is the stream's next one-row draw; the others are untouched
         rng = RngStream(42)
         want = vector_sampler(n, k)(rng, 8)
         want[3] = vector_sampler(n, k)(rng, 1)[0]
         assert out.tobytes() == want.tobytes()
         assert out.min() > 0.0
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-200])
+    def test_underflowing_uniform_redraws_its_row(self, tiny):
+        # U**(k-1) of the planted uniform is 0, so row 3's second gamma is 0
+        rows = draw_k_bidder(6, 3, PlantedUniform(43, tiny, at=3 * 3 + 1), 8)
+        assert rows.min() > 0.0
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= SUM_TOLERANCE
+        twin = np.random.default_rng(43)
+        want = draw_k_bidder(6, 3, twin, 8)
+        want[3] = draw_k_bidder(6, 3, twin, 1)[0]
+        assert rows.tobytes() == want.tobytes()
+
+
+class TestSimplexBidderLimit:
+    def test_limit_is_the_last_k_with_at_most_one_percent_redrawn_rows(self):
+        def redrawn(k):  # 1 - (1 - 2**(-1074/(k-1)))**k
+            return -math.expm1(k * math.log1p(-(2.0 ** (-1074 / (k - 1)))))
+
+        assert redrawn(MAX_SIMPLEX_K) <= 0.01 < redrawn(MAX_SIMPLEX_K + 1)
+
+    def test_limit_draws(self):
+        rows = draw_simplex(MAX_SIMPLEX_K, RngStream(44), size=500)
+        assert rows.min() > 0.0
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= SUM_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            partial(draw_simplex, MAX_SIMPLEX_K + 1),
+            partial(draw_simplex, MAX_SIMPLEX_K + 1, size=10),
+            partial(draw_k_bidder, 200, 200),
+            partial(draw_k_bidder, 400, 200, size=1000),
+        ],
+        ids=["simplex", "simplex-rows", "k-bidder", "k-bidder-rows"],
+    )
+    def test_more_bidders_are_refused_before_any_draw(self, draw):
+        gen = np.random.default_rng(45)
+        with pytest.raises(SizeLimitExceeded, match="bidder limit"):
+            draw(gen)
+        assert gen.bit_generator.state == np.random.default_rng(45).bit_generator.state
 
 
 class TestGroupScaling:
