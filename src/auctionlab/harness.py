@@ -23,7 +23,7 @@ from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
 from .errors import EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import CHUNK, WinTally, play
+from .montecarlo import CHUNK, WinTally, chunk_rows, play
 from .position_randomized import _best_response, initial_bids, ladder_wins, undercut_sequence
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder
 from .sequential import _run_exact, check_rounds, sample_graph, scripted_strategy, steady_strategy
@@ -255,6 +255,13 @@ def _tally_estimates(tally: WinTally) -> tuple[BidderEstimate, ...]:
     )
 
 
+def _play_counts(scenario: Scenario) -> dict:
+    """Meta entries of a run through ``play``: its samples and chunk layout."""
+    rows = chunk_rows(scenario.k, scenario.n)
+    layout = {"chunks": -(-scenario.samples // rows), "chunk_rows": rows}
+    return {"samples": scenario.samples, "counters": layout}
+
+
 def _disadvantaged_split(n, adversary_value: Fraction, k: int) -> list[Fraction]:
     """Exact per-bidder values: the k-1 symmetric bidders share n - value."""
     share = (as_fraction(n) - adversary_value) / (k - 1)
@@ -296,7 +303,7 @@ def _marginal_mode(scenario: Scenario):
     keep = k - 1 if scenario.ks_stats else None
     tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=keep)
     statistics: dict = {"ks": None if draws is None else ks_table(draws, spec)}
-    return _tally_estimates(tally), tuple(exact), statistics, {"samples": scenario.samples}
+    return _tally_estimates(tally), tuple(exact), statistics, _play_counts(scenario)
 
 
 def check_ks_size(samples: int, n: int) -> None:
@@ -358,7 +365,7 @@ def _position_mode(scenario: Scenario):
     ranks = _exact_ranks(adversary_seq.bids, ladder.bids)
     bidders = [_fixed(ranks[:n])] + [_permuted(ranks[n:])] * (k - 1)
     tally, _ = play(n, scenario.samples, scenario.seed, bidders)
-    return _tally_estimates(tally), tuple(exact), {"ks": None}, {"samples": scenario.samples}
+    return _tally_estimates(tally), tuple(exact), {"ks": None}, _play_counts(scenario)
 
 
 def _sequential_mode(scenario: Scenario):
@@ -417,13 +424,13 @@ class CopycatEstimate:
     def within(self) -> float:
         """Multiples of stderr separating the estimate from its expectation.
 
-        Zero when the gap itself is zero; the paired even-n construction has
-        genuinely zero variance, so stderr can legitimately vanish.
+        Zero when the gap itself is zero, as the paired even-n construction's
+        zero variance allows; inf for any other gap over a zero or inf stderr.
         """
         gap = abs(self.mean - float(self.expected))
         if gap == 0.0:
             return 0.0
-        return gap / self.stderr if self.stderr > 0 else float("inf")
+        return gap / self.stderr if 0 < self.stderr < math.inf else math.inf
 
 
 def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -> CopycatEstimate:

@@ -1,11 +1,12 @@
 """Vectorized Monte Carlo auction resolution.
 
-Ties are realized by drawing a uniform winner among the tied top bidders
-(an unbiased realization of the equal-split rule), so per-draw win counts
-are integers; only the tied objects draw a variate and are ordered.  Sums
-and sums of squares accumulate in exact integer arithmetic, which makes
-aggregation order-independent: chunked, parallel and serial runs produce
-bit-identical statistics.
+``play`` runs chunks of at most CELLS bid cells, which fit a per-core L2
+cache, and chunk i draws from ``RngStream(seed, i)``.  Ties are realized by
+drawing a uniform winner among the tied top bidders (an unbiased
+realization of the equal-split rule), so per-draw win counts are integers.
+Sums and sums of squares accumulate in exact integer arithmetic, which
+makes aggregation order-independent: chunked, parallel and serial runs
+produce bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import numpy as np
 
 from .samplers import RngStream
 
+# sample_graph's trials per chunk and ks_distance's points per block, not play's
 CHUNK = 1 << 16
 
-# Most bid cells (bidders x rows x objects) per chunk: 16 MB of float64 base.
-# Chunks keep CHUNK rows while k*n <= 32.
-CELLS = 32 * CHUNK
+# Most bid cells (bidders x rows x objects) per play chunk: 1 MB of float64
+CELLS = 1 << 17
 
-# Most bid cells win_counts resolves at once: its tie temporaries stay near 2 MB
-BLOCK_CELLS = 1 << 18
+# Most bid cells win_counts resolves at once: half a chunk
+BLOCK_CELLS = 1 << 16
 
 
 def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -100,9 +101,8 @@ class WinTally:
 
 
 def chunk_rows(k: int, n: int) -> int:
-    """Rows per chunk: CHUNK, or fewer so that a chunk holds at most CELLS
-    cells unless one row alone is larger."""
-    return min(CHUNK, max(1, CELLS // (k * n)))
+    """Rows per play chunk: as many as fit in CELLS cells, and at least one."""
+    return max(1, CELLS // (k * n))
 
 
 def play(

@@ -15,13 +15,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .engine import Bid, BidSequence
-from .errors import (
-    DomainError,
-    Infeasible,
-    LengthMismatch,
-    NotDoublyStochastic,
-    SizeLimitExceeded,
-)
+from .errors import DomainError, Infeasible, LengthMismatch, NotDoublyStochastic, SizeLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -68,12 +62,7 @@ def initial_bids(n: int, k: int) -> InitialBids:
         )
     weights = [i ** (k - 1) for i in range(1, n + 1)]
     total = sum(weights)
-    return InitialBids(
-        n=n,
-        k=k,
-        weight_total=total,
-        bids=tuple(Fraction(w, total) for w in weights),
-    )
+    return InitialBids(n, k, total, tuple(Fraction(w, total) for w in weights))
 
 
 class PermutationMarginals:

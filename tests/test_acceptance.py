@@ -63,6 +63,30 @@ def feasible_capped_sequences(n: int, count: int, rng: random.Random):
     return out
 
 
+def c1_tallies(n: int, rows, samples: int) -> list:
+    """One tally per fixed adversary row against shared two-bidder draws:
+    CHUNK rows per chunk, chunk i drawn from RngStream(101 + n, i), each
+    row's ties realized on that chunk's generator in turn."""
+    tallies = [WinTally(2) for _ in rows]
+    for index, start in enumerate(range(0, samples, CHUNK)):
+        length = min(CHUNK, samples - start)
+        stream = RngStream(101 + n, index)
+        draws = draw_two_bidder(n, stream, size=length)
+        gen = stream.generator
+        for tally, row in zip(tallies, rows):
+            stack = np.stack([np.broadcast_to(row, (length, n)), draws])
+            tally.add(win_counts(stack, gen))
+    return tallies
+
+
+def test_c1_draws_are_pinned():
+    # c1's own chunk layout, not play's: these sums were recorded with it
+    (tally,) = c1_tallies(5, [np.full(5, 0.2)], CHUNK + 10)
+    assert (tally.count, tally.sums, tally.squares) == (
+        65_546, [163_897, 163_833], [426_209, 425_889]
+    )
+
+
 def test_c1_two_bidder_optimality():
     """Saturating adversaries win exactly n/2, and Monte Carlo against the
     two-bidder sampler agrees within three standard errors."""
@@ -73,17 +97,8 @@ def test_c1_two_bidder_optimality():
         sequences = feasible_capped_sequences(n, 20, rng)
         for amounts in sequences:
             assert wins_vs_marginal(spec, amounts) == Fraction(n, 2)
-        tallies = [WinTally(2) for _ in sequences]
         rows = [np.array([float(a) for a in amounts]) for amounts in sequences]
-        for index, start in enumerate(range(0, SAMPLES, CHUNK)):
-            length = min(CHUNK, SAMPLES - start)
-            stream = RngStream(101 + n, index)
-            draws = draw_two_bidder(n, stream, size=length)
-            gen = stream.generator
-            for tally, row in zip(tallies, rows):
-                stack = np.stack([np.broadcast_to(row, (length, n)), draws])
-                tally.add(win_counts(stack, gen))
-        for tally in tallies:
+        for tally in c1_tallies(n, rows, SAMPLES):
             gap = abs(tally.mean(0) - n / 2)
             band = 3 * tally.stderr(0)
             all_ok &= gap <= band and band <= 0.005 * n

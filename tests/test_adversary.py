@@ -162,6 +162,13 @@ class TestCopycat:
         first = estimate(Scenario(mode, n, k, samples=20_000, seed=4)).estimates[0]
         assert (r.mean, r.stderr, r.samples) == (first.mean, first.stderr, 20_000)
 
+    def test_one_sample_gap_is_not_within(self):
+        # below two samples stderr is inf, and a nonzero gap must not score 0
+        r = copycat_value(MarginalSpec(3, 3), samples=1, seed=0)
+        assert (r.mean, r.stderr) == (2.0, math.inf)
+        assert r.within == math.inf
+        assert harness.CopycatEstimate(1.0, math.inf, Fraction(1), 1).within == 0.0
+
     def test_refuses_zero_samples(self):
         with pytest.raises(ScenarioError, match="at least one sample"):
             copycat_value(MarginalSpec(4, 2), samples=0)

@@ -306,6 +306,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_one_sample_copycat_fails(self, capsys):
+        # one draw whose mean is a whole object off n/k is no evidence of a pass
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "copycat", "--n", "3", "--k", "3",
+            "--samples", "1", "--seed", "0",
+        )
+        assert code == 1
+        assert "FAIL  copycat_3_3_stderr_multiples: inf" in out
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "marginals", "--n", "4", "--k", "2",

@@ -120,12 +120,18 @@ class TestKsMemory:
         assert max(ratios.values()) <= 1.75, ratios
 
 
-CHUNK_SAMPLES = 3 * montecarlo.CHUNK + 5
+def chunk_samples(k, n):
+    """Three full play chunks and a partial fourth."""
+    return 3 * montecarlo.chunk_rows(k, n) + 5
+
+
 CHUNK_CASES = [
-    Scenario("position-randomized", 8, 3, AdversaryPlan("undercut"), samples=CHUNK_SAMPLES),
-    Scenario("k-bidder", 6, 3, samples=CHUNK_SAMPLES),
-    Scenario("two-bidder", 5, samples=CHUNK_SAMPLES),
-    Scenario("two-bidder", 8, adversary=AdversaryPlan.fixed(["1/8"] * 8), samples=CHUNK_SAMPLES),
+    Scenario("position-randomized", 8, 3, AdversaryPlan("undercut"), samples=chunk_samples(3, 8)),
+    Scenario("k-bidder", 6, 3, samples=chunk_samples(3, 6)),
+    Scenario("two-bidder", 5, samples=chunk_samples(2, 5)),
+    Scenario(
+        "two-bidder", 8, adversary=AdversaryPlan.fixed(["1/8"] * 8), samples=chunk_samples(2, 8)
+    ),
 ]
 
 
@@ -136,20 +142,22 @@ class TestChunkMemory:
     @pytest.mark.parametrize("scenario", CHUNK_CASES, ids=lambda sc: f"{sc.mode}-{sc.n}-{sc.k}")
     def test_estimate_peaks_within_one_and_three_quarter_chunk_stacks(self, scenario):
         _, peak = traced_peak(lambda: estimate(scenario))
-        stack_bytes = scenario.k * montecarlo.CHUNK * scenario.n * 8
+        stack_bytes = scenario.k * montecarlo.chunk_rows(scenario.k, scenario.n) * scenario.n * 8
         assert peak <= 1.75 * stack_bytes, peak / stack_bytes
 
 
 class TestKsOffsets:
     def test_ks_columns_follow_chunk_streams(self):
-        # the partial last chunk lands at row 2 * CHUNK
-        n, seed, samples = 5, 13, 2 * montecarlo.CHUNK + 7
+        # the partial last chunk lands at row 2 * rows
+        n, seed = 5, 13
+        rows = montecarlo.chunk_rows(2, n)
+        samples = 2 * rows + 7
         with_ks = estimate(Scenario("two-bidder", n, samples=samples, seed=seed, ks_stats=True))
         without = estimate(Scenario("two-bidder", n, samples=samples, seed=seed))
         assert with_ks.estimates == without.estimates
         last = []
-        for index, start in enumerate(range(0, samples, montecarlo.CHUNK)):
-            length = min(montecarlo.CHUNK, samples - start)
+        for index, start in enumerate(range(0, samples, rows)):
+            length = min(rows, samples - start)
             rng = RngStream(seed, index)
             draw_two_bidder(n, rng, size=length)  # the adversary's copycat draw
             last.append(draw_two_bidder(n, rng, size=length))
@@ -175,7 +183,8 @@ class TestWinCounts:
 
     def test_play_fills_every_sample_once_per_stream(self):
         # chunk i fills its rows from stream i, bidders in order
-        samples = 2 * montecarlo.CHUNK + 7
+        rows = montecarlo.chunk_rows(2, 3)
+        samples = 2 * rows + 7
         calls = []
 
         def recording(b):
@@ -185,13 +194,13 @@ class TestWinCounts:
             return fill
 
         tally, kept = play(3, samples, 5, [recording(0), recording(1)], keep=1)
-        lengths = [montecarlo.CHUNK, montecarlo.CHUNK, 7]
+        lengths = [rows, rows, 7]
         assert calls == [(i, b, (length, 3)) for i, length in enumerate(lengths) for b in (0, 1)]
         assert tally.count == samples and tally.sums == [0, 3 * samples]
         assert kept.shape == (samples, 3) and np.all(kept == 1)
 
     def test_large_position_chunk_stays_within_cell_budget(self, monkeypatch):
-        # a 65,536-row chunk at n = 10,000, k = 3 would stack 2e9 cells
+        # CELLS // (k * n) = 4 rows per chunk, so 75 chunks
         shapes = []
 
         def recording(base, gen):
@@ -207,6 +216,27 @@ class TestWinCounts:
         assert all(k * rows * n <= montecarlo.CELLS for k, rows, n in shapes)
         assert sum(rows for _, rows, _ in shapes) == 300
         assert math.fsum(e.mean for e in report.estimates) == pytest.approx(10_000)
+
+    @pytest.mark.parametrize(
+        "k,n",
+        [(2, 1), (2, 5), (3, 6), (7, 9), (2, montecarlo.CELLS // 2),
+         (2, montecarlo.CELLS // 2 + 1), (3, 50_000)],
+    )
+    def test_play_stacks_fit_the_cell_budget(self, monkeypatch, k, n):
+        # a row wider than CELLS cells makes a one-row chunk
+        shapes = []
+
+        def recording(base, gen):
+            shapes.append(base.shape)
+            return np.zeros(base.shape[:2], dtype=np.int64)
+
+        monkeypatch.setattr(montecarlo, "win_counts", recording)
+        rows = montecarlo.chunk_rows(k, n)
+        samples = 2 * rows + 1
+        tally, _ = play(n, samples, 1, [lambda rng, plane: None] * k)
+        assert [r for _, r, _ in shapes] == [rows, rows, 1] and tally.count == samples
+        assert all(r >= 1 and (r == 1 or k * r * n <= montecarlo.CELLS) for _, r, _ in shapes)
+        assert all((kk, nn) == (k, n) for kk, _, nn in shapes)
 
     def test_tally_matches_numpy(self):
         gen = np.random.default_rng(4)
@@ -445,7 +475,30 @@ class TestEstimate:
             "peak_states": 4, "state_rounds": 15, "trials": 300, "graph_nodes": 16,
         }
         assert all(type(v) is int for v in report.meta["counters"].values())
-        assert "counters" not in estimate(small_scenario()).meta
+        assert set(estimate(small_scenario()).meta["counters"]) == {"chunks", "chunk_rows"}
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario("two-bidder", 5, samples=30_000),
+            Scenario("k-bidder", 6, 3, samples=20_000),
+            Scenario("position-randomized", 8, 3, AdversaryPlan("undercut"), samples=20_000),
+        ],
+        ids=lambda sc: sc.mode,
+    )
+    def test_play_counters_report_the_chunk_layout(self, monkeypatch, scenario):
+        shapes = []
+
+        def recording(base, gen):
+            shapes.append(base.shape)
+            return win_counts(base, gen)
+
+        monkeypatch.setattr(montecarlo, "win_counts", recording)
+        counters = estimate(scenario).meta["counters"]
+        rows = montecarlo.chunk_rows(scenario.k, scenario.n)
+        assert counters == {"chunks": math.ceil(scenario.samples / rows), "chunk_rows": rows}
+        assert counters["chunks"] == len(shapes) > 1
+        assert shapes[0][1] == rows
 
     def test_sequential_samples_are_trials(self):
         # no cap: every sample is one trial
@@ -474,7 +527,7 @@ class TestEstimate:
         payload = estimate(small_scenario()).to_json_dict()
         assert set(payload) == {"scenario", "estimates", "exact", "statistics", "meta"}
         assert payload["exact"][0] == {"num": 2, "den": 1, "decimal": "2"}
-        assert set(payload["meta"]) == {"seed", "samples", "version", "elapsed_s"}
+        assert set(payload["meta"]) == {"seed", "samples", "counters", "version", "elapsed_s"}
 
     def test_csv_rows(self):
         rows = estimate(small_scenario()).to_csv_rows()

@@ -22,6 +22,14 @@ The reports ``k_bidder_copycat_ks``, ``k_bidder_fixed`` and
 ``position_undercut`` (k = 2 ranks cannot tie), ``copycat_value`` ``5_2``
 and every ``sequential`` entry did not.
 
+Sizing ``play``'s chunks by ``montecarlo.CELLS`` bid cells instead of
+65,536 rows moved every chunk boundary and re-recorded seven entries: the
+reports ``two_bidder_copycat_ks``, ``k_bidder_copycat_ks``,
+``k_bidder_fixed``, ``position_undercut`` and ``position_dp_optimal``, and
+``copycat_value`` ``5_2`` and ``6_3``.  ``two_bidder_fixed`` (its adversary
+wins exactly 2 on every draw), ``marginal_suite_6_3`` (drawn outside
+``play``) and every ``sequential`` entry did not move.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.
@@ -47,7 +55,7 @@ from auctionlab import (
 from auctionlab.verify import marginal_suite
 
 PINNED = json.loads((Path(__file__).parent / "pinned_values.json").read_text())
-SAMPLES = 70_000  # two chunks: 65,536 + 4,464 rows
+SAMPLES = 70_000  # 5 to 10 play chunks of montecarlo.chunk_rows(k, n) rows
 KS_TOLERANCE = 1e-15
 
 SCENARIOS = {

@@ -373,6 +373,15 @@ class TestBatchedSampling:
         assert (a.count, a.sums, a.squares) == (b.count, b.sums, b.squares)
         assert a.count == trials
 
+    def test_chunk_layout_is_pinned(self):
+        # CHUNK-trial chunks on one generator; these sums were recorded with them
+        profile = tie_heavy(8, 4, ["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"])
+        graph = sequential._run_exact(profile, 8, 4, graph=True).graph
+        tally = sequential.sample_graph(graph, CHUNK + 100, 5)
+        assert (tally.count, tally.sums, tally.squares) == (
+            65_636, [94_379] + [131_272] * 3, [151_865] + [262_544] * 3
+        )
+
     def test_graph_counts_its_nodes(self):
         # all-steady (6,2) holds 1, 2, 3, 4, 3, 2 states before rounds 1..6
         # and ends on one leaf, (3, 3) wins with both budgets spent
