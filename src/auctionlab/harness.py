@@ -95,8 +95,11 @@ class Scenario:
             )
         if mode == "k-bidder" and k > MAX_SIMPLEX_K:
             raise SizeLimitExceeded(f"k-bidder draws of {k} bidders exceed the {MAX_SIMPLEX_K}-bidder limit")
-        if self.ks_stats:
-            check_ks_size(self.samples, n)
+        if self.ks_stats and self.samples * n > KS_CELLS:
+            raise SizeLimitExceeded(
+                f"a KS table of {self.samples} samples x {n} objects exceeds the "
+                f"{KS_CELLS:,}-cell limit; use at most {KS_CELLS // n:,} samples"
+            )
         if mode == "group":
             sizes = [as_fraction(s) for s in self.group_sizes or ()]
             if not (sizes and all(s > 0 for s in sizes)):
@@ -304,15 +307,6 @@ def _marginal_mode(scenario: Scenario):
     tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=keep)
     statistics: dict = {"ks": None if draws is None else ks_table(draws, spec)}
     return _tally_estimates(tally), tuple(exact), statistics, _play_counts(scenario)
-
-
-def check_ks_size(samples: int, n: int) -> None:
-    """Refuse a KS table of more than KS_CELLS draws before any is made."""
-    if samples * n > KS_CELLS:
-        raise SizeLimitExceeded(
-            f"a KS table of {samples} samples x {n} objects exceeds the "
-            f"{KS_CELLS:,}-cell limit; use at most {KS_CELLS // n:,} samples"
-        )
 
 
 def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:

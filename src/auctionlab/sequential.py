@@ -17,8 +17,9 @@ the walk holds budgets as integers in units of 1/D, D the lcm of the script
 denominators, reads each round's bids from an integer table, and merges
 states that reach the same budgets and win counts.  The same walk can
 record its states as a transition graph, over which ``sample_graph`` walks
-many sampled trials at once.  Any other callable is asked for every bid
-with the full history, and its run keeps one state per history.
+many sampled trials at once, chunk i from ``RngStream(seed, i)``.  Any
+other callable is asked for every bid with the full history, and its run
+keeps one state per history.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .engine import as_fraction
 from .errors import NotMultiple, OverBudget, SizeLimitExceeded, ZeroBid
-from .montecarlo import CHUNK, WinTally
+from .montecarlo import CHUNK, WinTally, tally_chunks
 
 
 @dataclass(frozen=True)
@@ -331,24 +332,23 @@ def _run_exact(strategies, n: int, k: int, graph: bool = False) -> ExactRun:
     return _merged_walk(scripts, n, k, graph)
 
 
-def sample_graph(graph: Graph, trials: int, seed) -> WinTally:
+def sample_graph(graph: Graph, trials: int, seed: int) -> WinTally:
     """Tally ``trials`` sampled runs walked together over ``graph``.
 
-    One ``np.random.default_rng(seed)`` serves every trial.  The trials go
-    in chunks of ``montecarlo.CHUNK``; in each round a chunk draws one
-    ``gen.random(length)`` vector and moves every trial to child
-    floor(u * ties) of its node, so a round costs O(length).
+    The trials go in chunks of ``montecarlo.CHUNK`` through
+    ``tally_chunks``, chunk i drawing from ``RngStream(seed, i)``.  In each
+    round a chunk draws one ``random(length)`` vector and moves every trial
+    to child floor(u * ties) of its node, so a round costs O(length).
     """
-    gen = np.random.default_rng(seed)
-    tally = WinTally(graph.leaf_wins.shape[0])
-    for start in range(0, trials, CHUNK):
-        length = min(CHUNK, trials - start)
+
+    def chunk(rng, start: int, length: int) -> np.ndarray:
         node = np.zeros(length, dtype=np.intp)
         for _ in range(graph.rounds):
-            pick = (gen.random(length) * graph.ties[node]).astype(np.intp)
+            pick = (rng.generator.random(length) * graph.ties[node]).astype(np.intp)
             node = graph.target[graph.first[node] + pick]
-        tally.add(graph.leaf_wins[:, node - graph.leaf_offset])
-    return tally
+        return graph.leaf_wins[:, node - graph.leaf_offset]
+
+    return tally_chunks(graph.leaf_wins.shape[0], trials, CHUNK, seed, chunk)
 
 
 def _sample_wins(strategies, n: int, k: int, seed) -> tuple[int, ...]:

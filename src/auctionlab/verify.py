@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ScenarioError
-from .harness import check_ks_size, copycat_value, ks_table
+from .harness import Scenario, copycat_value, ks_table
 from .marginals import (
     MarginalSpec,
     pair_density,
@@ -148,7 +148,8 @@ def density_suite(points_per_axis: int = 10) -> list[Check]:
 def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> list[Check]:
     """Sampler marginals: per-coordinate KS distance against the closed-form
     CDF at the 99.9% critical value, plus the exact-sum property."""
-    check_ks_size(samples, n)
+    mode = "two-bidder" if k == 2 else "k-bidder"
+    Scenario(mode, n, k, samples=samples, ks_stats=True).validate()
     spec = MarginalSpec(n, k)
     rng = RngStream(seed, 0)
     if k == 2:
@@ -207,7 +208,7 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
     """The steady strategy never falls below n/k expected objects against
     randomized opponent scripts."""
     check_rounds(n)
-    gen = np.random.default_rng([seed, 777])
+    gen = RngStream(seed, 777).generator
     target = Fraction(n, k)
     violations = 0
     for _ in range(trials):
@@ -239,9 +240,14 @@ def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed:
     if samples < 1:
         raise ScenarioError("need at least one sample")
     names = SUITES if name == "all" else [name]
-    # refuse an oversized KS table or run before the other suites spend time
-    if "marginals" in names:
-        check_ks_size(samples, n)
-    if "sequential" in names:
-        check_rounds(n)
+    # refuse a bad (n, k) before the other suites spend time, validating
+    # the scenario each sampled suite runs
+    sampled = "two-bidder" if k == 2 else "k-bidder"
+    for suite, scenario in (
+        ("marginals", Scenario(sampled, n, k, samples=samples, ks_stats=True)),
+        ("copycat", Scenario(sampled, n, k, samples=samples)),
+        ("sequential", Scenario("sequential", n, k)),
+    ):
+        if suite in names:
+            scenario.validate()
     return [c for suite in names for c in SUITES[suite](n, k, samples, seed)]

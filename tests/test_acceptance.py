@@ -16,7 +16,6 @@ from auctionlab import (
     BidSequence,
     MarginalSpec,
     PermutationMarginals,
-    RngStream,
     best_response,
     copycat_value,
     draw_two_bidder,
@@ -29,7 +28,7 @@ from auctionlab import (
     undercut_sequence,
     wins_vs_marginal,
 )
-from auctionlab.montecarlo import CHUNK, WinTally, win_counts
+from auctionlab.montecarlo import CHUNK, WinTally, tally_chunks, win_counts
 from auctionlab.verify import (
     marginal_suite,
     pair_density_quadrature,
@@ -66,17 +65,21 @@ def feasible_capped_sequences(n: int, count: int, rng: random.Random):
 def c1_tallies(n: int, rows, samples: int) -> list:
     """One tally per fixed adversary row against shared two-bidder draws:
     CHUNK rows per chunk, chunk i drawn from RngStream(101 + n, i), each
-    row's ties realized on that chunk's generator in turn."""
-    tallies = [WinTally(2) for _ in rows]
-    for index, start in enumerate(range(0, samples, CHUNK)):
-        length = min(CHUNK, samples - start)
-        stream = RngStream(101 + n, index)
+    row's ties realized on that chunk's generator in turn.  One tally of
+    2R columns holds the R rows' wins, bidder pair by pair."""
+
+    def chunk(stream, start, length):
         draws = draw_two_bidder(n, stream, size=length)
-        gen = stream.generator
-        for tally, row in zip(tallies, rows):
-            stack = np.stack([np.broadcast_to(row, (length, n)), draws])
-            tally.add(win_counts(stack, gen))
-    return tallies
+        return np.concatenate([
+            win_counts(np.stack([np.broadcast_to(row, (length, n)), draws]), stream.generator)
+            for row in rows
+        ])
+
+    tally = tally_chunks(2 * len(rows), samples, CHUNK, 101 + n, chunk)
+    return [
+        WinTally(2, tally.count, tally.sums[b:b + 2], tally.squares[b:b + 2])
+        for b in range(0, tally.k, 2)
+    ]
 
 
 def test_c1_draws_are_pinned():

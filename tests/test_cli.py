@@ -4,6 +4,8 @@ import json
 import time
 from fractions import Fraction
 
+import pytest
+
 from auctionlab import harness, position_randomized, sequential, verify
 from auctionlab.cli import main
 
@@ -288,6 +290,21 @@ class TestSequentialCommand:
         payload = json.loads(out)
         assert payload["exact"] == [{"num": 20, "den": 1, "decimal": "20"}] * 3
         assert payload["meta"]["samples"] == 1000
+
+    @pytest.mark.parametrize(
+        "argv,env_seed",
+        [
+            ("sequential --n 4 --k 2 --seed -1 --samples 10", None),
+            ("sequential --n 4 --k 2 --samples 10", "-5"),
+            ("verify --suite sequential --n 4 --k 2 --seed -1", None),
+        ],
+    )
+    def test_negative_seed_runs(self, capsys, monkeypatch, argv, env_seed):
+        # a seed is reduced mod 2**64 into its streams, as in every other mode
+        if env_seed is not None:
+            monkeypatch.setenv("AUCTIONLAB_SEED", env_seed)
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == 0, err
 
     def test_state_cap_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 3)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from auctionlab import AdversaryPlan, Scenario, ScenarioError, estimate, harness
+from auctionlab import AdversaryPlan, Scenario, ScenarioError, estimate, harness, verify
 from auctionlab.cli import MAX_GRID, build_parser, main, parse_args
 from auctionlab.verify import run_suite
 
@@ -173,6 +173,7 @@ class TestExitCodes:
             "verify --suite sequential --n 1000000 --k 2 --samples 10",
             "verify --suite all --n 1000000 --k 2 --samples 10",
             f"verify --suite copycat --n {harness.KS_CELLS // 2 + 1} --k 2 --samples 1",
+            "verify --suite all --n 5 --k 3",
             "simulate --mode position-randomized --n 4 --ks",
             "simulate --mode two-bidder --n 4 --group-sizes 1,2",
         ],
@@ -184,6 +185,21 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_bad_size_for_a_later_suite_runs_no_suite(self, capsys, monkeypatch):
+        # 3 does not divide 5, which only the sampled suites read
+        def refuse():
+            raise RuntimeError("ran the density suite before the (n, k) check")
+
+        monkeypatch.setattr(verify, "density_suite", refuse)
+        code, out, err = run(capsys, "verify", "--suite", "all", "--n", "5", "--k", "3")
+        assert (code, out) == (1, "")
+        assert "k | n" in err and "Traceback" not in err
+
+    def test_wide_copycat_passes_the_up_front_check(self, monkeypatch):
+        # copycat draws no KS table, so only a sampled row's cells bound its n
+        monkeypatch.setattr(verify, "copycat_suite", lambda n, k, samples, seed: [])
+        assert run_suite("copycat", n=5_000_000, k=2) == []
 
     def test_non_integer_env_seed_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("AUCTIONLAB_SEED", "abc")

@@ -137,7 +137,7 @@ CHUNK_CASES = [
 
 class TestChunkMemory:
     """A Monte Carlo run holds one reused chunk stack, and win_counts
-    resolves it in row blocks."""
+    resolves it in one pass."""
 
     @pytest.mark.parametrize("scenario", CHUNK_CASES, ids=lambda sc: f"{sc.mode}-{sc.n}-{sc.k}")
     def test_estimate_peaks_within_one_and_three_quarter_chunk_stacks(self, scenario):

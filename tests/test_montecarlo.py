@@ -2,10 +2,10 @@
 
 ``dense_win_counts`` orders the top bidders of every object in one pass,
 in (base, eps) order; the library orders only the objects whose top amount
-is shared, one block of rows at a time, and sees a (base, eps) stack as the
-exact ranks of its pairs, as position mode places them.  Both draw one tie
-variate per shared object, in flat row-major order, so they must agree on
-every count and leave the generator in the same state.
+is shared, and sees a (base, eps) stack as the exact ranks of its pairs,
+as position mode places them.  Both draw one tie variate per shared object,
+in flat row-major order, so they must agree on every count and leave the
+generator in the same state.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import montecarlo
 from auctionlab.montecarlo import win_counts
 
 EPS_FLOOR = np.iinfo(np.int64).min
@@ -86,16 +85,6 @@ class TestWinCountsOracle:
         base, eps, seed = case
         wins = assert_matches_oracle(base, eps, seed)
         assert np.all(wins.sum(axis=0) == base.shape[2])
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(tied_stacks(), st.integers(1, 8))
-    def test_row_blocks_equal_dense_resolver(self, case, step):
-        # blocks of a few rows each: every block draws the variates of its own shared objects
-        base, eps, seed = case
-        k, rows, n = base.shape
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "BLOCK_CELLS", step * k * n)
-            assert_matches_oracle(base, eps, seed)
 
     def test_no_ties_leaves_the_generator_untouched(self):
         gen = np.random.default_rng(1)

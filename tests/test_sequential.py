@@ -374,12 +374,13 @@ class TestBatchedSampling:
         assert a.count == trials
 
     def test_chunk_layout_is_pinned(self):
-        # CHUNK-trial chunks on one generator; these sums were recorded with them
+        # CHUNK-trial chunks, chunk i drawn from RngStream(seed, i); these
+        # sums were recorded with them
         profile = tie_heavy(8, 4, ["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"])
         graph = sequential._run_exact(profile, 8, 4, graph=True).graph
         tally = sequential.sample_graph(graph, CHUNK + 100, 5)
         assert (tally.count, tally.sums, tally.squares) == (
-            65_636, [94_379] + [131_272] * 3, [151_865] + [262_544] * 3
+            65_636, [94_378] + [131_272] * 3, [151_862] + [262_544] * 3
         )
 
     def test_graph_counts_its_nodes(self):
