@@ -10,7 +10,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .errors import DomainError, OverBudget
+from .errors import DomainError, LengthMismatch, OverBudget
 from .marginals import MarginalSpec
 
 FLOAT_BUDGET_SLACK = 1e-12
@@ -32,7 +32,7 @@ def wins_vs_marginal(spec: MarginalSpec, amounts: Sequence):
     """
     n, k = spec.n, spec.k
     if len(amounts) != n:
-        raise ValueError(f"expected {n} amounts, got {len(amounts)}")
+        raise LengthMismatch(f"expected {n} amounts, got {len(amounts)}")
     exact = _all_rational(amounts)
     number = Fraction if exact else float
     vals = [number(a) for a in amounts]
@@ -54,11 +54,11 @@ class GroupAuction:
 
     def __post_init__(self) -> None:
         if len(self.sizes) == 0:
-            raise ValueError("need at least one group")
+            raise DomainError("need at least one group")
         if any(s <= 0 for s in self.sizes):
-            raise ValueError("group sizes must be positive")
+            raise DomainError("group sizes must be positive")
         if self.k < 2:
-            raise ValueError("need at least two bidders")
+            raise DomainError("need at least two bidders")
 
     @property
     def total(self):
@@ -73,7 +73,7 @@ def group_wins(auction: GroupAuction, amounts: Sequence):
     objects; the feasible maximum over all splits is exactly n/k.
     """
     if len(amounts) != len(auction.sizes):
-        raise ValueError(
+        raise LengthMismatch(
             f"expected {len(auction.sizes)} amounts, got {len(amounts)}"
         )
     exact = _all_rational(amounts) and _all_rational(auction.sizes)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
 
-from .errors import LengthMismatch, OverBudget, ZeroBid
+from .errors import DomainError, LengthMismatch, OverBudget, ZeroBid
 
 AmountLike = Union[int, float, str, Fraction]
 
@@ -46,7 +46,7 @@ class Bid:
         object.__setattr__(self, "base", as_fraction(self.base))
         object.__setattr__(self, "eps", operator.index(self.eps))
         if self.base < 0:
-            raise ValueError("bid base amount must be nonnegative")
+            raise DomainError("bid base amount must be nonnegative")
 
     @classmethod
     def _unchecked(cls, base: Fraction, eps: int) -> "Bid":
@@ -143,7 +143,7 @@ def resolve(profiles: Sequence[BidSequence]) -> Outcome:
     collect 1/m.  Exact rational throughout.
     """
     if not profiles:
-        raise ValueError("at least one bid sequence is required")
+        raise DomainError("at least one bid sequence is required")
     n = profiles[0].n
     for p in profiles:
         if p.n != n:

@@ -21,7 +21,7 @@ import numpy as np
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
-from .errors import EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
+from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, chunk_rows, play
 from .position_randomized import _best_response, initial_bids, ladder_wins, undercut_sequence
@@ -212,7 +212,8 @@ def ks_distance(sample, cdf: Callable) -> float:
     ``cdf`` must map an array elementwise: it is called once per block of
     ``CHUNK`` sorted sample points, and an output of any other shape raises
     LengthMismatch.  The statistic assumes a continuous ``cdf``: one that
-    steps exactly where the sample does scores 1/N, not 0.
+    steps exactly where the sample does scores 1/N, not 0.  A NaN sample
+    point or cdf value raises DomainError.
     """
     values = np.sort(np.asarray(sample, dtype=float))
     size = values.size
@@ -231,8 +232,11 @@ def ks_distance(sample, cdf: Callable) -> float:
         gap = np.arange(start + 1, start + block.size + 1, dtype=float)
         gap /= size
         gap -= block
+        top = float(gap.max())
+        if math.isnan(top):  # a NaN point or cdf value, which Python's max() would drop
+            raise DomainError(f"NaN in the sample or its cdf at sorted points {start + 1}..{start + block.size}")
         # F(x_i) - (i-1)/N is 1/N - (i/N - F(x_i)), so one array serves both sides
-        distance = max(distance, float(gap.max()), 1.0 / size - float(gap.min()))
+        distance = max(distance, top, 1.0 / size - float(gap.min()))
         del gap
     return distance
 

@@ -50,9 +50,9 @@ def marginal_cdf(spec: MarginalSpec, b):
     gives a float; an array gives an array of the same shape.
     """
     values = np.asarray(b, dtype=float)
-    outside = (values < 0.0) | (values > 1.0)
-    if outside.any():
-        raise DomainError(f"bid {values[outside].flat[0]} outside [0, 1]")
+    inside = (values >= 0.0) & (values <= 1.0)  # False for NaN too
+    if not inside.all():
+        raise DomainError(f"bid {values[~inside].flat[0]} outside [0, 1]")
     cap = spec.k / spec.n
     exponent = 1.0 / (spec.k - 1)
     if values.ndim == 0:  # Python's **, which numpy's power can miss by 1 ULP
@@ -121,7 +121,7 @@ def simplex_normalizer(k: int) -> float:
     2*pi for k = 3.
     """
     if k < 2:
-        raise ValueError("need at least two bidders")
+        raise DomainError("need at least two bidders")
     a = 1.0 / (k - 1)
     return math.gamma(a) ** k / math.gamma(k * a)
 

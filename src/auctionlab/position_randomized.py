@@ -121,7 +121,7 @@ def rank_win_expectation(n: int, k: int, p: int) -> Fraction:
     telescopes to (p**k - (p-1)**k) / (k * n**(k-1)), returned directly.
     """
     if not 1 <= p <= n:
-        raise ValueError(f"rank {p} outside 1..{n}")
+        raise DomainError(f"rank {p} outside 1..{n}")
     return Fraction(p**k - (p - 1) ** k, k * n ** (k - 1))
 
 
@@ -231,11 +231,11 @@ def undercut_sequence(b_sorted: BidSequence) -> BidSequence:
     bids = b_sorted.bids
     n = len(bids)
     if n < 2:
-        raise ValueError("need at least two bids")
+        raise DomainError("need at least two bids")
     if any(bids[i] > bids[i + 1] for i in range(n - 1)):
-        raise ValueError("bids must be sorted ascending")
+        raise DomainError("bids must be sorted ascending")
     if b_sorted.base_total != 1:
-        raise ValueError(f"bids must total exactly 1, got {b_sorted.base_total}")
+        raise DomainError(f"bids must total exactly 1, got {b_sorted.base_total}")
     first = bids[0]
     if first.base == 0:
         raise Infeasible("cannot undercut a zero-amount lowest bid")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import Bid, BidSequence
-from .errors import InvariantError, LengthMismatch, NotMultiple, SizeLimitExceeded
+from .errors import DomainError, InvariantError, LengthMismatch, NotMultiple, SizeLimitExceeded
 
 ONE_THIRD = 1.0 / 3.0
 
@@ -138,7 +138,7 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     array, receives the rows of a vectorized draw and is returned.
     """
     if n < 2:
-        raise ValueError("need at least two objects")
+        raise DomainError("need at least two objects")
     gen = _gen_of(rng)
     if size is None and out is None:
         return _two_bidder_one(n, gen)
@@ -215,7 +215,7 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     (size, n) float64 array, receives the rows of a vectorized draw.
     """
     if k < 2:
-        raise ValueError("need at least two bidders")
+        raise DomainError("need at least two bidders")
     if k > MAX_SIMPLEX_K:
         raise SizeLimitExceeded(f"a simplex draw of {k} bidders exceeds the {MAX_SIMPLEX_K}-bidder limit")
     if n % k:

@@ -4,7 +4,7 @@ Objects are sold one per round to the highest sealed bid; the winner pays
 his bid from his remaining budget.  A run walks the tree of histories: the
 exact mode (deterministic strategies) follows every tie branch, splitting a
 branch's probability evenly among the tied winners, and the sampled mode
-follows one branch, drawing each tie's winner from a seeded generator.  A
+keeps one branch, drawing each tie's winner from a seeded generator.  A
 bidder may pass (distinct from the forbidden zero bid); an object every
 bidder passes on goes unsold.
 
@@ -17,9 +17,9 @@ the walk holds budgets as integers in units of 1/D, D the lcm of the script
 denominators, reads each round's bids from an integer table, and merges
 states that reach the same budgets and win counts.  The same walk can
 record its states as a transition graph, over which ``sample_graph`` walks
-many sampled trials at once, chunk i from ``RngStream(seed, i)``.  Any
-other callable is asked for every bid with the full history, and its run
-keeps one state per history.
+many sampled trials at once, chunk i from ``RngStream(seed, i)``.  Other
+callables, and every sampled run, take the history walk, which asks for
+every bid with the full history and keeps one state per history.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engine import as_fraction
-from .errors import NotMultiple, OverBudget, SizeLimitExceeded, ZeroBid
+from .errors import LengthMismatch, NotMultiple, OverBudget, ScenarioError, SizeLimitExceeded, ZeroBid
 from .montecarlo import CHUNK, WinTally, tally_chunks
 
 
@@ -231,7 +231,7 @@ def check_rounds(n: int) -> None:
     state, so n > MAX_STATE_ROUNDS can never finish."""
     if n > MAX_STATE_ROUNDS:
         raise SizeLimitExceeded(
-            f"{n:,} rounds exceed the {MAX_STATE_ROUNDS:,} state-visits an exact run "
+            f"{n:,} rounds exceed the {MAX_STATE_ROUNDS:,} state-visits a sequential run "
             f"may make, and every round visits at least one state"
         )
 
@@ -293,9 +293,11 @@ def _merged_walk(scripts, n: int, k: int, graph: bool) -> ExactRun:
     return ExactRun(expected, peak, visits, paths)
 
 
-def _history_walk(strategies, n: int, k: int) -> ExactRun:
-    """The exact walk of a profile with a custom callable: one state per
-    history, every bid asked of its strategy."""
+def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
+    """The walk that asks each strategy for every bid, one state per history.
+    It follows every tie branch, each at an even share of its parent's
+    probability, unless a generator ``gen`` keeps one per round, drawn by
+    ``gen.integers(len(winners))``, at probability 1."""
     # (budgets, wins, history, probability)
     states = [((Fraction(1),) * k, (0,) * k, (), Fraction(1))]
     peak = visits = 0
@@ -307,6 +309,9 @@ def _history_walk(strategies, n: int, k: int) -> ExactRun:
         for budgets, wins, history, prob in states:
             bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
             top, winners, children = _round(bids, budgets, wins)
+            if gen is not None and top is not None:
+                i = int(gen.integers(len(winners)))
+                winners, children = winners[i:i + 1], children[i:i + 1]
             share = prob if len(winners) == 1 else prob / len(winners)
             for w, (child_budgets, child_wins) in zip(winners, children):
                 nxt.append((child_budgets, child_wins, history + (RoundResult(w, top),), share))
@@ -351,21 +356,6 @@ def sample_graph(graph: Graph, trials: int, seed: int) -> WinTally:
     return tally_chunks(graph.leaf_wins.shape[0], trials, CHUNK, seed, chunk)
 
 
-def _sample_wins(strategies, n: int, k: int, seed) -> tuple[int, ...]:
-    """One trajectory's integer win counts along its own history, each tie's
-    winner drawn by ``gen.integers(len(winners))`` from a generator seeded
-    with ``seed`` (any numpy seed material)."""
-    gen = np.random.default_rng(seed)
-    budgets, wins, history = (Fraction(1),) * k, (0,) * k, ()
-    for round_index in range(1, n + 1):
-        bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
-        top, winners, children = _round(bids, budgets, wins)
-        i = 0 if top is None else int(gen.integers(len(winners)))
-        history += (RoundResult(winners[i], top),)
-        budgets, wins = children[i]
-    return wins
-
-
 def run_sequential(
     strategies: Sequence[Strategy],
     n: int,
@@ -379,13 +369,16 @@ def run_sequential(
     wins as Fractions over every tie branch; a round that would hold more
     than ``MAX_STATES`` states, or a run past ``MAX_STATE_ROUNDS`` state
     visits, raises SizeLimitExceeded.
-    mode="sample" returns one trajectory's integer win counts, ties resolved
-    by a generator seeded with ``seed`` (any numpy seed material).
+    mode="sample" returns one trajectory's integer win counts: the history
+    walk on one branch, ties drawn from ``np.random.default_rng(seed)``, an
+    integer seed taken mod 2**64.  Both modes refuse n > MAX_STATE_ROUNDS.
     """
     if len(strategies) != k:
-        raise ValueError(f"expected {k} strategies, got {len(strategies)}")
+        raise LengthMismatch(f"expected {k} strategies, got {len(strategies)}")
+    if mode not in ("exact", "sample"):
+        raise ScenarioError(f"unknown mode {mode!r}")
+    check_rounds(n)
     if mode == "exact":
         return _run_exact(strategies, n, k).expected
-    if mode == "sample":
-        return _sample_wins(strategies, n, k, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    gen = np.random.default_rng(int(seed) % 2**64 if isinstance(seed, (int, np.integer)) else seed)
+    return tuple(int(w) for w in _history_walk(strategies, n, k, gen).expected)

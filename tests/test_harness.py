@@ -11,6 +11,7 @@ from scipy import stats
 from auctionlab import (
     AdversaryPlan,
     Bid,
+    DomainError,
     EmptySample,
     LengthMismatch,
     MarginalSpec,
@@ -69,6 +70,18 @@ class TestKsDistance:
         with pytest.raises(LengthMismatch):
             ks_distance([0.1, 0.2, 0.3], lambda v: np.clip(v, 0, 1)[:-1])
 
+    def test_nan_raises_instead_of_scoring_zero(self):
+        # a NaN block maximum loses every comparison in Python's max(), so a
+        # NaN point or cdf value used to add nothing to the statistic
+        spec = MarginalSpec(4, 2)
+        with pytest.raises(DomainError):
+            harness.ks_table(np.full((1_000, 4), math.nan), spec)
+        half = np.random.default_rng(5).random(1_000)
+        half[::2] = math.nan
+        with pytest.raises(DomainError, match="NaN in the sample or its cdf"):
+            ks_distance(half, lambda v: np.clip(v, 0, 1))
+        with pytest.raises(DomainError, match="NaN in the sample or its cdf"):
+            ks_distance([0.1, 0.2, 0.3], lambda v: np.where(v > 0.25, math.nan, v))
 
     def test_cdf_called_once_per_block(self):
         calls = []

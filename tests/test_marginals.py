@@ -70,6 +70,13 @@ class TestMarginalCdf:
         with pytest.raises(DomainError):
             marginal_cdf(spec, [0.1, -1e-12])
 
+    def test_nan_raises(self):
+        # NaN fails every comparison, so a check for < 0 or > 1 let it through
+        spec = MarginalSpec(6, 3)
+        for b in (math.nan, np.array([0.1, math.nan, 0.3]), np.full(4, math.nan)):
+            with pytest.raises(DomainError, match="nan outside"):
+                marginal_cdf(spec, b)
+
     def test_zero_d_input_gives_float(self):
         spec = MarginalSpec(6, 3)
         for b in (np.array(0.2), np.float64(0.2), 0.2):

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
+    LengthMismatch,
     NotMultiple,
     OverBudget,
     Scenario,
+    ScenarioError,
     SizeLimitExceeded,
     ZeroBid,
     pass_strategy,
@@ -81,7 +83,7 @@ class TestRunSequential:
             run_sequential([zero, steady_strategy(4, 2)], 4, 2)
 
     def test_strategy_count_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatch):
             run_sequential([steady_strategy(4, 2)], 4, 2)
 
     def test_expected_wins_never_exceed_objects(self):
@@ -112,8 +114,35 @@ class TestSampledMode:
         assert means[1] >= 2.0  # the floor holds on every trajectory
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             run_sequential([pass_strategy, pass_strategy], 2, 2, mode="oops")
+
+    def test_integer_seed_taken_mod_2_64(self):
+        # as RngStream takes it: seed -s draws as 2**64 - s does
+        profile = tie_heavy(4, 2, ["1/2", "1/2", 0, 0])
+        runs = [
+            [run_sequential(profile, 4, 2, seed=seed, mode="sample") for seed in seeds]
+            for seeds in (range(-1, -21, -1), [np.int64(-s) for s in range(1, 21)],
+                          range(2**64 - 1, 2**64 - 21, -1))
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        assert len(set(runs[0])) > 1
+
+    def test_other_seed_material_passes_unchanged(self):
+        profile = tie_heavy(4, 2, ["1/2", "1/2", 0, 0])
+        graph = sequential._run_exact(profile, 4, 2, graph=True).graph
+        for seed in ([1, 2], [2**64 + 3], np.random.SeedSequence(9)):
+            assert run_sequential(profile, 4, 2, seed=seed, mode="sample") == graph_walk(graph, seed)
+
+    def test_rounds_refused_before_any_bid(self):
+        views = []
+
+        def recording(view):
+            views.append(view)
+
+        with pytest.raises(SizeLimitExceeded, match="rounds exceed"):
+            run_sequential([recording] * 2, sequential.MAX_STATE_ROUNDS + 1, 2, mode="sample")
+        assert views == []
 
 
 class TestSteadyFloor:

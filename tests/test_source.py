@@ -24,6 +24,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_plain_value_errors():
+    # input checks raise the errors.py type that fits; each is a ValueError
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and getattr(getattr(node.exc, "func", node.exc), "id", None) == "ValueError"
+    ]
+    assert found == []
+
+
 def test_no_top_level_scipy_import():
     # scipy costs most of the start-up; only the quadrature oracles load it
     found = [
