@@ -34,7 +34,7 @@ def as_fraction(value: AmountLike) -> Fraction:
 class Bid:
     """An amount plus an integer coefficient on the symbolic infinitesimal.
 
-    Ordering is lexicographic on (base, eps): the infinitesimal breaks ties
+    Bids order by base, then by eps: the infinitesimal breaks ties
     between equal base amounts but can never overcome a base difference.
     A bid is positive when base > 0, or base = 0 with eps > 0.
     """
@@ -110,7 +110,7 @@ class BidSequence:
 
 
 def compare_bids(a: Bid, b: Bid) -> int:
-    """Three-way lexicographic comparison on (base, eps): -1, 0 or +1."""
+    """Three-way comparison by base, then by eps: -1, 0 or +1."""
     return (a > b) - (a < b)
 
 

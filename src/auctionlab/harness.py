@@ -10,6 +10,7 @@ statistics (only the elapsed-time metadata varies).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, chunk_rows, play
 from .position_randomized import _best_response, initial_bids, ladder_wins, undercut_sequence
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder
-from .sequential import _run_exact, check_rounds, sample_graph, scripted_strategy, steady_strategy
+from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
@@ -69,6 +70,11 @@ class Scenario:
             object.__setattr__(self, "adversary", AdversaryPlan(MODES[self.mode].kinds[0]))
 
     def validate(self) -> None:
+        for name in ("n", "k", "samples", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ScenarioError(f"{name} must be an integer: {getattr(self, name)!r}") from None
         mode, n, k = self.mode, self.n, self.k
         if mode not in MODES:
             raise ScenarioError(f"unknown mode {mode!r}; choose from {tuple(MODES)}")
@@ -212,9 +218,12 @@ def ks_distance(sample, cdf: Callable) -> float:
     ``cdf`` must map an array elementwise: it is called once per block of
     ``CHUNK`` sorted sample points, and an output of any other shape raises
     LengthMismatch.  The statistic assumes a continuous ``cdf``: one that
-    steps exactly where the sample does scores 1/N, not 0.  A NaN sample
-    point or cdf value raises DomainError.
+    steps exactly where the sample does scores 1/N, not 0.  A sample that
+    is not 1-D raises LengthMismatch, and a NaN sample point or cdf value
+    DomainError.
     """
+    if np.ndim(sample) != 1:
+        raise LengthMismatch(f"a KS sample must be 1-D, got shape {np.shape(sample)}")
     values = np.sort(np.asarray(sample, dtype=float))
     size = values.size
     if size == 0:
@@ -373,14 +382,14 @@ def _sequential_mode(scenario: Scenario):
     else:
         opponent = steady_strategy(n, k)
     strategies = [opponent] + [steady_strategy(n, k) for _ in range(k - 1)]
-    # one exact walk gives the exact values and the graph the trials walk
-    run = _run_exact(strategies, n, k, graph=True)
-    tally = sample_graph(run.graph, scenario.samples, scenario.seed)
+    # one exact walk gives the exact values and the final states the trials draw
+    run = _run_exact(strategies, n, k)
+    tally = sample_leaves(run, scenario.samples, scenario.seed)
     counters = {
         "peak_states": run.peak_states,
         "state_rounds": run.state_rounds,
         "trials": tally.count,
-        "graph_nodes": run.graph.nodes,
+        "leaves": len(run.wins),
     }
     counts = {"samples": tally.count, "counters": counters}
     return _tally_estimates(tally), run.expected, {"ks": None}, counts

@@ -20,7 +20,7 @@ import numpy as np
 
 from .samplers import RngStream
 
-# sample_graph's trials per chunk and ks_distance's points per block, not play's
+# sample_leaves's trials per chunk and ks_distance's points per block, not play's
 CHUNK = 1 << 16
 
 # Most bid cells (bidders x rows x objects) per play chunk: 1 MB of float64

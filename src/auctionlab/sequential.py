@@ -15,11 +15,12 @@ script in its ``__dict__``, which ``functools.wraps`` copies onto wrappers.
 When every strategy of an exact run has a script, no strategy is called:
 the walk holds budgets as integers in units of 1/D, D the lcm of the script
 denominators, reads each round's bids from an integer table, and merges
-states that reach the same budgets and win counts.  The same walk can
-record its states as a transition graph, over which ``sample_graph`` walks
-many sampled trials at once, chunk i from ``RngStream(seed, i)``.  Other
-callables, and every sampled run, take the history walk, which asks for
-every bid with the full history and keeps one state per history.
+states that reach the same budgets and win counts.  Other callables, and
+every sampled run, take the history walk, which asks for every bid with the
+full history and keeps one state per history.  Either exact walk ends with
+its final states' win counts and exact chances, from which
+``sample_leaves`` draws many sampled trials at once, one variate per trial,
+chunk i from ``RngStream(seed, i)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .engine import as_fraction
-from .errors import LengthMismatch, NotMultiple, OverBudget, ScenarioError, SizeLimitExceeded, ZeroBid
+from .errors import DomainError, LengthMismatch, NotMultiple, OverBudget, ScenarioError
+from .errors import SizeLimitExceeded, ZeroBid
 from .montecarlo import CHUNK, WinTally, tally_chunks
 
 
@@ -186,33 +188,23 @@ def _unit_table(scripts, n: int) -> tuple[int, list[tuple[int, ...]]]:
     return unit, list(zip(*columns))
 
 
-class Graph(NamedTuple):
-    """A scripted run's merged states as a transition graph.  Node 0 is the
-    start; node i has ``ties[i]`` equally likely children, at
-    ``target[first[i]:first[i] + ties[i]]``.  After n rounds a trial stands
-    on a leaf, node ``leaf_offset + j``, whose win counts are
-    ``leaf_wins[:, j]``."""
-
-    rounds: int
-    ties: np.ndarray
-    first: np.ndarray
-    target: np.ndarray
-    leaf_offset: int
-    leaf_wins: np.ndarray
-
-    @property
-    def nodes(self) -> int:
-        return self.leaf_offset + self.leaf_wins.shape[1]
-
-
 class ExactRun(NamedTuple):
-    """An exact run's expected wins with its work counters, and the merged
-    transition graph when one was asked for."""
+    """An exact run's work counters and its final states: state j ends with
+    win counts ``wins[j]`` at chance ``weights[j] / scale``."""
 
-    expected: tuple[Fraction, ...]
     peak_states: int
     state_rounds: int
-    graph: Optional[Graph]
+    wins: list[tuple[int, ...]]
+    weights: list
+    scale: int
+
+    @property
+    def expected(self) -> tuple[Fraction, ...]:
+        """Each bidder's expected wins, exact."""
+        return tuple(
+            Fraction(sum(weight * wins[b] for wins, weight in zip(self.wins, self.weights)), self.scale)
+            for b in range(len(self.wins[0]))
+        )
 
 
 def _too_many(round_index: int) -> SizeLimitExceeded:
@@ -227,8 +219,11 @@ def _too_long(round_index: int) -> SizeLimitExceeded:
 
 
 def check_rounds(n: int) -> None:
-    """Refuse n rounds before any work: every round visits at least one
-    state, so n > MAX_STATE_ROUNDS can never finish."""
+    """Refuse n rounds before any work: n must be a whole number, and every
+    round visits at least one state, so n > MAX_STATE_ROUNDS can never
+    finish."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"a sequential run needs a nonnegative integer round count, not {n!r}")
     if n > MAX_STATE_ROUNDS:
         raise SizeLimitExceeded(
             f"{n:,} rounds exceed the {MAX_STATE_ROUNDS:,} state-visits a sequential run "
@@ -236,19 +231,16 @@ def check_rounds(n: int) -> None:
         )
 
 
-def _merged_walk(scripts, n: int, k: int, graph: bool) -> ExactRun:
+def _merged_walk(scripts, n: int, k: int) -> ExactRun:
     """The exact walk of an all-scripted profile on integer budgets, merging
     states on (budgets, wins).  Probabilities are exact: integer weights
     over one common denominator, ``scale``, which a round multiplies by the
     lcm of its tie counts."""
     unit, table = _unit_table(scripts, n)
-    # the round's states in node order, (budgets, wins) -> position, and
-    # their weights
+    # the round's states, (budgets, wins) -> position, and their weights
     states, weights = {((unit,) * k, (0,) * k): 0}, [1]
     scale = 1
     peak = visits = 0
-    ties: list[int] = []
-    target: list[int] = []
     for round_index, bids in enumerate(table, 1):
         visits += len(weights)
         if visits > MAX_STATE_ROUNDS:
@@ -269,28 +261,11 @@ def _merged_walk(scripts, n: int, k: int, graph: bool) -> ExactRun:
                     nxt_weights.append(share)
                 else:
                     nxt_weights[i] += share
-                if graph:
-                    target.append(visits + i)
-            if graph:
-                ties.append(len(children))
         if len(nxt_weights) > MAX_STATES:
             raise _too_many(round_index)
         peak = max(peak, len(nxt_weights))
         states, weights = nxt, nxt_weights
-
-    totals = [0] * k
-    for (_, wins), weight in zip(states, weights):
-        for b in range(k):
-            totals[b] += weight * wins[b]
-    expected = tuple(Fraction(total, scale) for total in totals)
-    paths = None
-    if graph:
-        ties_array = np.array(ties, dtype=np.intp)
-        first = np.zeros_like(ties_array)
-        np.cumsum(ties_array[:-1], out=first[1:])
-        leaf_wins = np.array([wins for _, wins in states], dtype=np.int64).reshape(-1, k).T
-        paths = Graph(n, ties_array, first, np.array(target, dtype=np.intp), visits, leaf_wins)
-    return ExactRun(expected, peak, visits, paths)
+    return ExactRun(peak, visits, [wins for _, wins in states], weights, scale)
 
 
 def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
@@ -319,41 +294,34 @@ def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
                 raise _too_many(round_index)
         peak = max(peak, len(nxt))
         states = nxt
-
-    expected = [Fraction(0)] * k
-    for _, wins, _, prob in states:
-        for b in range(k):
-            expected[b] += prob * wins[b]
-    return ExactRun(tuple(expected), peak, visits, None)
+    return ExactRun(peak, visits, [w for _, w, _, _ in states], [p for _, _, _, p in states], 1)
 
 
-def _run_exact(strategies, n: int, k: int, graph: bool = False) -> ExactRun:
-    """The merged integer walk when every strategy has a script (with its
-    transition graph if ``graph``), else the history walk."""
+def _run_exact(strategies, n: int, k: int) -> ExactRun:
+    """The merged integer walk when every strategy has a script, else the
+    history walk."""
     check_rounds(n)
     scripts = _scripts(strategies)
     if scripts is None:
         return _history_walk(strategies, n, k)
-    return _merged_walk(scripts, n, k, graph)
+    return _merged_walk(scripts, n, k)
 
 
-def sample_graph(graph: Graph, trials: int, seed: int) -> WinTally:
-    """Tally ``trials`` sampled runs walked together over ``graph``.
+def sample_leaves(run: ExactRun, trials: int, seed: int) -> WinTally:
+    """Tally ``trials`` sampled runs drawn from ``run``'s final states.
 
     The trials go in chunks of ``montecarlo.CHUNK`` through
-    ``tally_chunks``, chunk i drawing from ``RngStream(seed, i)``.  In each
-    round a chunk draws one ``random(length)`` vector and moves every trial
-    to child floor(u * ties) of its node, so a round costs O(length).
+    ``tally_chunks``, chunk i drawing from ``RngStream(seed, i)``: one
+    ``choice`` call picks every trial's final state at its chance, weight /
+    scale rounded to a double, so a trial costs one variate.
     """
+    leaf_wins = np.array(run.wins, dtype=np.int64).T
+    chance = np.array([float(weight / run.scale) for weight in run.weights])
 
     def chunk(rng, start: int, length: int) -> np.ndarray:
-        node = np.zeros(length, dtype=np.intp)
-        for _ in range(graph.rounds):
-            pick = (rng.generator.random(length) * graph.ties[node]).astype(np.intp)
-            node = graph.target[graph.first[node] + pick]
-        return graph.leaf_wins[:, node - graph.leaf_offset]
+        return leaf_wins[:, rng.generator.choice(chance.size, length, p=chance)]
 
-    return tally_chunks(graph.leaf_wins.shape[0], trials, CHUNK, seed, chunk)
+    return tally_chunks(leaf_wins.shape[0], trials, CHUNK, seed, chunk)
 
 
 def run_sequential(
@@ -371,7 +339,8 @@ def run_sequential(
     visits, raises SizeLimitExceeded.
     mode="sample" returns one trajectory's integer win counts: the history
     walk on one branch, ties drawn from ``np.random.default_rng(seed)``, an
-    integer seed taken mod 2**64.  Both modes refuse n > MAX_STATE_ROUNDS.
+    integer seed taken mod 2**64.  Both modes refuse a negative or
+    non-integer n with DomainError, and n > MAX_STATE_ROUNDS.
     """
     if len(strategies) != k:
         raise LengthMismatch(f"expected {k} strategies, got {len(strategies)}")

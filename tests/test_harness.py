@@ -70,6 +70,13 @@ class TestKsDistance:
         with pytest.raises(LengthMismatch):
             ks_distance([0.1, 0.2, 0.3], lambda v: np.clip(v, 0, 1)[:-1])
 
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 5), ()])
+    def test_sample_must_be_one_dimensional(self, shape):
+        # a column or row vector once escaped as numpy's plain ValueError, a
+        # scalar as an AxisError
+        with pytest.raises(LengthMismatch, match="1-D"):
+            ks_distance(np.full(shape, 0.5), lambda v: np.clip(v, 0, 1))
+
     def test_nan_raises_instead_of_scoring_zero(self):
         # a NaN block maximum loses every comparison in Python's max(), so a
         # NaN point or cdf value used to add nothing to the statistic
@@ -294,6 +301,16 @@ class TestScenarioValidation:
                 adversary=AdversaryPlan.fixed([Fraction(1, 4)] * 3),
             ).validate()
 
+    @pytest.mark.parametrize(
+        "field,value", [("n", 4.0), ("k", 3.0), ("samples", 10.5), ("seed", 1.5), ("n", Fraction(4))]
+    )
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        # floats once escaped as TypeErrors, and seed 1.5 ran as seed 1
+        sizes = {"n": 6, "k": 3, "samples": 10, "seed": np.int64(1)}
+        Scenario("k-bidder", **sizes).validate()
+        with pytest.raises(ScenarioError, match=f"{field} must be an integer"):
+            Scenario("k-bidder", **{**sizes, field: value}).validate()
+
     def test_fixed_over_budget(self):
         with pytest.raises(ScenarioError):
             Scenario(
@@ -480,12 +497,12 @@ class TestEstimate:
         assert report.estimates[1].mean >= 2.0
 
     def test_sequential_counters(self):
-        # all-steady (6,2) visits 1 + 2 + 3 + 4 + 3 + 2 merged states, and
-        # the graph holds those 15 nodes plus one leaf
+        # all-steady (6,2) visits 1 + 2 + 3 + 4 + 3 + 2 merged states and
+        # ends on one
         report = estimate(Scenario("sequential", 6, 2, samples=300, seed=4))
         assert report.meta["samples"] == 300
         assert report.meta["counters"] == {
-            "peak_states": 4, "state_rounds": 15, "trials": 300, "graph_nodes": 16,
+            "peak_states": 4, "state_rounds": 15, "trials": 300, "leaves": 1,
         }
         assert all(type(v) is int for v in report.meta["counters"].values())
         assert set(estimate(small_scenario()).meta["counters"]) == {"chunks", "chunk_rows"}

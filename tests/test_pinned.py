@@ -32,7 +32,10 @@ wins exactly 2 on every draw), ``marginal_suite_6_3`` (drawn outside
 
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
-profiles, and one sequential ``estimate`` report.
+profiles, and one sequential ``estimate`` report.  Drawing sampled trials
+from the exact walk's final states, one variate per trial, renamed that
+report's ``graph_nodes`` counter to ``leaves``; its all-steady profile ends
+on one state, so its estimates did not move.
 """
 
 import json

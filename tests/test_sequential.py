@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
+    DomainError,
     LengthMismatch,
     NotMultiple,
     OverBudget,
@@ -130,9 +131,9 @@ class TestSampledMode:
 
     def test_other_seed_material_passes_unchanged(self):
         profile = tie_heavy(4, 2, ["1/2", "1/2", 0, 0])
-        graph = sequential._run_exact(profile, 4, 2, graph=True).graph
         for seed in ([1, 2], [2**64 + 3], np.random.SeedSequence(9)):
-            assert run_sequential(profile, 4, 2, seed=seed, mode="sample") == graph_walk(graph, seed)
+            walk = sequential._history_walk(profile, 4, 2, np.random.default_rng(seed))
+            assert run_sequential(profile, 4, 2, seed=seed, mode="sample") == walk.wins[0]
 
     def test_rounds_refused_before_any_bid(self):
         views = []
@@ -143,6 +144,14 @@ class TestSampledMode:
         with pytest.raises(SizeLimitExceeded, match="rounds exceed"):
             run_sequential([recording] * 2, sequential.MAX_STATE_ROUNDS + 1, 2, mode="sample")
         assert views == []
+
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    @pytest.mark.parametrize("n", [-1, -2, 2.0, Fraction(2)])
+    def test_round_count_must_be_a_nonnegative_integer(self, n, mode):
+        # script[:n] once made n = -1 play two of these three rounds
+        s = scripted_strategy(["0.5", "0.25", "0.25"])
+        with pytest.raises(DomainError, match="round count"):
+            run_sequential([s, s], n, 2, mode=mode)
 
 
 class TestSteadyFloor:
@@ -298,19 +307,6 @@ class TestMarkov:
         assert table == [(3, 4), (0, 0), (2, 0), (0, 0)]
 
 
-def graph_walk(graph, seed):
-    """One trial over the transition graph with the per-seed walk's draws:
-    ``gen.integers(ties)`` at each branching node (``integers(1)`` draws
-    nothing, so single-winner and unsold rounds agree)."""
-    gen = np.random.default_rng(seed)
-    node = 0
-    for _ in range(graph.rounds):
-        ties = int(graph.ties[node])
-        pick = int(gen.integers(ties)) if ties > 1 else 0
-        node = int(graph.target[graph.first[node] + pick])
-    return tuple(int(w) for w in graph.leaf_wins[:, node - graph.leaf_offset])
-
-
 EIGHTHS = st.integers(0, 8).map(lambda v: Fraction(v, 8))
 
 # eighths, thirds and sevenths tie with each other and with the exact binary
@@ -341,19 +337,20 @@ def scripted_profiles(draw, amounts=EIGHTHS):
 class TestMarkovProperty:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(scripted_profiles())
-    def test_merged_and_cached_walks_equal_the_history_walk(self, case):
-        # "cached" is the transition graph the batched trials walk: stepped
-        # with the per-seed walk's draws, it ends where that walk ends
+    def test_merged_walk_ends_where_the_history_walk_ends(self, case):
+        # the batched trials draw from the merged walk's final states, so
+        # their win counts must have the history walk's exact distribution
         n, k, profile = case
         walked = [unmarked(s) for s in profile]
         assert sequential._scripts(walked) is None
-        run = sequential._run_exact(profile, n, k, graph=True)
-        assert all(type(w) is Fraction for w in run.expected)
-        assert run.expected == run_sequential(walked, n, k)
-        seeds = range(20)
-        assert [graph_walk(run.graph, s) for s in seeds] == [
-            run_sequential(walked, n, k, seed=s, mode="sample") for s in seeds
-        ]
+        merged = sequential._run_exact(profile, n, k)
+        history = sequential._run_exact(walked, n, k)
+        assert all(type(w) is Fraction for w in merged.expected)
+        assert merged.expected == history.expected == run_sequential(walked, n, k)
+        assert final_wins(merged) == final_wins(history)
+        assert sum(final_wins(merged).values()) == 1
+        sampled = {run_sequential(walked, n, k, seed=s, mode="sample") for s in range(20)}
+        assert sampled <= set(final_wins(merged))
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(scripted_profiles(MIXED_AMOUNTS))
@@ -362,6 +359,15 @@ class TestMarkovProperty:
         merged = run_sequential(profile, n, k)
         assert all(type(w) is Fraction for w in merged)
         assert merged == run_sequential([unmarked(s) for s in profile], n, k)
+
+
+def final_wins(run):
+    """An exact run's chance of each final win vector, summed over the
+    states that end with it."""
+    chances = {}
+    for wins, weight in zip(run.wins, run.weights):
+        chances[wins] = chances.get(wins, 0) + Fraction(weight, run.scale)
+    return chances
 
 
 def tie_heavy(n, k, script):
@@ -386,8 +392,8 @@ class TestBatchedSampling:
     )
     def test_batched_means_near_exact(self, n, k, script):
         profile = tie_heavy(n, k, script)
-        run = sequential._run_exact(profile, n, k, graph=True)
-        tally = sequential.sample_graph(run.graph, self.TRIALS, self.SEED)
+        run = sequential._run_exact(profile, n, k)
+        tally = sequential.sample_leaves(run, self.TRIALS, self.SEED)
         assert tally.count == self.TRIALS
         for b, exact in enumerate(run.expected):
             assert abs(tally.mean(b) - float(exact)) <= 5 * tally.stderr(b)
@@ -395,28 +401,30 @@ class TestBatchedSampling:
 
     def test_deterministic_given_seed_and_chunked(self):
         profile = tie_heavy(6, 3, ["1/3"] * 3 + [0] * 3)
-        graph = sequential._run_exact(profile, 6, 3, graph=True).graph
+        run = sequential._run_exact(profile, 6, 3)
         trials = CHUNK + 100  # two chunks
-        a = sequential.sample_graph(graph, trials, 5)
-        b = sequential.sample_graph(graph, trials, 5)
+        a = sequential.sample_leaves(run, trials, 5)
+        b = sequential.sample_leaves(run, trials, 5)
         assert (a.count, a.sums, a.squares) == (b.count, b.sums, b.squares)
         assert a.count == trials
 
     def test_chunk_layout_is_pinned(self):
-        # CHUNK-trial chunks, chunk i drawn from RngStream(seed, i); these
-        # sums were recorded with them
+        # CHUNK-trial chunks, chunk i drawn from RngStream(seed, i) by one
+        # choice() over the final states; these sums were recorded with them
         profile = tie_heavy(8, 4, ["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"])
-        graph = sequential._run_exact(profile, 8, 4, graph=True).graph
-        tally = sequential.sample_graph(graph, CHUNK + 100, 5)
+        run = sequential._run_exact(profile, 8, 4)
+        tally = sequential.sample_leaves(run, CHUNK + 100, 5)
         assert (tally.count, tally.sums, tally.squares) == (
-            65_636, [94_378] + [131_272] * 3, [151_862] + [262_544] * 3
+            65_636, [94_271] + [131_272] * 3, [151_541] + [262_544] * 3
         )
 
-    def test_graph_counts_its_nodes(self):
+    def test_all_steady_ends_on_one_state(self):
         # all-steady (6,2) holds 1, 2, 3, 4, 3, 2 states before rounds 1..6
-        # and ends on one leaf, (3, 3) wins with both budgets spent
-        run = sequential._run_exact([steady_strategy(6, 2)] * 2, 6, 2, graph=True)
+        # and ends on one, (3, 3) wins with both budgets spent; the history
+        # walk ends on its C(6, 3) orders of winners, each with (3, 3)
+        run = sequential._run_exact([steady_strategy(6, 2)] * 2, 6, 2)
         assert (run.peak_states, run.state_rounds) == (4, 15)
-        assert run.graph.nodes == 16
-        assert run.graph.leaf_wins.tolist() == [[3], [3]]
-        assert sequential._run_exact([unmarked(steady_strategy(6, 2))] * 2, 6, 2).graph is None
+        assert run.wins == [(3, 3)] and run.weights == [run.scale]
+        history = sequential._run_exact([unmarked(steady_strategy(6, 2))] * 2, 6, 2)
+        assert len(history.wins) == 20 and history.scale == 1
+        assert final_wins(history) == final_wins(run) == {(3, 3): 1}
