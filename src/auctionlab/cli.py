@@ -65,14 +65,6 @@ def _parse_adversary(value) -> AdversaryPlan | None:
     return None if kind is None else AdversaryPlan(kind, bids)
 
 
-def _env_seed() -> int:
-    text = os.environ.get("AUCTIONLAB_SEED") or "0"
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioError(f"AUCTIONLAB_SEED must be an integer, not {text!r}") from None
-
-
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     """The JSON object at ``path`` as defaults for ``parser``'s options."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -203,8 +195,7 @@ def _command(sub, name: str, func, help: str, formats=("json", "csv"), sampled=F
     p.add_argument("--k", type=int, default=2, help="number of bidders")
     if sampled:
         p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo draws")
-        p.add_argument("--seed", type=int, default=_env_seed(),
-                       help="base RNG seed (default: AUCTIONLAB_SEED, else 0)")
+        p.add_argument("--seed", type=int, help="base RNG seed (default: AUCTIONLAB_SEED, else 0)")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--config", help="JSON object of these options' values; flags win")
     p.add_argument("--out", help="write the report to a file")
@@ -253,12 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse ``argv``; a ``--config`` file's values become the subcommand's
-    defaults, and a second parse lets the flags win."""
+    defaults, and a second parse lets the flags win.  A sampled command
+    given no seed reads AUCTIONLAB_SEED."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         args.parser.set_defaults(**_config_defaults(args.parser, args.config))
         args = parser.parse_args(argv)
+    if "seed" in vars(args) and args.seed is None:
+        text = os.environ.get("AUCTIONLAB_SEED") or "0"
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ScenarioError(f"AUCTIONLAB_SEED must be an integer, not {text!r}") from None
     return args
 
 

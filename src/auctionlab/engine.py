@@ -21,13 +21,16 @@ AmountLike = Union[int, float, str, Fraction]
 
 
 def as_fraction(value: AmountLike) -> Fraction:
-    """Exact embedding of an amount: floats map to their binary value,
-    strings like "0.6" or "3/5" to their decimal-exact rational."""
+    """Exact embedding of a finite amount, else DomainError: floats map to
+    their binary value, strings like "0.6" or "3/5" to their decimal-exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float, str, Rational)):
+    if not isinstance(value, (int, float, str, Rational)):
+        raise TypeError(f"cannot interpret {value!r} as an exact amount")
+    try:
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact amount")
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"{value!r} is not a finite exact amount") from None
 
 
 @dataclass(frozen=True, order=True)

@@ -25,7 +25,7 @@ from .engine import BidSequence, as_fraction
 from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, chunk_rows, play
-from .position_randomized import _best_response, initial_bids, ladder_wins, undercut_sequence
+from .position_randomized import _best_response, _undercut, initial_bids, ladder_wins
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
@@ -363,7 +363,7 @@ def _position_mode(scenario: Scenario):
         adversary_seq, adversary_value = response.witness_sequence(), response.value
     else:
         if kind == "undercut":
-            adversary_seq = undercut_sequence(ladder.as_sequence())
+            adversary_seq = _undercut(ladder)
         else:
             adversary_seq = BidSequence(scenario.adversary.bids)
         adversary_value = ladder_wins(k, adversary_seq, ladder)

@@ -223,6 +223,12 @@ def _best_response(ladder: InitialBids) -> BestResponse:
     return BestResponse(n=n, k=k, value=value, witness=witness)
 
 
+def _undercut(ladder: InitialBids) -> BidSequence:
+    """``undercut_sequence`` of a built ladder: sorted, positive and unit-total by construction."""
+    first, *rest = ladder.bids
+    return BidSequence((Bid._unchecked(first, 1 - ladder.n),) + tuple(Bid._unchecked(c, +1) for c in rest))
+
+
 def undercut_sequence(b_sorted: BidSequence) -> BidSequence:
     """Shift the lowest bid down by n-1 infinitesimals and every other bid
     up by one: beats each higher bid at zero extra budget while keeping the

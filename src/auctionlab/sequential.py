@@ -12,12 +12,12 @@ The library strategies (``steady_strategy``, ``scripted_strategy`` and
 ``pass_strategy``) are per-round scripts: bid ``amount[r]`` in round r when
 it is positive and within budget, and pass otherwise.  Each carries its
 script in its ``__dict__``, which ``functools.wraps`` copies onto wrappers.
-When every strategy of an exact run has a script, no strategy is called:
-the walk holds budgets as integers in units of 1/D, D the lcm of the script
-denominators, reads each round's bids from an integer table, and merges
-states that reach the same budgets and win counts.  Other callables, and
-every sampled run, take the history walk, which asks for every bid with the
-full history and keeps one state per history.  Either exact walk ends with
+When every strategy of a run has a script, in either mode, no strategy is
+called: the walk holds budgets as integers in units of 1/D, D the lcm of
+the script denominators, reads each round's bids from an integer table, and
+merges states that reach the same budgets and win counts.  Other callables
+take the history walk, which asks for every bid with the full history and
+keeps one state per history.  Either exact walk ends with
 its final states' win counts and exact chances, from which
 ``sample_leaves`` draws many sampled trials at once, one variate per trial,
 chunk i from ``RngStream(seed, i)``.
@@ -142,14 +142,15 @@ def _collect_bids(
     return bids
 
 
-def _round(bids, budgets, wins):
+def _round(bids, budgets, wins, gen=None):
     """One round from one state: ``(top, winners, children)``.
 
     ``bids`` holds each bidder's amount, None or 0 for a pass.  ``winners``
-    are the tied top bidders and ``children`` the (budgets, wins) each one's
-    win leads to.  When every bidder passes, the object goes unsold: ``top``
-    is None, ``winners`` is ``(None,)`` and the state itself is the only
-    child.
+    are the tied top bidders, in bidder order, and ``children`` the
+    (budgets, wins) each one's win leads to; a generator ``gen`` keeps one
+    winner of a sold object, drawn by ``gen.integers(len(winners))``.  When
+    every bidder passes, the object goes unsold: ``top`` is None,
+    ``winners`` is ``(None,)`` and the state itself is the only child.
     """
     top, winners = None, (None,)
     for b, amount in enumerate(bids):
@@ -161,6 +162,9 @@ def _round(bids, budgets, wins):
             winners += (b,)
     if top is None:
         return None, winners, ((budgets, wins),)
+    if gen is not None:
+        i = int(gen.integers(len(winners)))
+        winners = winners[i:i + 1]
     children = []
     for w in winners:
         child_budgets, child_wins = list(budgets), list(wins)
@@ -231,11 +235,11 @@ def check_rounds(n: int) -> None:
         )
 
 
-def _merged_walk(scripts, n: int, k: int) -> ExactRun:
-    """The exact walk of an all-scripted profile on integer budgets, merging
+def _merged_walk(scripts, n: int, k: int, gen=None) -> ExactRun:
+    """The walk of an all-scripted profile on integer budgets, merging
     states on (budgets, wins).  Probabilities are exact: integer weights
     over one common denominator, ``scale``, which a round multiplies by the
-    lcm of its tie counts."""
+    lcm of its tie counts.  ``gen`` goes to ``_round``."""
     unit, table = _unit_table(scripts, n)
     # the round's states, (budgets, wins) -> position, and their weights
     states, weights = {((unit,) * k, (0,) * k): 0}, [1]
@@ -246,7 +250,7 @@ def _merged_walk(scripts, n: int, k: int) -> ExactRun:
         if visits > MAX_STATE_ROUNDS:
             raise _too_long(round_index)
         steps = [
-            _round([a if a <= budgets[b] else 0 for b, a in enumerate(bids)], budgets, wins)[2]
+            _round([a if a <= budgets[b] else 0 for b, a in enumerate(bids)], budgets, wins, gen)[2]
             for budgets, wins in states
         ]
         split = math.lcm(*{len(children) for children in steps})
@@ -271,8 +275,7 @@ def _merged_walk(scripts, n: int, k: int) -> ExactRun:
 def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
     """The walk that asks each strategy for every bid, one state per history.
     It follows every tie branch, each at an even share of its parent's
-    probability, unless a generator ``gen`` keeps one per round, drawn by
-    ``gen.integers(len(winners))``, at probability 1."""
+    probability; ``gen`` goes to ``_round``."""
     # (budgets, wins, history, probability)
     states = [((Fraction(1),) * k, (0,) * k, (), Fraction(1))]
     peak = visits = 0
@@ -283,10 +286,7 @@ def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
         nxt = []
         for budgets, wins, history, prob in states:
             bids = _collect_bids(strategies, round_index, n, budgets, wins, history)
-            top, winners, children = _round(bids, budgets, wins)
-            if gen is not None and top is not None:
-                i = int(gen.integers(len(winners)))
-                winners, children = winners[i:i + 1], children[i:i + 1]
+            top, winners, children = _round(bids, budgets, wins, gen)
             share = prob if len(winners) == 1 else prob / len(winners)
             for w, (child_budgets, child_wins) in zip(winners, children):
                 nxt.append((child_budgets, child_wins, history + (RoundResult(w, top),), share))
@@ -297,14 +297,14 @@ def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
     return ExactRun(peak, visits, [w for _, w, _, _ in states], [p for _, _, _, p in states], 1)
 
 
-def _run_exact(strategies, n: int, k: int) -> ExactRun:
+def _run_exact(strategies, n: int, k: int, gen=None) -> ExactRun:
     """The merged integer walk when every strategy has a script, else the
-    history walk."""
+    history walk; a generator ``gen`` keeps one branch."""
     check_rounds(n)
     scripts = _scripts(strategies)
     if scripts is None:
-        return _history_walk(strategies, n, k)
-    return _merged_walk(scripts, n, k)
+        return _history_walk(strategies, n, k, gen)
+    return _merged_walk(scripts, n, k, gen)
 
 
 def sample_leaves(run: ExactRun, trials: int, seed: int) -> WinTally:
@@ -337,8 +337,8 @@ def run_sequential(
     wins as Fractions over every tie branch; a round that would hold more
     than ``MAX_STATES`` states, or a run past ``MAX_STATE_ROUNDS`` state
     visits, raises SizeLimitExceeded.
-    mode="sample" returns one trajectory's integer win counts: the history
-    walk on one branch, ties drawn from ``np.random.default_rng(seed)``, an
+    mode="sample" returns one trajectory's integer win counts: the same walk
+    on one branch, ties drawn from ``np.random.default_rng(seed)``, an
     integer seed taken mod 2**64.  Both modes refuse a negative or
     non-integer n with DomainError, and n > MAX_STATE_ROUNDS.
     """
@@ -346,8 +346,7 @@ def run_sequential(
         raise LengthMismatch(f"expected {k} strategies, got {len(strategies)}")
     if mode not in ("exact", "sample"):
         raise ScenarioError(f"unknown mode {mode!r}")
-    check_rounds(n)
     if mode == "exact":
         return _run_exact(strategies, n, k).expected
     gen = np.random.default_rng(int(seed) % 2**64 if isinstance(seed, (int, np.integer)) else seed)
-    return tuple(int(w) for w in _history_walk(strategies, n, k, gen).expected)
+    return _run_exact(strategies, n, k, gen).wins[0]

@@ -207,6 +207,22 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "AUCTIONLAB_SEED" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--version"],
+            ["best-response"],
+            ["marginals", "--grid", "2"],
+            ["simulate", "--mode", "two-bidder", "--samples", "100", "--seed", "5"],
+        ],
+    )
+    def test_env_seed_read_only_as_the_fallback(self, capsys, monkeypatch, argv):
+        # the variable was once read while building the parser, so every
+        # command exited 1 on it
+        monkeypatch.setenv("AUCTIONLAB_SEED", "abc")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
     def test_wrong_config_type_exits_1(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n": [4]}))

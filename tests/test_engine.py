@@ -1,16 +1,24 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from auctionlab import (
+    AdversaryPlan,
     Bid,
     BidSequence,
+    DomainError,
     LengthMismatch,
     OverBudget,
+    Scenario,
     ZeroBid,
+    as_fraction,
     compare_bids,
+    estimate,
     resolve,
+    scripted_strategy,
     validate_sequence,
 )
 
@@ -38,6 +46,23 @@ class TestBid:
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
             Bid(Fraction(-1, 2))
+
+    @pytest.mark.parametrize(
+        "build, amount",
+        [
+            *itertools.product(
+                [as_fraction, Bid, lambda a: scripted_strategy([a]), lambda a: AdversaryPlan.fixed([a])],
+                ["x", "1/0", math.nan, math.inf, -math.inf],
+            ),
+            # NaN passes the [0, 1] check on a sequential script
+            (lambda a: estimate(Scenario("sequential", 2, 2, AdversaryPlan("fixed", (a, 0)), 10)), math.nan),
+        ],
+    )
+    def test_malformed_amount_is_a_domain_error(self, build, amount):
+        # these once escaped as Fraction's ValueError, ZeroDivisionError or
+        # OverflowError, which the CLI reports as bugs
+        with pytest.raises(DomainError, match="not a finite exact amount"):
+            build(amount)
 
     def test_positivity(self):
         assert Bid(Fraction(1, 3)).is_positive

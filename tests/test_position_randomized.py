@@ -451,6 +451,17 @@ class TestUndercut:
         with pytest.raises(ValueError):
             undercut_sequence(BidSequence.of(Fraction(1, 3), Fraction(1, 3)))
 
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n, k in itertools.product([2, 3, 4, 7, 12, 50], [2, 3, 4, 6]) if n >= k]
+    )
+    def test_undercut_of_a_built_ladder_equals_the_checked_one(self, n, k):
+        # position mode builds the undercut from the ladder, skipping the
+        # sortedness and total checks that hold by construction
+        ladder = initial_bids(n, k)
+        built = position_randomized._undercut(ladder)
+        assert built == undercut_sequence(ladder.as_sequence())
+        assert all(type(b.base) is Fraction and type(b.eps) is int for b in built.bids)
+
     @pytest.mark.parametrize("n,k", [(6, 3), (36, 5), (10**4, 3)])
     def test_unchecked_bids_equal_checked_ones(self, n, k):
         # the witness and the undercut skip Bid's checks; the checked constructor must agree

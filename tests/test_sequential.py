@@ -135,6 +135,31 @@ class TestSampledMode:
             walk = sequential._history_walk(profile, 4, 2, np.random.default_rng(seed))
             assert run_sequential(profile, 4, 2, seed=seed, mode="sample") == walk.wins[0]
 
+    def test_sampled_scripted_run_calls_no_strategy(self):
+        calls = []
+
+        def counted(strategy):
+            @functools.wraps(strategy)  # copies the script
+            def wrapper(view):
+                calls.append(view)
+                return strategy(view)
+
+            return wrapper
+
+        profile = [counted(s) for s in tie_heavy(6, 3, ["1/3", "1/2", "1/3", "1/3", "1/6", "1/3"])]
+        profile[1] = counted(pass_strategy)
+        for seed in range(10):
+            run_sequential(profile, 6, 3, seed=seed, mode="sample")
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_sampled_all_steady_run(self, seed):
+        # each steady bidder wins exactly n/k on every branch; a sampled run
+        # once copied its history every round, so this one took minutes
+        n = 200_000
+        profile = [steady_strategy(n, 2)] * 2
+        assert run_sequential(profile, n, 2, seed=seed, mode="sample") == (n // 2, n // 2)
+
     def test_rounds_refused_before_any_bid(self):
         views = []
 
@@ -359,6 +384,17 @@ class TestMarkovProperty:
         merged = run_sequential(profile, n, k)
         assert all(type(w) is Fraction for w in merged)
         assert merged == run_sequential([unmarked(s) for s in profile], n, k)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(scripted_profiles(MIXED_AMOUNTS), st.integers(0, 2**32))
+    def test_sampled_run_draws_as_the_history_walk(self, case, seed):
+        # both walks list tied winners in bidder order and draw only when
+        # the object is sold, so one seed picks the same branch in each
+        n, k, profile = case
+        walked = [unmarked(s) for s in profile]
+        for s in range(seed, seed + 5):
+            history = sequential._history_walk(walked, n, k, np.random.default_rng(s))
+            assert run_sequential(profile, n, k, seed=s, mode="sample") == history.wins[0]
 
 
 def final_wins(run):
