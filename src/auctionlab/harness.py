@@ -26,7 +26,7 @@ from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, Scena
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, chunk_rows, play
 from .position_randomized import _best_response, _undercut, initial_bids, ladder_wins
-from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder
+from .samplers import MAX_SIMPLEX_K, _row_sums, draw_k_bidder, draw_two_bidder
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
@@ -41,14 +41,19 @@ KS_CELLS = 1 << 25
 class AdversaryPlan:
     """How bidder 0 plays: a library strategy by name, or fixed amounts
     ("fixed": per object, per group, or a per-round script in sequential
-    mode).  ``MODES`` lists the kinds each mode accepts."""
+    mode).  ``MODES`` lists the kinds each mode accepts.  Bids become
+    Fractions by ``as_fraction``, which refuses NaN, inf and non-amounts."""
 
     kind: str
     bids: Optional[tuple[Fraction, ...]] = None
 
+    def __post_init__(self) -> None:
+        if self.bids is not None:
+            object.__setattr__(self, "bids", tuple(as_fraction(b) for b in self.bids))
+
     @classmethod
     def fixed(cls, amounts) -> "AdversaryPlan":
-        return cls("fixed", tuple(as_fraction(a) for a in amounts))
+        return cls("fixed", amounts)
 
 
 @dataclass(frozen=True)
@@ -334,7 +339,7 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
         {"coordinate": c, "distance": d, "threshold": threshold, "passed": d <= threshold}
         for c, d in enumerate(distances)
     ]
-    sum_error = draws.sum(axis=1)
+    sum_error = _row_sums(draws)
     sum_error -= 1.0
     return {"entries": entries, "max_sum_error": float(np.abs(sum_error, out=sum_error).max())}
 

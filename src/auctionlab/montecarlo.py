@@ -6,8 +6,8 @@ which fit a per-core L2 cache.  Ties are realized by
 drawing a uniform winner among the tied top bidders (an unbiased
 realization of the equal-split rule), so per-draw win counts are integers.
 Sums and sums of squares accumulate in exact integer arithmetic, which
-makes aggregation order-independent: chunked, parallel and serial runs
-produce bit-identical statistics.
+makes aggregation order-independent: adding the same chunks' counts in
+any order gives bit-identical statistics.
 """
 
 from __future__ import annotations

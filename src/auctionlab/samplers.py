@@ -3,6 +3,7 @@
 Scalar draws return exact objects (BidSequence with rational amounts whose
 total is exactly 1); vectorized draws (``size=N``) return float arrays for
 Monte Carlo work, row-normalized so every sequence sums to 1 within 1e-12.
+Narrow row sums run down the columns in numpy's pairwise order, bit for bit.
 """
 
 from __future__ import annotations
@@ -229,15 +230,37 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     out = _rows_out(out, size, n)
     # the uniforms fill the first size * k cells of out, which the groups then overwrite
     gammas = _simplex_gammas(k, gen, out.reshape(-1)[:out.size // m].reshape(-1, k))
-    out.reshape(-1, m, k)[...] = (gammas / (m * gammas.sum(axis=1, keepdims=True)))[:, None, :]
-    return _unit_rows(out, out.sum(axis=1), gen, lambda g, s: draw_k_bidder(n, k, g, s))
+    out.reshape(-1, m, k)[...] = (gammas / (m * _row_sums(gammas))[:, None])[:, None, :]
+    return _unit_rows(out, _row_sums(out), gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 
 def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
     """Divide rows by their sums, which must be 1 within tolerance, then redraw zero bids."""
-    sums = out.sum(axis=1)
+    sums = _row_sums(out)
     out /= sums[:, None]
     return _unit_rows(out, sums, gen, redraw)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit.  numpy reduces each row on its own, so
+    rows of 2-15 cells, at least 128 rows per cell, go down the columns in
+    1 MB row blocks (0.14-0.5x the time; other shapes measured 0.8-11x), in
+    numpy's pairwise order: from +0.0 left to right below 8 cells, else
+    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest in order."""
+    rows, n = a.shape
+    if not 1 < n < 16 or rows < 128 * n:
+        return a.sum(axis=1)
+    total, step = np.empty(rows), (1 << 17) // n
+    for start in range(0, rows, step):
+        block, c = total[start:start + step], a[start:start + step].T
+        np.add(c[0], 0.0, out=block)
+        if n >= 8:
+            block += c[1]
+            block += c[2] + c[3]
+            block += (c[4] + c[5]) + (c[6] + c[7])
+        for column in c[8 if n >= 8 else 1:]:
+            block += column
+    return total
 
 
 def _unit_rows(out: np.ndarray, sums: np.ndarray, gen, redraw) -> np.ndarray:

@@ -54,7 +54,7 @@ class TestBid:
                 [as_fraction, Bid, lambda a: scripted_strategy([a]), lambda a: AdversaryPlan.fixed([a])],
                 ["x", "1/0", math.nan, math.inf, -math.inf],
             ),
-            # NaN passes the [0, 1] check on a sequential script
+            # a NaN script amount is refused when its AdversaryPlan is made
             (lambda a: estimate(Scenario("sequential", 2, 2, AdversaryPlan("fixed", (a, 0)), 10)), math.nan),
         ],
     )

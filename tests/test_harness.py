@@ -148,6 +148,7 @@ def chunk_samples(k, n):
 CHUNK_CASES = [
     Scenario("position-randomized", 8, 3, AdversaryPlan("undercut"), samples=chunk_samples(3, 8)),
     Scenario("k-bidder", 6, 3, samples=chunk_samples(3, 6)),
+    Scenario("k-bidder", 16, 4, samples=chunk_samples(4, 16)),
     Scenario("two-bidder", 5, samples=chunk_samples(2, 5)),
     Scenario(
         "two-bidder", 8, adversary=AdversaryPlan.fixed(["1/8"] * 8), samples=chunk_samples(2, 8)
@@ -338,6 +339,29 @@ class TestScenarioValidation:
     def test_sequential_script_amounts_in_unit_range(self, script):
         with pytest.raises(ScenarioError, match=r"in \[0, 1\]"):
             Scenario("sequential", 4, 2, AdversaryPlan.fixed(script)).validate()
+
+    @pytest.mark.parametrize(
+        "mode, n, k, bids, extra",
+        [
+            ("two-bidder", 4, 2, (0.5, 0.25, 0.25, 0.0), {}),
+            ("k-bidder", 4, 2, (0.5, 0.25, 0.25, 0.0), {}),
+            ("position-randomized", 4, 2, (0.5, 0.25, 0.25, 0.0), {}),
+            ("sequential", 4, 2, (0.5, 0.5, 0.0, 0.0), {}),
+            ("group", 3, 2, (0.25, 0.25), {"group_sizes": (1, 2)}),
+        ],
+        ids=["two-bidder", "k-bidder", "position-randomized", "sequential", "group"],
+    )
+    def test_fixed_bids_become_fractions_when_the_plan_is_made(self, mode, n, k, bids, extra):
+        # float bids were once kept as floats, so a NaN passed validate and
+        # estimate's exact values came out as floats
+        plan = AdversaryPlan("fixed", bids)
+        assert plan == AdversaryPlan.fixed(bids)
+        assert all(type(b) is Fraction for b in plan.bids)
+        report = estimate(Scenario(mode, n, k, plan, samples=100, **extra))
+        assert all(type(value) is Fraction for value in report.exact)
+        for bad in ("x", math.nan, math.inf):
+            with pytest.raises(DomainError, match="not a finite exact amount"):
+                Scenario(mode, n, k, AdversaryPlan("fixed", (bad,) + bids[1:]), **extra)
 
     def test_sequential_script_zero_and_one_allowed(self):
         Scenario("sequential", 4, 2, AdversaryPlan.fixed(["0", "1", "0.5"])).validate()

@@ -28,7 +28,7 @@ from auctionlab import (
 )
 from auctionlab import cli, samplers
 from auctionlab.harness import KS_FACTOR, ks_distance
-from auctionlab.samplers import MAX_SIMPLEX_K, SUM_TOLERANCE, _renormalize_rows
+from auctionlab.samplers import MAX_SIMPLEX_K, SUM_TOLERANCE, _renormalize_rows, _row_sums
 
 N_KS = 200_000
 KS_THRESHOLD = KS_FACTOR / math.sqrt(N_KS)
@@ -290,6 +290,22 @@ class TestRenormalizeRows:
         rows = np.array([[0.25, 0.25, 0.5 + 4e-13]])
         out = _renormalize_rows(rows, np.random.default_rng(0), None)
         assert abs(out.sum() - 1.0) <= 1e-15
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("n", [*range(1, 141), 255, 256, 257, 1000])
+    def test_equals_numpy_bit_for_bit(self, n):
+        # one 1 MB row block and 3 more rows, so narrow widths cross a block
+        # boundary; mixed magnitudes and signs make a reordered sum show
+        gen = np.random.default_rng(n)
+        wide = gen.standard_normal(((1 << 17) // n + 3, n + 3))
+        wide *= 10.0 ** gen.integers(-8, 9, wide.shape)
+        wide[:2] = -0.0  # numpy's sum starts from +0.0
+        contiguous = np.ascontiguousarray(wide[:, :n])
+        if n >= 8:
+            assert not np.array_equal(np.add.accumulate(contiguous, axis=1)[:, -1], contiguous.sum(axis=1))
+        for a in (contiguous, wide[:, 3:], contiguous[:0], contiguous[5:6]):
+            assert _row_sums(a).tobytes() == a.sum(axis=1).tobytes()
 
 
 def vector_sampler(n, k):
