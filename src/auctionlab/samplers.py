@@ -22,8 +22,8 @@ _PERMS3 = np.array(list(itertools.permutations(range(3))), dtype=np.intp)
 
 SUM_TOLERANCE = 1e-12
 
-# Most simplex bidders: a Gamma(1/(k-1)) draw is 0 with probability near 2**(-1074/(k-1)),
-# so 0.94% of rows are redrawn at k = 83, 1.06% at 84 and nearly all at 200.
+# Most simplex bidders on the gamma path (k != 3): a Gamma(1/(k-1)) draw is 0 with probability
+# near 2**(-1074/(k-1)), so 0.94% of rows are redrawn at k = 83, 1.06% at 84 and nearly all at 200.
 MAX_SIMPLEX_K = 83
 
 
@@ -191,28 +191,49 @@ def draw_simplex(k: int, rng, size: int | None = None):
     """Sample k positive reals summing to 1 from the simplex bid density:
     ``draw_k_bidder(k, k, rng, size)``, or its one row when ``size`` is None.
 
-    Normalizes k independent Gamma(1/(k-1), 1) variates, each drawn by
-    Stuart's identity as Gamma(1 + 1/(k-1)) * U**(k-1); each coordinate's
-    CDF is t ** (1/(k-1)).  Rows with a zero coordinate (U**(k-1) underflow)
-    are resampled, and k above MAX_SIMPLEX_K raises SizeLimitExceeded.
+    Each coordinate's CDF is t ** (1/(k-1)).  k = 3 takes squared sphere
+    coordinates (``_sphere_rows``); other k normalize Gamma(1/(k-1)) draws,
+    Gamma(1 + 1/(k-1)) * U**(k-1) by Stuart's identity.  Rows with a zero
+    bid are resampled, and k above MAX_SIMPLEX_K raises SizeLimitExceeded.
     """
     return draw_k_bidder(k, k, rng, 1)[0] if size is None else draw_k_bidder(k, k, rng, size)
 
 
-def _simplex_gammas(k: int, gen: np.random.Generator, u: np.ndarray) -> np.ndarray:
-    """Overwrite ``u`` with Gamma(1/(k-1)) variates: Gamma(1 + a) * U**(1/a) (Stuart 1962)."""
+def _simplex_gammas(k: int, gen: np.random.Generator, out: np.ndarray, m: int) -> np.ndarray:
+    """Rows of k Gamma(a = 1/(k-1)) variates, Gamma(1 + a) * U**(1/a), divided by m times their
+    sums.  The uniforms fill the first size * k cells of ``out``, which the groups then overwrite."""
+    u = out.reshape(-1)[:out.size // m].reshape(-1, k)
     gen.random(out=u)
     u **= k - 1
     u *= gen.standard_gamma(1.0 + 1.0 / (k - 1), u.shape)
-    return u
+    return u / (m * _row_sums(u))[:, None]
+
+
+def _sphere_rows(gen: np.random.Generator, size: int, m: int) -> np.ndarray:
+    """(size, 3) Dirichlet(1/2, 1/2, 1/2) rows over m: squared coordinates of a uniform point
+    on the sphere, whose height is uniform (Archimedes): U**2, then 1 - U**2 split as cos**2,
+    sin**2 of (pi/2) V, which are 0 only at V = 0 (1 - cos(pi V) is 0 below V = 3e-9)."""
+    a, b, c = abc = np.empty((3, size))
+    gen.random(out=abc[:2])  # U into a, then V into b
+    b *= np.pi / 2
+    np.sin(b, out=c)
+    np.cos(b, out=b)
+    a *= a
+    rest = np.subtract(1.0, a)
+    rest /= m
+    a /= m
+    for bid in (b, c):
+        bid *= bid
+        bid *= rest
+    return abc.T
 
 
 def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray | None = None):
     """Sample an n-bid sequence with per-coordinate CDF ((n/k)*b)**(1/(k-1)).
 
     Requires k | n and k <= MAX_SIMPLEX_K.  One simplex draw is copied to
-    all m = n/k groups of k objects, scaled by 1/m: a vectorized row divides
-    its k gammas once, by m times their sum.  ``out``, a C-contiguous
+    all m = n/k groups of k objects, scaled by 1/m: a vectorized gamma row
+    (k != 3) divides once, by m times its sum.  ``out``, a C-contiguous
     (size, n) float64 array, receives the rows of a vectorized draw.
     """
     if k < 2:
@@ -228,9 +249,8 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
         total = m * sum(fracs)
         return _unit_total(BidSequence(tuple(Bid(f / total) for f in fracs) * m))
     out = _rows_out(out, size, n)
-    # the uniforms fill the first size * k cells of out, which the groups then overwrite
-    gammas = _simplex_gammas(k, gen, out.reshape(-1)[:out.size // m].reshape(-1, k))
-    out.reshape(-1, m, k)[...] = (gammas / (m * _row_sums(gammas))[:, None])[:, None, :]
+    rows = _sphere_rows(gen, len(out), m) if k == 3 else _simplex_gammas(k, gen, out, m)
+    out.reshape(-1, m, k)[...] = rows[:, None, :]
     return _unit_rows(out, _row_sums(out), gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 

@@ -30,6 +30,14 @@ reports ``two_bidder_copycat_ks``, ``k_bidder_copycat_ks``,
 wins exactly 2 on every draw), ``marginal_suite_6_3`` (drawn outside
 ``play``) and every ``sequential`` entry did not move.
 
+Drawing the k = 3 simplex rows in closed form, as squared coordinates of
+a uniform point on the sphere (two uniforms per row instead of three
+uniforms and three gammas), re-recorded four entries: the reports
+``k_bidder_copycat_ks`` and ``k_bidder_fixed``, ``copycat_value`` ``6_3``
+and ``marginal_suite_6_3``.  ``k_bidder_4_copycat_ks`` was recorded before
+that change, so it pins the gamma path that every k != 3 keeps; it and
+every other entry did not move.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.  Drawing sampled trials
@@ -72,6 +80,9 @@ SCENARIOS = {
     ),
     "k_bidder_copycat_ks": Scenario(
         "k-bidder", 6, 3, AdversaryPlan("copycat"), SAMPLES, 13, ks_stats=True
+    ),
+    "k_bidder_4_copycat_ks": Scenario(
+        "k-bidder", 8, 4, AdversaryPlan("copycat"), SAMPLES, 22, ks_stats=True
     ),
     "k_bidder_fixed": Scenario(
         "k-bidder", 6, 3, AdversaryPlan.fixed([Fraction(1, 6)] * 6), SAMPLES, 14

@@ -220,6 +220,37 @@ class TestDrawSimplex:
         assert math.fsum(vals) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestThreeBidderJointLaw:
+    """The k = 3 rows are squared coordinates of a point on the sphere.  These
+    oracles check the joint law, which per-coordinate KS cannot see, against
+    the Dirichlet(1/2, 1/2, 1/2) moment and normalized Gamma(1/2) rows."""
+
+    N = 400_000
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return draw_simplex(3, RngStream(46), size=self.N)
+
+    @pytest.fixture(scope="class")
+    def gamma_rows(self):
+        g = np.random.default_rng(47).standard_gamma(0.5, (self.N, 3))
+        return g / g.sum(axis=1, keepdims=True)
+
+    def test_product_moment(self, rows):
+        # E[b0 b1] = a**2 / (A (A + 1)) = (1/4) / ((3/2)(5/2)) = 1/15
+        product = rows[:, 0] * rows[:, 1]
+        stderr = product.std(ddof=1) / math.sqrt(self.N)
+        assert abs(product.mean() - 1 / 15) <= 5 * stderr
+
+    @pytest.mark.parametrize(
+        "statistic",
+        [lambda r: r.max(axis=1), lambda r: r[:, 0] * r[:, 1]],
+        ids=["max", "product"],
+    )
+    def test_matches_normalized_gammas(self, rows, gamma_rows, statistic):
+        assert stats.ks_2samp(statistic(rows), statistic(gamma_rows)).pvalue >= 0.001
+
+
 class TestDrawKBidder:
     def test_not_multiple(self):
         with pytest.raises(NotMultiple):
@@ -395,13 +426,34 @@ class TestDrawIntoOut:
     @pytest.mark.parametrize("tiny", [0.0, 1e-200])
     def test_underflowing_uniform_redraws_its_row(self, tiny):
         # U**(k-1) of the planted uniform is 0, so row 3's second gamma is 0
-        rows = draw_k_bidder(6, 3, PlantedUniform(43, tiny, at=3 * 3 + 1), 8)
+        rows = draw_k_bidder(8, 4, PlantedUniform(43, tiny, at=3 * 4 + 1), 8)
+        assert rows.min() > 0.0
+        assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= SUM_TOLERANCE
+        twin = np.random.default_rng(43)
+        want = draw_k_bidder(8, 4, twin, 8)
+        want[3] = draw_k_bidder(8, 4, twin, 1)[0]
+        assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-200])
+    def test_zero_height_redraws_its_row(self, tiny):
+        # the k = 3 draw takes 8 heights U, then 8 angles V: row 3's first bid U**2 is 0
+        rows = draw_k_bidder(6, 3, PlantedUniform(43, tiny, at=3), 8)
         assert rows.min() > 0.0
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= SUM_TOLERANCE
         twin = np.random.default_rng(43)
         want = draw_k_bidder(6, 3, twin, 8)
         want[3] = draw_k_bidder(6, 3, twin, 1)[0]
         assert rows.tobytes() == want.tobytes()
+
+    def test_smallest_angle_keeps_every_bid(self):
+        # V = 2**-53 leaves sin**2 near 3e-32; (1 - cos(pi V)) / 2 would round it to 0
+        gen = PlantedUniform(43, 2.0**-53, at=8 + 3)
+        rows = draw_k_bidder(6, 3, gen, 8)
+        assert 0.0 < rows[3].min() < 1e-30
+        assert rows.min() > 0.0
+        twin = np.random.default_rng(43)
+        draw_k_bidder(6, 3, twin, 8)
+        assert gen.bit_generator.state == twin.bit_generator.state  # no row was redrawn
 
 
 class TestSimplexBidderLimit:
