@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .samplers import RngStream
+from .samplers import RngStream, row_planes
 
 # sample_leaves's trials per chunk and ks_distance's points per block, not play's
 CHUNK = 1 << 16
@@ -30,10 +30,10 @@ CELLS = 1 << 17
 def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Per-bidder object counts for a stack of sealed-bid auctions.
 
-    base has shape (k, N, n), and only its order matters: bids that compare
-    equal tie.  Each tied object goes to its top bidder of rank
-    floor(u * ties), u being one ``gen.random`` variate per tied object in
-    row-major (row, object) order; a tie-free stack draws nothing.  Returns
+    base has shape (k, N, n), in any layout, and only its order matters:
+    bids that compare equal tie.  Each tied object goes to its top bidder
+    of rank floor(u * ties), u being one ``gen.random`` variate per tied
+    object in (row, object) order; a tie-free stack draws nothing.  Returns
     an int64 array of shape (k, N).
     """
     k, rows, n = base.shape
@@ -45,13 +45,14 @@ def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     # one bidder keeps each shared object's credit, the others lose theirs;
     # tie counts take the least dtype that holds k, so a chunk's temporaries stay small
     count = np.min_scalar_type(k)
-    shared = np.flatnonzero(at_top.sum(axis=0, dtype=count) > 1)
-    if shared.size:
-        tied = at_top.reshape(k, -1)[:, shared]
-        pick = (gen.random(shared.size) * tied.sum(axis=0)).astype(count)
+    ties = at_top.sum(axis=0, dtype=count) > 1
+    if ties.any():  # flatnonzero copies a column-major mask
+        row, obj = np.divmod(np.flatnonzero(ties), n)
+        tied = at_top[:, row, obj]
+        pick = (gen.random(row.size) * tied.sum(axis=0)).astype(count)
         winner = tied & (np.cumsum(tied, axis=0, dtype=count) == pick + 1)
         bidder, column = np.nonzero(tied & ~winner)
-        losses = np.bincount(bidder * rows + shared[column] // n, minlength=k * rows)
+        losses = np.bincount(bidder * rows + row[column], minlength=k * rows)
         wins -= losses.reshape(k, rows)
     return wins
 
@@ -109,21 +110,22 @@ def play(
     """Tally the wins of ``len(bidders)`` bidders over ``samples`` seeded
     auctions of n objects; returns ``(tally, kept)``.
 
-    Every chunk of ``tally_chunks`` reuses one (k, rows, n) float64 buffer,
-    rows being ``chunk_rows(k, n)`` or ``samples`` if fewer: on the chunk's
-    stream each ``bidders[b](rng, plane)``, in bidder order, fills bidder
-    b's plane, a C-contiguous (length, n) view, in place, and the ties are
-    then realized on the same generator, bids that compare equal tying.
-    With ``keep`` = b, ``kept`` holds bidder b's rows in sample order, else
-    it is None.  A filler that keeps draws past its call must copy them.
+    Every chunk of ``tally_chunks`` reuses one flat buffer of k * rows * n
+    float64 cells, rows being ``chunk_rows(k, n)`` or ``samples`` if fewer:
+    on the chunk's stream each ``bidders[b](rng, plane)``, in bidder order,
+    fills bidder b's plane of ``row_planes(buffer, k, length, n)`` in place
+    (column-major if ``by_columns(length, n)``), and the ties are then
+    realized on the same generator, bids that compare equal tying.  With
+    ``keep`` = b, ``kept`` holds bidder b's rows in sample order, laid out
+    alike, else it is None.  Fillers must copy draws kept past their call.
     """
     k = len(bidders)
     rows = chunk_rows(k, n)
-    buffer = np.empty((k, min(rows, samples), n))
-    kept = None if keep is None else np.empty((samples, n))
+    buffer = np.empty(k * min(rows, samples) * n)
+    kept = None if keep is None else row_planes(np.empty(samples * n), 1, samples, n)[0]
 
     def chunk(rng: RngStream, start: int, length: int) -> np.ndarray:
-        base = buffer[:, :length]
+        base = row_planes(buffer, k, length, n)
         for fill, plane in zip(bidders, base):
             fill(rng, plane)
         if kept is not None:

@@ -3,12 +3,13 @@
 Scalar draws return exact objects (BidSequence with rational amounts whose
 total is exactly 1); vectorized draws (``size=N``) return float arrays for
 Monte Carlo work, row-normalized so every sequence sums to 1 within 1e-12.
-Narrow row sums run down the columns in numpy's pairwise order, bit for bit.
+Narrow rows (``by_columns``) are drawn column-major, bit for bit as row-major.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -90,7 +91,7 @@ def draw_triple(rng, size: int | None = None):
         u, v, w = gen.random(3)
         perm = int(gen.integers(6))
         return triple_from_uniforms(u, v, w, perm)
-    return _fill_triple(gen, np.empty((int(size), 3)))
+    return _fill_triple(gen, _rows_out(None, size, 3))
 
 
 def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -135,8 +136,9 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     m copies of 2/n - b.  Odd n = 2m+1: m-1 copies of each, then the three
     bids derived from a triple draw.  For n = 3 the paired bids vanish and
     the sequence is the derived triple alone.  The measure-zero event of a
-    zero bid is resampled away.  ``out``, a C-contiguous (size, n) float64
-    array, receives the rows of a vectorized draw and is returned.
+    zero bid is resampled away.  ``out``, a C- or F-contiguous (size, n)
+    float64 array, else a new one laid out by ``by_columns``, receives the
+    rows of a vectorized draw and is returned.
     """
     if n < 2:
         raise DomainError("need at least two objects")
@@ -146,13 +148,32 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     return _two_bidder_array(n, gen, _rows_out(out, size, n))
 
 
+def by_columns(rows: int, n: int) -> bool:
+    """Whether (rows, n) bid rows are stored column-major: rows of 2-15 cells, at least 128
+    rows per cell, where a pass down whole columns beats numpy's short per-row loops."""
+    return 1 < n < 16 and rows >= 128 * n
+
+
+def row_planes(cells: np.ndarray, k: int, rows: int, n: int) -> np.ndarray:
+    """The first k * rows * n of the flat ``cells`` as k (rows, n) planes,
+    each the transpose of an (n, rows) block when ``by_columns(rows, n)``."""
+    cells = cells[:k * rows * n]
+    return cells.reshape(k, n, rows).swapaxes(1, 2) if by_columns(rows, n) else cells.reshape(k, rows, n)
+
+
 def _rows_out(out: np.ndarray | None, size, n: int) -> np.ndarray:
-    """The array a vectorized draw fills: ``out`` once checked, else a new one."""
+    """The array a vectorized draw fills: ``out`` once checked, else a new one of ``size`` rows."""
     if out is None:
-        return np.empty((int(size), n))
-    fits = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
-    if not fits or out.shape != (size, n):
-        raise LengthMismatch(f"out must be a C-contiguous float64 array of shape ({size}, {n})")
+        try:
+            rows = operator.index(size)
+        except TypeError:
+            rows = -1
+        if rows < 0:
+            raise DomainError(f"size must be an integer >= 0, not {size!r}")
+        return row_planes(np.empty(rows * n), 1, rows, n)[0]
+    fits = isinstance(out, np.ndarray) and out.dtype == np.float64
+    if not (fits and (out.flags.c_contiguous or out.flags.f_contiguous)) or out.shape != (size, n):
+        raise LengthMismatch(f"out must be a C- or F-contiguous float64 array of shape ({size}, {n})")
     return out
 
 
@@ -202,7 +223,7 @@ def draw_simplex(k: int, rng, size: int | None = None):
 def _simplex_gammas(k: int, gen: np.random.Generator, out: np.ndarray, m: int) -> np.ndarray:
     """Rows of k Gamma(a = 1/(k-1)) variates, Gamma(1 + a) * U**(1/a), divided by m times their
     sums.  The uniforms fill the first size * k cells of ``out``, which the groups then overwrite."""
-    u = out.reshape(-1)[:out.size // m].reshape(-1, k)
+    u = out.ravel("K")[:out.size // m].reshape(-1, k)
     gen.random(out=u)
     u **= k - 1
     u *= gen.standard_gamma(1.0 + 1.0 / (k - 1), u.shape)
@@ -233,8 +254,8 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
 
     Requires k | n and k <= MAX_SIMPLEX_K.  One simplex draw is copied to
     all m = n/k groups of k objects, scaled by 1/m: a vectorized gamma row
-    (k != 3) divides once, by m times its sum.  ``out``, a C-contiguous
-    (size, n) float64 array, receives the rows of a vectorized draw.
+    (k != 3) divides once, by m times its sum.  ``out`` takes the rows of a
+    vectorized draw as in ``draw_two_bidder``.
     """
     if k < 2:
         raise DomainError("need at least two bidders")
@@ -250,7 +271,8 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
         return _unit_total(BidSequence(tuple(Bid(f / total) for f in fracs) * m))
     out = _rows_out(out, size, n)
     rows = _sphere_rows(gen, len(out), m) if k == 3 else _simplex_gammas(k, gen, out, m)
-    out.reshape(-1, m, k)[...] = rows[:, None, :]
+    # out's groups as a (size, m, k) view: splitting out.T's first axis copies neither layout
+    out.T.reshape(m, k, len(out)).transpose(2, 0, 1)[...] = rows[:, None, :]
     return _unit_rows(out, _row_sums(out), gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 
@@ -262,14 +284,15 @@ def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)`` bit for bit.  numpy reduces each row on its own, so
-    rows of 2-15 cells, at least 128 rows per cell, go down the columns in
-    1 MB row blocks (0.14-0.5x the time; other shapes measured 0.8-11x), in
-    numpy's pairwise order: from +0.0 left to right below 8 cells, else
-    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest in order."""
+    """``a.sum(axis=1)`` of a C-ordered ``a`` bit for bit, in any layout.
+    numpy reduces each row on its own, so ``by_columns`` shapes go down the
+    columns in 1 MB row blocks (0.14-0.5x the time; other shapes measured
+    0.8-11x), in numpy's pairwise order: from +0.0 left to right below 8
+    cells, else ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest in
+    order.  Others sum a C-ordered copy: numpy adds F-ordered rows in turn."""
     rows, n = a.shape
-    if not 1 < n < 16 or rows < 128 * n:
-        return a.sum(axis=1)
+    if not by_columns(rows, n):
+        return np.ascontiguousarray(a).sum(axis=1)
     total, step = np.empty(rows), (1 << 17) // n
     for start in range(0, rows, step):
         block, c = total[start:start + step], a[start:start + step].T

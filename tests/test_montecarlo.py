@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab.montecarlo import win_counts
+from auctionlab.montecarlo import chunk_rows, play, win_counts
+from auctionlab.samplers import by_columns
 
 EPS_FLOOR = np.iinfo(np.int64).min
 
@@ -132,3 +133,38 @@ class TestWinCountsOracle:
         base = np.full((257, 4, 3), 0.5)
         wins = assert_matches_oracle(base, None, seed=9)
         assert np.all(wins.sum(axis=0) == 3)
+
+
+class TestColumnMajorStacks:
+    @pytest.mark.parametrize("levels", [None, 3], ids=["tie-free", "tie-heavy"])
+    def test_win_counts_ignores_the_layout(self, levels):
+        gen = np.random.default_rng(11)
+        base = gen.random((3, 1500, 7))
+        if levels is not None:
+            base = np.floor(base * levels)
+        columns = np.ascontiguousarray(base.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not columns.flags.c_contiguous and columns[0].flags.f_contiguous
+        gen, twin = np.random.default_rng(12), np.random.default_rng(12)
+        np.testing.assert_array_equal(win_counts(columns, gen), win_counts(base, twin))
+        assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("n,extra", [(5, 100), (5, 700), (16, 30)])
+    def test_play_planes_follow_by_columns(self, n, extra):
+        # one full chunk, then a short one: 100 rows of 5 cells flip the layout back to rows
+        rows = chunk_rows(2, n)
+        seen, drawn = [], []
+
+        def record(rng, plane):
+            seen.append((len(plane), plane.flags.c_contiguous, plane.flags.f_contiguous))
+            plane[...] = rng.generator.random(plane.shape)
+            drawn.append(plane.copy())
+
+        tally, kept = play(n, rows + extra, 3, [record, record], keep=1)
+        assert [length for length, _, _ in seen] == [rows, rows, extra, extra]
+        for length, c_order, f_order in seen:
+            assert (f_order, c_order) == (by_columns(length, n), not by_columns(length, n))
+        assert kept.flags.f_contiguous == by_columns(rows + extra, n)
+        np.testing.assert_array_equal(kept, np.concatenate(drawn[1::2]))
+        assert tally.count == rows + extra
+        if n == 5:
+            assert by_columns(rows, n) and by_columns(700, n) and not by_columns(100, n)

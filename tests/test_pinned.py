@@ -38,6 +38,14 @@ and ``marginal_suite_6_3``.  ``k_bidder_4_copycat_ks`` was recorded before
 that change, so it pins the gamma path that every k != 3 keeps; it and
 every other entry did not move.
 
+Storing narrow bid rows column-major (``samplers.by_columns``: chunks,
+sampler draws and the KS rows of 2-15 cells with at least 128 rows per
+cell) moved no entry; it changes memory order only, not random-number use
+or arithmetic.  ``two_bidder_15_copycat_ks`` and ``k_bidder_16_4_fixed``
+were recorded just before that change: the first spans 16 column-major
+chunks of 4,369 rows and a 96-row row-major one, and the second stays
+row-major on the gamma path throughout.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.  Drawing sampled trials
@@ -66,12 +74,15 @@ from auctionlab import (
 from auctionlab.verify import marginal_suite
 
 PINNED = json.loads((Path(__file__).parent / "pinned_values.json").read_text())
-SAMPLES = 70_000  # 5 to 10 play chunks of montecarlo.chunk_rows(k, n) rows
+SAMPLES = 70_000  # 5 to 35 play chunks of montecarlo.chunk_rows(k, n) rows
 KS_TOLERANCE = 1e-15
 
 SCENARIOS = {
     "two_bidder_copycat_ks": Scenario(
         "two-bidder", 5, 2, AdversaryPlan("copycat"), SAMPLES, 11, ks_stats=True
+    ),
+    "two_bidder_15_copycat_ks": Scenario(
+        "two-bidder", 15, 2, AdversaryPlan("copycat"), SAMPLES, 23, ks_stats=True
     ),
     "two_bidder_fixed": Scenario(
         "two-bidder", 4, 2,
@@ -86,6 +97,10 @@ SCENARIOS = {
     ),
     "k_bidder_fixed": Scenario(
         "k-bidder", 6, 3, AdversaryPlan.fixed([Fraction(1, 6)] * 6), SAMPLES, 14
+    ),
+    "k_bidder_16_4_fixed": Scenario(
+        "k-bidder", 16, 4,
+        AdversaryPlan.fixed([Fraction(1, 32)] * 8 + [Fraction(3, 32)] * 8), SAMPLES, 24,
     ),
     "position_undercut": Scenario(
         "position-randomized", 5, 2, AdversaryPlan("undercut"), SAMPLES, 15

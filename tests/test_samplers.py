@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from auctionlab import (
+    DomainError,
     InvariantError,
     LengthMismatch,
     MarginalSpec,
@@ -337,6 +338,8 @@ class TestRowSums:
             assert not np.array_equal(np.add.accumulate(contiguous, axis=1)[:, -1], contiguous.sum(axis=1))
         for a in (contiguous, wide[:, 3:], contiguous[:0], contiguous[5:6]):
             assert _row_sums(a).tobytes() == a.sum(axis=1).tobytes()
+            # a column-major copy sums as the row-major one does
+            assert _row_sums(np.asfortranarray(a)).tobytes() == a.sum(axis=1).tobytes()
 
 
 def vector_sampler(n, k):
@@ -379,14 +382,44 @@ class TestDrawIntoOut:
             np.empty((10, 5)),
             np.empty((9, 6)),
             np.empty((10, 6), dtype=np.float32),
-            np.empty((6, 10)).T,
+            np.empty((10, 12))[:, ::2],
             [[0.0] * 6] * 10,
         ],
-        ids=["columns", "rows", "float32", "fortran", "list"],
+        ids=["columns", "rows", "float32", "strided", "list"],
     )
     def test_bad_out_is_refused(self, n, k, out):
-        with pytest.raises(LengthMismatch, match=r"out must be a C-contiguous float64 array"):
+        with pytest.raises(LengthMismatch, match=r"out must be a C- or F-contiguous float64 array"):
             vector_sampler(n, k)(RngStream(0), 10, out)
+
+    @pytest.mark.parametrize("n,k", OUT_CASES + [(15, 2), (16, 2), (15, 3), (15, 5)])
+    @pytest.mark.parametrize("rows", ["ten", "below", "at"])
+    def test_every_layout_gets_the_same_bits(self, n, k, rows):
+        # by_columns flips at 128 rows per cell, so an allocating draw of 128 n rows is
+        # column-major for n < 16; either layout of out must hold the same bits
+        size = {"ten": 10, "below": 128 * n - 1, "at": 128 * n}[rows]
+        draw = vector_sampler(n, k)
+        want = draw(RngStream(44, n), size)
+        assert samplers.by_columns(size, n) == (rows == "at" and n < 16)
+        assert want.flags.f_contiguous == samplers.by_columns(size, n)
+        for out in (np.full((size, n), np.nan), np.full((n, size), np.nan).T):
+            assert draw(RngStream(44, n), size, out) is out
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            partial(draw_two_bidder, 5),
+            partial(draw_k_bidder, 6, 3),
+            partial(draw_k_bidder, 8, 4),
+            lambda rng, size: draw_simplex(3, rng, size),
+            draw_triple,
+        ],
+        ids=["two-bidder", "k-bidder-3", "k-bidder-4", "simplex", "triple"],
+    )
+    @pytest.mark.parametrize("size", [2.5, np.float64(3.0), "3", -1, np.int64(-2)])
+    def test_bad_size_is_refused(self, draw, size):
+        with pytest.raises(DomainError, match=r"size must be an integer >= 0"):
+            draw(RngStream(0), size)
 
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (3, 3)])
     def test_no_rows(self, n, k):
