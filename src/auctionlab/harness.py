@@ -26,7 +26,7 @@ from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, Scena
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, WinTally, chunk_rows, play
 from .position_randomized import _best_response, _undercut, initial_bids, ladder_wins
-from .samplers import MAX_SIMPLEX_K, _row_sums, draw_k_bidder, draw_two_bidder
+from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, row_sum_error
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
@@ -289,11 +289,6 @@ def _disadvantaged_split(n, adversary_value: Fraction, k: int) -> list[Fraction]
     return [adversary_value] + [share] * (k - 1)
 
 
-def _sampler(draw: Callable) -> Callable:
-    """A filler that draws every row of its plane with ``draw(rng, size, out)``."""
-    return lambda rng, plane: draw(rng, len(plane), plane)
-
-
 def _fixed(row: np.ndarray) -> Callable:
     """A filler that sets every row of its plane to ``row``."""
     def fill(rng, plane):
@@ -309,11 +304,21 @@ def _permuted(row: np.ndarray) -> Callable:
     return fill
 
 
+def sampled_mode(k: int) -> str:
+    """The mode whose sampler draws the optimal marginal of k bidders."""
+    return "two-bidder" if k == 2 else "k-bidder"
+
+
+def marginal_draw(mode: str, n: int, k: int) -> Callable:
+    """``draw(rng, size, out=None)``: the vectorized sampler of a two-bidder or k-bidder mode."""
+    return partial(draw_two_bidder, n) if mode == "two-bidder" else partial(draw_k_bidder, n, k)
+
+
 def _marginal_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     spec = MarginalSpec(n, k)
-    draw = partial(draw_two_bidder, n) if scenario.mode == "two-bidder" else partial(draw_k_bidder, n, k)
-    bidders = [_sampler(draw)] * k
+    draw = marginal_draw(scenario.mode, n, k)
+    bidders = [lambda rng, plane: draw(rng, len(plane), plane)] * k
     if scenario.adversary.kind == "fixed":
         adversary_value = wins_vs_marginal(spec, list(scenario.adversary.bids))
         bidders[0] = _fixed(np.array([float(b) for b in scenario.adversary.bids]))
@@ -339,9 +344,7 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
         {"coordinate": c, "distance": d, "threshold": threshold, "passed": d <= threshold}
         for c, d in enumerate(distances)
     ]
-    sum_error = _row_sums(draws)
-    sum_error -= 1.0
-    return {"entries": entries, "max_sum_error": float(np.abs(sum_error, out=sum_error).max())}
+    return {"entries": entries, "max_sum_error": row_sum_error(draws)}
 
 
 def _exact_ranks(bids, ladder) -> np.ndarray:
@@ -456,6 +459,5 @@ def copycat_value(spec: MarginalSpec, samples: int = 1_000_000, seed: int = 0) -
     n, k = spec.n, spec.k
     if k != 2 and n % k:
         raise NotMultiple(f"no sampler for k={k}, n={n}: k must divide n")
-    mode = "two-bidder" if k == 2 else "k-bidder"
-    first = estimate(Scenario(mode, n, k, samples=samples, seed=seed)).estimates[0]
+    first = estimate(Scenario(sampled_mode(k), n, k, samples=samples, seed=seed)).estimates[0]
     return CopycatEstimate(first.mean, first.stderr, Fraction(n, k), samples)

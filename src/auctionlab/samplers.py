@@ -2,7 +2,7 @@
 
 Scalar draws return exact objects (BidSequence with rational amounts whose
 total is exactly 1); vectorized draws (``size=N``) return float arrays for
-Monte Carlo work, row-normalized so every sequence sums to 1 within 1e-12.
+Monte Carlo work, their rows built to total 1, checked within SUM_TOLERANCE.
 Narrow rows (``by_columns``) are drawn column-major, bit for bit as row-major.
 """
 
@@ -135,10 +135,11 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     Even n = 2m: one uniform draw b on [0, 2/n]; m copies of b followed by
     m copies of 2/n - b.  Odd n = 2m+1: m-1 copies of each, then the three
     bids derived from a triple draw.  For n = 3 the paired bids vanish and
-    the sequence is the derived triple alone.  The measure-zero event of a
-    zero bid is resampled away.  ``out``, a C- or F-contiguous (size, n)
-    float64 array, else a new one laid out by ``by_columns``, receives the
-    rows of a vectorized draw and is returned.
+    the sequence is the derived triple alone.  A zero bid, of measure zero,
+    is resampled away.  Vectorized rows are built to total 1, not divided by
+    their sums, and checked within SUM_TOLERANCE.  ``out``, a C- or
+    F-contiguous (size, n) float64 array, else a new one laid out by
+    ``by_columns``, receives the rows of a vectorized draw and is returned.
     """
     if n < 2:
         raise DomainError("need at least two objects")
@@ -205,7 +206,7 @@ def _two_bidder_array(n: int, gen: np.random.Generator, out: np.ndarray) -> np.n
             bid += ONE_THIRD
             bid *= 3.0 / n
             column[...] = bid
-    return _renormalize_rows(out, gen, lambda g, m: draw_two_bidder(n, g, m))
+    return _unit_rows(out, gen, lambda g, m: draw_two_bidder(n, g, m))
 
 
 def draw_simplex(k: int, rng, size: int | None = None):
@@ -273,14 +274,7 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     rows = _sphere_rows(gen, len(out), m) if k == 3 else _simplex_gammas(k, gen, out, m)
     # out's groups as a (size, m, k) view: splitting out.T's first axis copies neither layout
     out.T.reshape(m, k, len(out)).transpose(2, 0, 1)[...] = rows[:, None, :]
-    return _unit_rows(out, _row_sums(out), gen, lambda g, s: draw_k_bidder(n, k, g, s))
-
-
-def _renormalize_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
-    """Divide rows by their sums, which must be 1 within tolerance, then redraw zero bids."""
-    sums = _row_sums(out)
-    out /= sums[:, None]
-    return _unit_rows(out, sums, gen, redraw)
+    return _unit_rows(out, gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -306,9 +300,15 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _unit_rows(out: np.ndarray, sums: np.ndarray, gen, redraw) -> np.ndarray:
-    """Check that ``sums`` are 1 within SUM_TOLERANCE; redraw rows of ``out`` with a zero bid."""
-    error = max(sums.max(initial=1.0) - 1.0, 1.0 - sums.min(initial=1.0))  # max |sums - 1|
+def row_sum_error(rows: np.ndarray) -> float:
+    """max |s - 1| over ``_row_sums(rows)``, as max(max s - 1, 1 - min s); 0.0 for no rows."""
+    sums = _row_sums(rows)
+    return float(max(sums.max(initial=1.0) - 1.0, 1.0 - sums.min(initial=1.0)))
+
+
+def _unit_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
+    """Check that rows of ``out`` total 1 within SUM_TOLERANCE; redraw those with a zero bid."""
+    error = row_sum_error(out)
     if not error <= SUM_TOLERANCE:
         raise InvariantError(f"sampled rows miss a unit total by {error}")
     while not out.min(initial=1.0) > 0.0:  # an empty draw has no zero bid

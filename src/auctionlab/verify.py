@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ScenarioError
-from .harness import Scenario, copycat_value, ks_table
+from .harness import Scenario, copycat_value, ks_table, marginal_draw, sampled_mode
 from .marginals import (
     MarginalSpec,
     pair_density,
@@ -28,7 +28,7 @@ from .position_randomized import (
     ladder_wins,
     undercut_sequence,
 )
-from .samplers import RngStream, draw_k_bidder, draw_two_bidder
+from .samplers import RngStream
 from .sequential import check_rounds, run_sequential, scripted_strategy, steady_strategy
 
 
@@ -148,15 +148,10 @@ def density_suite(points_per_axis: int = 10) -> list[Check]:
 def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> list[Check]:
     """Sampler marginals: per-coordinate KS distance against the closed-form
     CDF at the 99.9% critical value, plus the exact-sum property."""
-    mode = "two-bidder" if k == 2 else "k-bidder"
+    mode = sampled_mode(k)
     Scenario(mode, n, k, samples=samples, ks_stats=True).validate()
-    spec = MarginalSpec(n, k)
-    rng = RngStream(seed, 0)
-    if k == 2:
-        draws = draw_two_bidder(n, rng, size=samples)
-    else:
-        draws = draw_k_bidder(n, k, rng, size=samples)
-    table = ks_table(draws, spec)
+    draws = marginal_draw(mode, n, k)(RngStream(seed, 0), samples)
+    table = ks_table(draws, MarginalSpec(n, k))
     checks = [
         _check(f"ks_coordinate_{e['coordinate']}", e["distance"], e["threshold"])
         for e in table["entries"]
@@ -242,7 +237,7 @@ def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed:
     names = SUITES if name == "all" else [name]
     # refuse a bad (n, k) before the other suites spend time, validating
     # the scenario each sampled suite runs
-    sampled = "two-bidder" if k == 2 else "k-bidder"
+    sampled = sampled_mode(k)
     for suite, scenario in (
         ("marginals", Scenario(sampled, n, k, samples=samples, ks_stats=True)),
         ("copycat", Scenario(sampled, n, k, samples=samples)),

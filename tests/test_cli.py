@@ -348,8 +348,8 @@ class TestKsSizeLimit:
         def refuse(*args, **kwargs):
             raise RuntimeError("drew samples for a refused KS run")
 
-        for module in (harness, verify):
-            monkeypatch.setattr(module, "draw_two_bidder", refuse)
+        # verify's marginal suite draws through harness.marginal_draw too
+        monkeypatch.setattr(harness, "draw_two_bidder", refuse)
 
     def test_oversized_simulate_ks_exits_1(self, capsys, monkeypatch):
         self.no_draws(monkeypatch)

@@ -46,6 +46,16 @@ were recorded just before that change: the first spans 16 column-major
 chunks of 4,369 rows and a 96-row row-major one, and the second stays
 row-major on the gamma path throughout.
 
+Building two-bidder rows to total 1, instead of dividing each row by its
+float sum again, consumed the same random numbers.  Even-n rows, whose
+float sums were already exactly 1, did not move; odd-n cells moved by at
+most 2 ULP below n = 15 and at most 4 at n = 15 and n = 101.  It
+re-recorded two fields, the ``max_sum_error`` of ``two_bidder_copycat_ks``
+(3.33e-16 to 2.22e-16) and of ``two_bidder_15_copycat_ks`` (8.88e-16 to
+4.44e-16).  Every estimate stayed bit for bit; three n = 15 KS distances
+moved by at most 1.1e-16, inside their 1e-15 tolerance, and were left as
+recorded.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.  Drawing sampled trials
