@@ -1,8 +1,8 @@
 """Seeded generators realizing the optimal bidding distributions.
 
-Scalar draws return exact objects (BidSequence with rational amounts whose
-total is exactly 1); vectorized draws (``size=N``) return float arrays for
-Monte Carlo work, their rows built to total 1, checked within SUM_TOLERANCE.
+Vectorized draws (``size=N``) return float arrays for Monte Carlo work, rows
+built to total 1 and checked within SUM_TOLERANCE.  A scalar draw is one such
+row rebuilt exactly: a BidSequence of Fractions whose total is exactly 1.
 Narrow rows (``by_columns``) are drawn column-major, bit for bit as row-major.
 """
 
@@ -28,7 +28,15 @@ SUM_TOLERANCE = 1e-12
 MAX_SIMPLEX_K = 83
 
 
-def _unit_total(seq: BidSequence) -> BidSequence:
+def _exact(row: np.ndarray, total: Fraction) -> list[Fraction]:
+    """The positive floats of ``row`` as Fractions, scaled exactly to sum to ``total``."""
+    fracs = [Fraction(x) for x in row.tolist()]
+    scale = total / sum(fracs)
+    return [f * scale for f in fracs]
+
+
+def _unit_total(bids: list[Fraction]) -> BidSequence:
+    seq = BidSequence(tuple(Bid(b) for b in bids))
     if seq.base_total != 1:
         raise InvariantError(f"exact draw totals {seq.base_total}, not 1")
     return seq
@@ -84,14 +92,10 @@ def draw_triple(rng, size: int | None = None):
     Uses the range decomposition above rather than rejection: the density is
     unbounded where max - min approaches 1/3, so no finite rejection
     envelope exists.  Returns a 3-tuple, or an (N, 3) array when ``size``
-    is given.
+    is given: the tuple is the array's one row.
     """
-    gen = _gen_of(rng)
-    if size is None:
-        u, v, w = gen.random(3)
-        perm = int(gen.integers(6))
-        return triple_from_uniforms(u, v, w, perm)
-    return _fill_triple(gen, _rows_out(None, size, 3))
+    rows = _fill_triple(_gen_of(rng), _rows_out(None, 1 if size is None else size, 3))
+    return tuple(rows[0].tolist()) if size is None else rows
 
 
 def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -117,17 +121,6 @@ def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triple_bids_exact(n: int, xyz) -> list[Fraction]:
-    """The three bids (3/n)(x-y+1/3), (3/n)(y-z+1/3), (3/n)(z-x+1/3).
-
-    Built in rational arithmetic so the three always total exactly 3/n.
-    """
-    x, y, z = (Fraction(c) for c in xyz)
-    scale = Fraction(3, n)
-    third = Fraction(1, 3)
-    return [scale * (x - y + third), scale * (y - z + third), scale * (z - x + third)]
-
-
 def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None = None):
     """Sample an n-bid sequence whose every coordinate is uniform on [0, 2/n]
     and whose total is exactly 1.
@@ -140,13 +133,18 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     their sums, and checked within SUM_TOLERANCE.  ``out``, a C- or
     F-contiguous (size, n) float64 array, else a new one laid out by
     ``by_columns``, receives the rows of a vectorized draw and is returned.
+    A scalar draw is one row made exact: the pair (b, 2/n - b) to total 2/n, the triple 3/n.
     """
     if n < 2:
         raise DomainError("need at least two objects")
     gen = _gen_of(rng)
-    if size is None and out is None:
-        return _two_bidder_one(n, gen)
-    return _two_bidder_array(n, gen, _rows_out(out, size, n))
+    if size is not None or out is not None:
+        return _two_bidder_array(n, gen, _rows_out(out, size, n))
+    row = _two_bidder_array(n, gen, np.empty((1, n)))[0]
+    pairs = n // 2 if n % 2 == 0 else (n - 3) // 2
+    b, c = _exact(row[[0, pairs]], Fraction(2, n)) if pairs else (None, None)
+    triple = _exact(row[2 * pairs:], Fraction(3, n)) if n % 2 else []
+    return _unit_total([b] * pairs + [c] * pairs + triple)
 
 
 def by_columns(rows: int, n: int) -> bool:
@@ -176,22 +174,6 @@ def _rows_out(out: np.ndarray | None, size, n: int) -> np.ndarray:
     if not (fits and (out.flags.c_contiguous or out.flags.f_contiguous)) or out.shape != (size, n):
         raise LengthMismatch(f"out must be a C- or F-contiguous float64 array of shape ({size}, {n})")
     return out
-
-
-def _two_bidder_one(n: int, gen: np.random.Generator) -> BidSequence:
-    pair_cap = Fraction(2, n)
-    while True:
-        b1 = Fraction(float(gen.random()) * 2.0 / n)
-        if n % 2 == 0:
-            m = n // 2
-            bids = [b1] * m + [pair_cap - b1] * m
-        else:
-            m = (n - 1) // 2
-            xyz = draw_triple(gen)
-            bids = [b1] * (m - 1) + [pair_cap - b1] * (m - 1)
-            bids += _triple_bids_exact(n, xyz)
-        if all(b > 0 for b in bids):
-            return _unit_total(BidSequence(tuple(Bid(b) for b in bids)))
 
 
 def _two_bidder_array(n: int, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -256,7 +238,8 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     Requires k | n and k <= MAX_SIMPLEX_K.  One simplex draw is copied to
     all m = n/k groups of k objects, scaled by 1/m: a vectorized gamma row
     (k != 3) divides once, by m times its sum.  ``out`` takes the rows of a
-    vectorized draw as in ``draw_two_bidder``.
+    vectorized draw as in ``draw_two_bidder``.  A scalar draw is one row of
+    ``draw_simplex(k)`` in Fractions, scaled exactly to total 1/m.
     """
     if k < 2:
         raise DomainError("need at least two bidders")
@@ -267,9 +250,7 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     m = n // k
     gen = _gen_of(rng)
     if size is None and out is None:
-        fracs = [Fraction(float(g)) for g in draw_simplex(k, gen)]
-        total = m * sum(fracs)
-        return _unit_total(BidSequence(tuple(Bid(f / total) for f in fracs) * m))
+        return _unit_total(_exact(draw_simplex(k, gen), Fraction(1, m)) * m)
     out = _rows_out(out, size, n)
     rows = _sphere_rows(gen, len(out), m) if k == 3 else _simplex_gammas(k, gen, out, m)
     # out's groups as a (size, m, k) view: splitting out.T's first axis copies neither layout

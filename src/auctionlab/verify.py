@@ -29,7 +29,7 @@ from .position_randomized import (
     undercut_sequence,
 )
 from .samplers import RngStream
-from .sequential import check_rounds, run_sequential, scripted_strategy, steady_strategy
+from .sequential import _run_exact, check_rounds, scripted_strategy, steady_strategy
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,9 @@ def copycat_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> li
 
 
 def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list[Check]:
-    """The steady strategy never falls below n/k expected objects against
-    randomized opponent scripts."""
+    """The steady strategy wins exactly n/k objects in every final state of
+    the exact walk against randomized opponent scripts: the opponents' budgets
+    cannot outbid it n - n/k + 1 times, and its own buys no more."""
     check_rounds(n)
     gen = RngStream(seed, 777).generator
     target = Fraction(n, k)
@@ -212,8 +213,7 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
             raw = gen.integers(0, 33, size=n)
             scripts.append(scripted_strategy([Fraction(int(v), 32) for v in raw]))
         strategies = scripts + [steady_strategy(n, k)]
-        wins = run_sequential(strategies, n, k, mode="exact")
-        if wins[-1] < target:
+        if any(wins[-1] != target for wins in _run_exact(strategies, n, k).wins):
             violations += 1
     return [_check(f"steady_floor_violations_{n}_{k}", violations, 0)]
 

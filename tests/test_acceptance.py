@@ -22,13 +22,13 @@ from auctionlab import (
     expected_wins_perm,
     initial_bids,
     rank_win_expectation,
-    run_sequential,
     scripted_strategy,
     steady_strategy,
     undercut_sequence,
     wins_vs_marginal,
 )
 from auctionlab.montecarlo import CHUNK, WinTally, tally_chunks, win_counts
+from auctionlab.sequential import _run_exact
 from auctionlab.verify import (
     marginal_suite,
     pair_density_quadrature,
@@ -214,16 +214,14 @@ def test_c6_rank_win_oracle():
 
 
 def test_c7_sequential_floor():
-    """The steady bidder collects at least n/k objects against the full
-    eighth-grid of scripts (n=4, k=2) and against 1e4 randomized scripts
-    for (4,2) and (6,3)."""
+    """The steady bidder collects exactly n/k objects in every final state
+    of the exact walk, against the full eighth-grid of scripts (n=4, k=2)
+    and against 1e4 randomized scripts for (4,2) and (6,3)."""
     all_ok = True
     grid = [Fraction(j, 8) for j in range(9)]  # 0 means pass
     for script in itertools.product(grid, repeat=4):
-        wins = run_sequential(
-            [scripted_strategy(script), steady_strategy(4, 2)], 4, 2
-        )
-        all_ok &= wins[1] >= 2
+        run = _run_exact([scripted_strategy(script), steady_strategy(4, 2)], 4, 2)
+        all_ok &= all(wins[1] == 2 for wins in run.wins)
     for n, k in ((4, 2), (6, 3)):
         gen = np.random.default_rng([n, k, 9])
         target = Fraction(n, k)
@@ -234,8 +232,8 @@ def test_c7_sequential_floor():
                 )
                 for _ in range(k - 1)
             ]
-            wins = run_sequential(scripts + [steady_strategy(n, k)], n, k)
-            all_ok &= wins[-1] >= target
+            run = _run_exact(scripts + [steady_strategy(n, k)], n, k)
+            all_ok &= all(wins[-1] == target for wins in run.wins)
     report("7 sequential steady floor", all_ok)
 
 

@@ -29,7 +29,7 @@ from auctionlab import (
 )
 from auctionlab import cli, samplers
 from auctionlab.harness import KS_FACTOR, ks_distance
-from auctionlab.samplers import MAX_SIMPLEX_K, SUM_TOLERANCE, _row_sums, _unit_rows, row_sum_error
+from auctionlab.samplers import MAX_SIMPLEX_K, ONE_THIRD, SUM_TOLERANCE, _row_sums, _unit_rows, row_sum_error
 
 N_KS = 200_000
 KS_THRESHOLD = KS_FACTOR / math.sqrt(N_KS)
@@ -361,6 +361,62 @@ class PlantedUniform(np.random.Generator):
             u.flat[at] = tiny
             self.plant = None
         return u
+
+
+def exact_rebuild(n, k, gen):
+    """The exact bids a scalar draw makes of ``gen``'s next one-row vectorized
+    draw: pairs (b, 2/n - b) scaled to total 2/n and the odd-n triple to 3/n,
+    or one simplex row scaled to total 1/m and copied to the m = n/k groups."""
+    if k > 2:
+        group = [Fraction(x) for x in draw_k_bidder(k, k, gen, 1)[0]]
+        return [g / (n // k) / sum(group) for g in group] * (n // k)
+    row = [Fraction(x) for x in draw_two_bidder(n, gen, 1)[0]]
+    pairs = n // 2 if n % 2 == 0 else (n - 3) // 2
+    bids = [row[i] * Fraction(2, n) / (row[0] + row[pairs]) for i in (0, pairs) for _ in range(pairs)]
+    triple = row[2 * pairs:]
+    return bids + [t * Fraction(3, n) / sum(triple) for t in triple]
+
+
+class TestScalarDraws:
+    """A scalar draw is one row of the vectorized sampler, rebuilt exactly."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (5, 2), (9, 2), (6, 3), (8, 4), (9, 3)])
+    def test_scalar_draw_is_the_exact_rebuild_of_a_one_row_draw(self, n, k):
+        for seed in range(5):
+            gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            seq = draw_two_bidder(n, gen) if k == 2 else draw_k_bidder(n, k, gen)
+            bids = [bid.base for bid in seq.bids]
+            assert bids == exact_rebuild(n, k, twin)
+            assert sum(bids) == 1 and min(bids) > 0
+            assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_bid_is_redrawn(self):
+        # b = 0 gives the row (0, 0, 1/2, 1/2); _unit_rows redraws it as the stream's next row
+        gen = PlantedUniform(48, 0.0, at=0)
+        bids = [bid.base for bid in draw_two_bidder(4, gen).bids]
+        twin = np.random.default_rng(48)
+        draw_two_bidder(4, twin, 1)
+        assert bids == exact_rebuild(4, 2, twin)
+        assert min(bids) > 0
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [6, 11, 29])  # seeds where np.cbrt and u ** (1/3) differ
+    def test_triple_is_one_vectorized_row(self, seed):
+        gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw_triple(gen) == tuple(draw_triple(twin, 1)[0])
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_vectorized_triple_matches_triple_from_uniforms(self):
+        # _fill_triple draws u, v, w as whole columns, then the permutations.  np.cbrt and
+        # u ** (1/3) may differ by an ulp of the range d; a coordinate near 0 built from
+        # 1/3 - d then moves by many of its own ulps, but never by more than an ulp of 1/3
+        size = 1_000
+        rows = draw_triple(np.random.default_rng(50), size)
+        twin = np.random.default_rng(50)
+        u, v, w = twin.random(size), twin.random(size), twin.random(size)
+        perm = twin.integers(0, 6, size)
+        want = np.array([triple_from_uniforms(*args) for args in zip(u, v, w, perm)])
+        assert np.abs(rows - want).max() <= np.spacing(ONE_THIRD)
 
 
 OUT_CASES = [(n, 2) for n in range(2, 12)] + [(6, 3), (8, 4), (9, 3)]
