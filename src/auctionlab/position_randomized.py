@@ -12,7 +12,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from numbers import Integral
+from typing import Iterable
 
 from .engine import Bid, BidSequence
 from .errors import DomainError, Infeasible, LengthMismatch, NotDoublyStochastic, SizeLimitExceeded
@@ -76,17 +77,21 @@ class PermutationMarginals:
         n = len(mat)
         if n == 0 or any(len(row) != n for row in mat):
             raise LengthMismatch("placement matrix must be square")
-        for row in mat:
+        # every entry as an integer numerator over one unit, the lcm of the denominators
+        unit = math.lcm(*(v.denominator for row in mat for v in row))
+        nums = [[v.numerator * (unit // v.denominator) for v in row] for row in mat]
+        for row in nums:
             if any(v < 0 for v in row):
                 raise NotDoublyStochastic("entries must be nonnegative")
-            if sum(row) != 1:
-                raise NotDoublyStochastic(f"row sums to {sum(row)}, not 1")
-        for c in range(n):
-            col = sum(row[c] for row in mat)
-            if col != 1:
-                raise NotDoublyStochastic(f"column {c} sums to {col}, not 1")
+            if sum(row) != unit:
+                raise NotDoublyStochastic(f"row sums to {Fraction(sum(row), unit)}, not 1")
+        self._columns = tuple(zip(*nums))
+        for c, col in enumerate(self._columns):
+            if sum(col) != unit:
+                raise NotDoublyStochastic(f"column {c} sums to {Fraction(sum(col), unit)}, not 1")
         self.rows = mat
         self.n = n
+        self._unit = unit
 
     def __getitem__(self, qr) -> Fraction:
         q, r = qr
@@ -100,9 +105,7 @@ class PermutationMarginals:
 
     @classmethod
     def identity(cls, n: int) -> "PermutationMarginals":
-        return cls(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def uniform(cls, n: int) -> "PermutationMarginals":
@@ -125,21 +128,9 @@ def rank_win_expectation(n: int, k: int, p: int) -> Fraction:
     return Fraction(p**k - (p - 1) ** k, k * n ** (k - 1))
 
 
-def _tie_aware_win(
-    bid: Bid, bids: Sequence[Bid], col: Sequence[Fraction], opponents: int
-) -> Fraction:
-    """Chance that ``bid`` takes an object where each of ``opponents``
-    independent bidders places one of ``bids`` with probabilities ``col``,
-    splitting ties equally."""
-    beat = sum((c for b, c in zip(bids, col) if b < bid), Fraction(0))
-    tie = sum((c for b, c in zip(bids, col) if b == bid), Fraction(0))
-    return sum(
-        (
-            Fraction(comb(opponents, i), i + 1) * tie**i * beat ** (opponents - i)
-            for i in range(opponents + 1)
-        ),
-        Fraction(0),
-    )
+def _check_bidders(k) -> None:
+    if not isinstance(k, Integral) or k < 2:
+        raise DomainError(f"need an integer k >= 2 bidders, got {k!r}")
 
 
 def expected_wins_perm(
@@ -154,20 +145,32 @@ def expected_wins_perm(
     places the common ``b_init`` with marginals P.
 
     Q = identity means no permutation; uniform marginals recover the fully
-    random placement on either side.
+    random placement on either side.  A bid at q placed on object r wins
+    with chance sum_i C(k-1, i) / (i+1) * tie**i * beat**(k-1-i), beat and
+    tie the P mass of column r on opponent bids below and equal to it.  The
+    sums run on integers: bids as (base numerator over one unit, eps)
+    pairs, P and Q entries as their numerators, so the total is one integer
+    over unit_Q * unit_P**(k-1) * lcm(1..k).
     """
+    _check_bidders(k)
     n = a_init.n
     if b_init.n != n or q_marginals.n != n or p_marginals.n != n:
         raise LengthMismatch("bid sequences and matrices must share size n")
-    total = Fraction(0)
-    for r in range(n):
-        col = p_marginals.column(r)
-        for q in range(n):
-            weight = q_marginals[q, r]
-            if weight == 0:
-                continue
-            total += weight * _tie_aware_win(a_init.bids[q], b_init.bids, col, k - 1)
-    return total
+    unit = math.lcm(*(b.base.denominator for b in a_init.bids + b_init.bids))
+    mine, theirs = (
+        [(b.base.numerator * (unit // b.base.denominator), b.eps) for b in seq.bids]
+        for seq in (a_init, b_init)
+    )
+    m, ties = k - 1, math.lcm(*range(1, k + 1))
+    coefficients = [comb(m, i) * (ties // (i + 1)) for i in range(k)]
+    total = 0
+    for q_col, col in zip(q_marginals._columns, p_marginals._columns):
+        for weight, bid in zip(q_col, mine):
+            if weight:
+                beat = sum(c for b, c in zip(theirs, col) if b < bid)
+                tie = sum(c for b, c in zip(theirs, col) if b == bid)
+                total += weight * sum(c * tie**i * beat ** (m - i) for i, c in enumerate(coefficients))
+    return Fraction(total, q_marginals._unit * p_marginals._unit**m * ties)
 
 
 def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
@@ -175,6 +178,7 @@ def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
     n x n matrices: a bid above ``below`` ladder ranks in (base, eps) order
     wins with chance (below/n)**(k-1), or ``rank_win_expectation`` at rank
     below+1 when it ties that rank."""
+    _check_bidders(k)
     n = ladder.n
     if bids.n != n:
         raise LengthMismatch(f"expected {n} bids, got {bids.n}")

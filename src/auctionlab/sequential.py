@@ -241,12 +241,12 @@ def _merged_walk(scripts, n: int, k: int, gen=None) -> ExactRun:
     over one common denominator, ``scale``, which a round multiplies by the
     lcm of its tie counts.  ``gen`` goes to ``_round``."""
     unit, table = _unit_table(scripts, n)
-    # the round's states, (budgets, wins) -> position, and their weights
-    states, weights = {((unit,) * k, (0,) * k): 0}, [1]
+    # the round's states, (budgets, wins) -> weight, in the order first reached
+    states = {((unit,) * k, (0,) * k): 1}
     scale = 1
     peak = visits = 0
     for round_index, bids in enumerate(table, 1):
-        visits += len(weights)
+        visits += len(states)
         if visits > MAX_STATE_ROUNDS:
             raise _too_long(round_index)
         steps = [
@@ -256,20 +256,15 @@ def _merged_walk(scripts, n: int, k: int, gen=None) -> ExactRun:
         split = math.lcm(*{len(children) for children in steps})
         scale *= split
         nxt: dict = {}
-        nxt_weights: list[int] = []
-        for children, weight in zip(steps, weights):
+        for children, weight in zip(steps, states.values()):
             share = weight * (split // len(children))
             for child in children:
-                i = nxt.setdefault(child, len(nxt_weights))
-                if i == len(nxt_weights):
-                    nxt_weights.append(share)
-                else:
-                    nxt_weights[i] += share
-        if len(nxt_weights) > MAX_STATES:
+                nxt[child] = nxt.get(child, 0) + share
+        if len(nxt) > MAX_STATES:
             raise _too_many(round_index)
-        peak = max(peak, len(nxt_weights))
-        states, weights = nxt, nxt_weights
-    return ExactRun(peak, visits, [wins for _, wins in states], weights, scale)
+        peak = max(peak, len(nxt))
+        states = nxt
+    return ExactRun(peak, visits, [wins for _, wins in states], list(states.values()), scale)
 
 
 def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:

@@ -20,6 +20,7 @@ from .marginals import (
     simplex_normalizer,
     triple_density,
 )
+from .montecarlo import CHUNK
 from .position_randomized import (
     PermutationMarginals,
     best_response,
@@ -167,12 +168,14 @@ def position_suite(max_n: int = 12, max_k: int = 5) -> list[Check]:
     equal (weight_total - 1) / n**(k-1); and ``ladder_wins``, which scores
     both sequences in ``estimate``, equals the matrix path on each."""
     formula_mismatches = undercut_mismatches = ladder_mismatches = 0
+    placements = {n: (PermutationMarginals.identity(n), PermutationMarginals.uniform(n))
+                  for n in range(2, max_n + 1)}
     for k in range(2, max_k + 1):
         for n in range(k, max_n + 1):
             ladder = initial_bids(n, k)
             formula = Fraction(ladder.weight_total - 1, n ** (k - 1))
             opponents = ladder.as_sequence()
-            placement = (PermutationMarginals.identity(n), PermutationMarginals.uniform(n))
+            placement = placements[n]
             response = best_response(n, k)
             witness = response.witness_sequence()
             scored = expected_wins_perm(k, witness, opponents, *placement)
@@ -202,19 +205,26 @@ def copycat_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> li
 def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list[Check]:
     """The steady strategy wins exactly n/k objects in every final state of
     the exact walk against randomized opponent scripts: the opponents' budgets
-    cannot outbid it n - n/k + 1 times, and its own buys no more."""
+    cannot outbid it n - n/k + 1 times, and its own buys no more.
+
+    The scripts come from ``RngStream(seed, 777)`` in blocks of whole
+    trials, one ``integers(0, 33, size=(block, k - 1, n))`` call per block
+    of at most ``CHUNK`` amounts (one trial when a trial holds more), which
+    draws the same amounts as one call per script."""
     check_rounds(n)
+    if trials < 1:
+        raise ScenarioError("need at least one sample")
     gen = RngStream(seed, 777).generator
     target = Fraction(n, k)
+    amounts = [Fraction(v, 32) for v in range(33)]
+    steady = steady_strategy(n, k)
+    block = max(1, CHUNK // max(1, (k - 1) * n))
     violations = 0
-    for _ in range(trials):
-        scripts = []
-        for _ in range(k - 1):
-            raw = gen.integers(0, 33, size=n)
-            scripts.append(scripted_strategy([Fraction(int(v), 32) for v in raw]))
-        strategies = scripts + [steady_strategy(n, k)]
-        if any(wins[-1] != target for wins in _run_exact(strategies, n, k).wins):
-            violations += 1
+    for start in range(0, trials, block):
+        for raws in gen.integers(0, 33, size=(min(block, trials - start), k - 1, n)).tolist():
+            strategies = [scripted_strategy([amounts[v] for v in raw]) for raw in raws] + [steady]
+            if any(wins[-1] != target for wins in _run_exact(strategies, n, k).wins):
+                violations += 1
     return [_check(f"steady_floor_violations_{n}_{k}", violations, 0)]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from auctionlab import (
     Bid,
     BidSequence,
+    DomainError,
     Infeasible,
     LengthMismatch,
     NotDoublyStochastic,
@@ -136,6 +137,38 @@ class TestPermutationMarginals:
         with pytest.raises(LengthMismatch):
             PermutationMarginals([[1, 0]])
 
+    @pytest.mark.parametrize("rows,message", [
+        ([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]],
+         "entries must be nonnegative"),
+        ([[Fraction(1, 2), 0], [0, 1]], "row sums to 1/2, not 1"),
+        ([[1, 1], [0, 0]], "row sums to 2, not 1"),
+        ([[Fraction(1, 2), Fraction(1, 2)], [1, 0]], "column 0 sums to 3/2, not 1"),
+        ([["1/3", "2/3"], ["1/3", "0.6666"]], "row sums to 14999/15000, not 1"),
+        ([["1/3", "2/3"], ["1/3", "2/3"]], "column 0 sums to 2/3, not 1"),
+        # rows are checked in order, each for its sign before its sum, then the columns
+        ([[Fraction(1, 3), 0], [-1, 2]], "row sums to 1/3, not 1"),
+        ([[-1, 2], [Fraction(1, 3), 0]], "entries must be nonnegative"),
+        ([[2, -1], [-1, 2]], "entries must be nonnegative"),
+        ([[Fraction(1, 4), Fraction(3, 4)], [Fraction(1, 4), Fraction(3, 4)]], "column 0 sums to 1/2, not 1"),
+    ])
+    def test_error_messages(self, rows, message):
+        with pytest.raises(NotDoublyStochastic) as caught:
+            PermutationMarginals(rows)
+        assert str(caught.value) == message
+
+    def test_accepts_int_float_str_and_fraction_entries(self):
+        mixed = PermutationMarginals([[1, 0, 0], [0, 0.25, "3/4"], [0, Fraction(3, 4), "0.25"]])
+        exact = [[Fraction(1), Fraction(0), Fraction(0)],
+                 [Fraction(0), Fraction(1, 4), Fraction(3, 4)],
+                 [Fraction(0), Fraction(3, 4), Fraction(1, 4)]]
+        assert mixed == PermutationMarginals(exact)
+        assert mixed.rows == tuple(map(tuple, exact))
+        assert all(type(v) is Fraction for row in mixed.rows for v in row)
+        assert mixed[1, 2] == Fraction(3, 4) and type(mixed[1, 2]) is Fraction
+        assert mixed.column(1) == (0, Fraction(1, 4), Fraction(3, 4))
+        assert all(type(v) is Fraction for v in mixed.column(1))
+        assert all(type(v) is Fraction for row in PermutationMarginals.identity(3).rows for v in row)
+
 
 def random_doubly_stochastic(n, rng):
     perms = [rng.sample(range(n), n) for _ in range(n)]
@@ -222,6 +255,64 @@ class TestExpectedWinsPerm:
             w1 = expected_wins_perm(k, a, b, unif, random_doubly_stochastic(n, rng))
             w2 = expected_wins_perm(k, a, b, ident, unif)
             assert w1 >= w2
+
+    def test_matches_the_plain_fraction_formula(self):
+        rng = random.Random(97)
+        for _ in range(200):
+            k, n = rng.randint(2, 5), rng.randint(1, 7)
+            a, b = tied_instance(rng, n)
+            q, p = (
+                rng.choice([PermutationMarginals.identity(n), PermutationMarginals.uniform(n),
+                            random_doubly_stochastic(n, rng), random_doubly_stochastic(n, rng)])
+                for _ in range(2)
+            )
+            assert expected_wins_perm(k, a, b, q, p) == reference_wins_perm(k, a, b, q.rows, p.rows), (
+                k, [str(x) for x in a.bids], [str(x) for x in b.bids], q.rows, p.rows
+            )
+
+    @pytest.mark.parametrize("k", [1, 0, -1, True, 2.0, 2.5, "3"])
+    def test_refuses_fewer_than_two_or_non_integer_bidders(self, k):
+        ladder = initial_bids(2, 2)
+        seq = ladder.as_sequence()
+        with pytest.raises(DomainError):
+            expected_wins_perm(k, seq, seq, PermutationMarginals.identity(2), PermutationMarginals.uniform(2))
+        with pytest.raises(DomainError):
+            ladder_wins(k, seq, ladder)
+
+
+def tied_instance(rng, n):
+    """Bids on denominators 3, 4, 7 and 12 with eps in -2..2; about half
+    the adversary's bids copy an opponent bid, exactly or with its base."""
+    def bid():
+        den = rng.choice((3, 4, 7, 12))
+        return Bid(Fraction(rng.randint(0, den), den), rng.randint(-2, 2))
+
+    b = [bid() for _ in range(n)]
+    a = [rng.choice([bid, lambda: rng.choice(b), lambda: Bid(rng.choice(b).base, rng.randint(-2, 2))])()
+         for _ in range(n)]
+    return BidSequence(tuple(a)), BidSequence(tuple(b))
+
+
+def reference_wins_perm(k, a_init, b_init, q_rows, p_rows):
+    """The matrix formula one Fraction at a time, comparing Bids: for each
+    object r and each adversary bid q placed there with chance Q[q][r], the
+    bid beats each opponent with P mass ``beat`` and ties with ``tie``, and
+    wins with chance sum_i C(k-1, i) / (i+1) * tie**i * beat**(k-1-i)."""
+    n = len(a_init.bids)
+    total = Fraction(0)
+    for r in range(n):
+        for q in range(n):
+            weight = q_rows[q][r]
+            if weight == 0:
+                continue
+            bid = a_init.bids[q]
+            beat = sum((p_rows[j][r] for j, other in enumerate(b_init.bids) if other < bid), Fraction(0))
+            tie = sum((p_rows[j][r] for j, other in enumerate(b_init.bids) if other == bid), Fraction(0))
+            total += weight * sum(
+                (Fraction(comb(k - 1, i), i + 1) * tie**i * beat ** (k - 1 - i) for i in range(k)),
+                Fraction(0),
+            )
+    return total
 
 
 def oracle_candidates(ladder):
