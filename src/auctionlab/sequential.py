@@ -13,14 +13,15 @@ The library strategies (``steady_strategy``, ``scripted_strategy`` and
 it is positive and within budget, and pass otherwise.  Each carries its
 script in its ``__dict__``, which ``functools.wraps`` copies onto wrappers.
 When every strategy of a run has a script, in either mode, no strategy is
-called: the walk holds budgets as integers in units of 1/D, D the lcm of
-the script denominators, reads each round's bids from an integer table, and
-merges states that reach the same budgets and win counts.  Other callables
-take the history walk, which asks for every bid with the full history and
-keeps one state per history.  Either exact walk ends with
-its final states' win counts and exact chances, from which
-``sample_leaves`` draws many sampled trials at once, one variate per trial,
-chunk i from ``RngStream(seed, i)``.
+called: the merged walk takes a (unit, table) pair, the budget as an integer
+in units of 1/D, D the lcm of the script denominators, and each round's
+integer bids, and merges states that reach the same budgets and win counts.
+Other callables take the history walk, which asks for every bid with the
+full history and keeps one state per history.  Both walks play a round by
+``_round``, which passes a bid over its bidder's budget.  Either exact walk
+ends with its final states' win counts and exact chances, from which
+``sample_leaves`` draws many trials at once, one variate per trial, chunk i
+from ``RngStream(seed, i)``.
 """
 
 from __future__ import annotations
@@ -145,16 +146,17 @@ def _collect_bids(
 def _round(bids, budgets, wins, gen=None):
     """One round from one state: ``(top, winners, children)``.
 
-    ``bids`` holds each bidder's amount, None or 0 for a pass.  ``winners``
-    are the tied top bidders, in bidder order, and ``children`` the
-    (budgets, wins) each one's win leads to; a generator ``gen`` keeps one
-    winner of a sold object, drawn by ``gen.integers(len(winners))``.  When
-    every bidder passes, the object goes unsold: ``top`` is None,
-    ``winners`` is ``(None,)`` and the state itself is the only child.
+    ``bids`` holds each bidder's amount: None, 0 or one over the bidder's
+    budget is a pass.  ``winners`` are the tied top bidders, in bidder
+    order, and ``children`` the (budgets, wins) each one's win leads to; a
+    generator ``gen`` keeps one winner of a sold object, drawn by
+    ``gen.integers(len(winners))``.  When every bidder passes, the object
+    goes unsold, drawing nothing: ``top`` is None, ``winners`` is
+    ``(None,)`` and the state itself is the only child.
     """
     top, winners = None, (None,)
     for b, amount in enumerate(bids):
-        if not amount:
+        if not amount or amount > budgets[b]:
             continue
         if top is None or amount > top:
             top, winners = amount, (b,)
@@ -183,7 +185,7 @@ def _scripts(strategies: Sequence[Strategy]) -> Optional[list[tuple[Fraction, ..
 def _unit_table(scripts, n: int) -> tuple[int, list[tuple[int, ...]]]:
     """The budget in units of 1/D, D the lcm of the scripts' denominators,
     and each round's bids in those units (0 for a pass)."""
-    unit = math.lcm(*(a.denominator for script in scripts for a in script[:n]))
+    unit = math.lcm(*{a.denominator for script in scripts for a in script[:n]})
     columns = [
         [max(a.numerator, 0) * (unit // a.denominator) for a in script[:n]]
         + [0] * (n - len(script[:n]))
@@ -235,12 +237,12 @@ def check_rounds(n: int) -> None:
         )
 
 
-def _merged_walk(scripts, n: int, k: int, gen=None) -> ExactRun:
+def _merged_walk(unit: int, table, k: int, gen=None) -> ExactRun:
     """The walk of an all-scripted profile on integer budgets, merging
-    states on (budgets, wins).  Probabilities are exact: integer weights
-    over one common denominator, ``scale``, which a round multiplies by the
-    lcm of its tie counts.  ``gen`` goes to ``_round``."""
-    unit, table = _unit_table(scripts, n)
+    states on (budgets, wins): each bidder starts with ``unit`` and bids
+    ``table[r][b]`` in round r + 1.  Probabilities are exact: integer
+    weights over one common denominator, ``scale``, which a round
+    multiplies by the lcm of its tie counts.  ``gen`` goes to ``_round``."""
     # the round's states, (budgets, wins) -> weight, in the order first reached
     states = {((unit,) * k, (0,) * k): 1}
     scale = 1
@@ -249,10 +251,7 @@ def _merged_walk(scripts, n: int, k: int, gen=None) -> ExactRun:
         visits += len(states)
         if visits > MAX_STATE_ROUNDS:
             raise _too_long(round_index)
-        steps = [
-            _round([a if a <= budgets[b] else 0 for b, a in enumerate(bids)], budgets, wins, gen)[2]
-            for budgets, wins in states
-        ]
+        steps = [_round(bids, budgets, wins, gen)[2] for budgets, wins in states]
         split = math.lcm(*{len(children) for children in steps})
         scale *= split
         nxt: dict = {}
@@ -299,7 +298,7 @@ def _run_exact(strategies, n: int, k: int, gen=None) -> ExactRun:
     scripts = _scripts(strategies)
     if scripts is None:
         return _history_walk(strategies, n, k, gen)
-    return _merged_walk(scripts, n, k, gen)
+    return _merged_walk(*_unit_table(scripts, n), k, gen)
 
 
 def sample_leaves(run: ExactRun, trials: int, seed: int) -> WinTally:

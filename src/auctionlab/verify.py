@@ -30,7 +30,7 @@ from .position_randomized import (
     undercut_sequence,
 )
 from .samplers import RngStream
-from .sequential import _run_exact, check_rounds, scripted_strategy, steady_strategy
+from .sequential import _merged_walk, _unit_table, steady_strategy
 
 
 @dataclass(frozen=True)
@@ -210,20 +210,21 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
     The scripts come from ``RngStream(seed, 777)`` in blocks of whole
     trials, one ``integers(0, 33, size=(block, k - 1, n))`` call per block
     of at most ``CHUNK`` amounts (one trial when a trial holds more), which
-    draws the same amounts as one call per script."""
-    check_rounds(n)
-    if trials < 1:
-        raise ScenarioError("need at least one sample")
+    draws the same amounts as one call per script.  It walks integer tables,
+    converted once: a trial's draws in the units ``_unit_table`` finds for
+    1/32 and the steady bid, beside the steady column."""
+    Scenario("sequential", n, k, samples=trials, seed=seed).validate()
     gen = RngStream(seed, 777).generator
-    target = Fraction(n, k)
-    amounts = [Fraction(v, 32) for v in range(33)]
-    steady = steady_strategy(n, k)
-    block = max(1, CHUNK // max(1, (k - 1) * n))
+    unit, table = _unit_table([(Fraction(1, 32),), steady_strategy(n, k)._script], n)
+    block = min(trials, max(1, CHUNK // ((k - 1) * n)))
+    tables = np.empty((block, n, k), dtype=np.int64)
+    tables[:, :, -1] = [bids[1] for bids in table]
     violations = 0
     for start in range(0, trials, block):
-        for raws in gen.integers(0, 33, size=(min(block, trials - start), k - 1, n)).tolist():
-            strategies = [scripted_strategy([amounts[v] for v in raw]) for raw in raws] + [steady]
-            if any(wins[-1] != target for wins in _run_exact(strategies, n, k).wins):
+        raws = gen.integers(0, 33, size=(min(block, trials - start), k - 1, n))
+        tables[:len(raws), :, :-1] = raws.transpose(0, 2, 1) * (unit // 32)
+        for rows in tables[:len(raws)].tolist():
+            if any(wins[-1] != n // k for wins in _merged_walk(unit, rows, k).wins):
                 violations += 1
     return [_check(f"steady_floor_violations_{n}_{k}", violations, 0)]
 

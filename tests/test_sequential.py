@@ -263,7 +263,8 @@ class TestStateCap:
 
         monkeypatch.setattr(sequential, "MAX_STATE_ROUNDS", 7)
         monkeypatch.setattr(sequential, "_unit_table", untouched)
-        monkeypatch.setattr(verify, "scripted_strategy", untouched)
+        monkeypatch.setattr(verify, "_unit_table", untouched)
+        monkeypatch.setattr(verify, "_merged_walk", untouched)
         refusal = "8 rounds exceed the 7 state-visits"
         with pytest.raises(SizeLimitExceeded, match=refusal):
             run_sequential([steady_strategy(8, 2), steady_strategy(8, 2)], 8, 2)
@@ -324,6 +325,17 @@ class TestMarkov:
         assert run_sequential(profile, n, k) == run_sequential(
             [unmarked(s) for s in profile], n, k
         )
+
+    def test_round_passes_a_bid_over_budget(self):
+        # bidder 1's 5 units exceed its 4: bidder 0 wins at 3, and with no
+        # bid in budget the object goes unsold and draws nothing
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        assert sequential._round([3, 5], (4, 4), (0, 0), gen) == (3, (0,), [((1, 4), (1, 0))])
+        assert gen.bit_generator.state == state
+        unsold = (None, (None,), (((4, 4), (0, 0)),))
+        assert sequential._round([5, 5], (4, 4), (0, 0), gen) == unsold
+        assert gen.bit_generator.state == state
 
     def test_units_are_the_lcm_of_the_script_denominators(self):
         scripts = [(Fraction(1, 4), Fraction(0), Fraction(1, 6)), (Fraction(1, 3),)]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from auctionlab import RngStream, ScenarioError, scripted_strategy, verify
+from auctionlab import RngStream, ScenarioError, scripted_strategy, sequential, steady_strategy
+from auctionlab import verify
 from auctionlab.verify import run_suite
 
 
@@ -45,33 +46,43 @@ class TestSequentialSuite:
     def test_blocks_draw_what_one_call_per_script_draws(self, monkeypatch, n, k, seed):
         # three trials a block, so seven trials take blocks of 3, 3 and 1
         monkeypatch.setattr(verify, "CHUNK", 3 * (k - 1) * n)
-        streams, drawn = [], []
-        real_stream, real_run = verify.RngStream, verify._run_exact
+        streams, walked = [], []
+        real_stream, real_walk = verify.RngStream, verify._merged_walk
 
         def stream(*args):
             streams.append(real_stream(*args))
             return streams[-1]
 
-        def run(strategies, n, k):
-            drawn.append([s._script for s in strategies[:-1]])
-            return real_run(strategies, n, k)
+        def walk(unit, table, k):
+            walked.append(as_budget_shares(unit, table))
+            return real_walk(unit, table, k)
 
         monkeypatch.setattr(verify, "RngStream", stream)
-        monkeypatch.setattr(verify, "_run_exact", run)
+        monkeypatch.setattr(verify, "_merged_walk", walk)
         assert verify.sequential_suite(n, k, 7, seed)[0].passed
         gen = RngStream(seed, 777).generator
-        expected = [
-            [tuple(Fraction(int(v), 32) for v in gen.integers(0, 33, size=n)) for _ in range(k - 1)]
-            for _ in range(7)
-        ]
-        assert drawn == expected
+        expected = []
+        for _ in range(7):
+            scripts = [tuple(Fraction(int(v), 32) for v in gen.integers(0, 33, size=n))
+                       for _ in range(k - 1)]
+            scripts.append(steady_strategy(n, k)._script)
+            expected.append(as_budget_shares(*sequential._unit_table(scripts, n)))
+        assert walked == expected
         assert streams[0].generator.bit_generator.state == gen.bit_generator.state
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_refuses_no_trials_before_drawing(self, monkeypatch, trials):
+    @pytest.mark.parametrize("args,message", [
+        ((4, 2, 0), "^need at least one sample$"),
+        ((4, 2, -3), "^need at least one sample$"),
+        ((4, 1), "^need at least two bidders$"),
+        ((4, 2, 2.5), "^samples must be an integer: 2.5$"),
+        ((4, 2, 10, 1.5), "^seed must be an integer: 1.5$"),
+        ((6, 4), "^sequential mode requires k [|] n$"),
+    ], ids=["no-trials", "negative-trials", "one-bidder", "fractional-trials", "fractional-seed",
+            "k-not-dividing-n"])
+    def test_refuses_what_the_cli_refuses_before_drawing(self, monkeypatch, args, message):
         monkeypatch.setattr(verify, "RngStream", None)
-        with pytest.raises(ScenarioError, match="^need at least one sample$"):
-            verify.sequential_suite(4, 2, trials)
+        with pytest.raises(ScenarioError, match=message):
+            verify.sequential_suite(*args)
 
     def test_catches_a_steady_bid_one_step_short(self, monkeypatch):
         # 1/6 - 1/32 buys seven objects, one past the 12/2 floor, once
@@ -81,3 +92,32 @@ class TestSequentialSuite:
                             lambda n, k: scripted_strategy([Fraction(k, n) - Fraction(1, 32)] * n))
         row, = verify.sequential_suite(12, 2, 20, seed=3)
         assert row.value > 0 and not row.passed
+
+    @pytest.mark.parametrize(
+        "n,k,rounds,trials,seed", [(12, 2, 12, 200, 8), (24, 3, 24, 100, 4), (4, 2, 3, 300, 1)]
+    )
+    def test_counts_the_violations_of_a_fraction_script_loop(
+        self, monkeypatch, n, k, rounds, trials, seed
+    ):
+        # the suite's integer tables against one exact run per trial over
+        # Fraction scripts drawn from the same stream, with a steady bid
+        # 1/32 short for ``rounds`` rounds: at (12, 2) and (24, 3) every
+        # trial breaks the floor, at (4, 2) passing the last round only a few
+        short = lambda n, k: scripted_strategy([Fraction(k, n) - Fraction(1, 32)] * rounds)
+        monkeypatch.setattr(verify, "steady_strategy", short)
+        gen = RngStream(seed, 777).generator
+        violations = 0
+        for _ in range(trials):
+            scripts = [
+                scripted_strategy([Fraction(int(v), 32) for v in gen.integers(0, 33, size=n)])
+                for _ in range(k - 1)
+            ]
+            run = sequential._run_exact(scripts + [short(n, k)], n, k)
+            violations += any(wins[-1] != n // k for wins in run.wins)
+        row, = verify.sequential_suite(n, k, trials, seed)
+        assert row.value == violations > 0
+
+
+def as_budget_shares(unit, table):
+    """Each round's integer bids as exact fractions of the starting budget."""
+    return [tuple(Fraction(a, unit) for a in bids) for bids in table]
