@@ -5,6 +5,11 @@ Bidder 0 is the adversary in every mode; bidders 1..k-1 are the
 disadvantaged bidders playing the library strategy for the mode.  Reports
 are deterministic: identical scenarios reproduce identical estimates and
 statistics (only the elapsed-time metadata varies).
+
+Each ``MODES`` runner returns ``(tally, exact, ks, counters)``, and only
+``estimate`` builds a ``Report`` from them: the ``WinTally`` of the draws or
+trials, the per-bidder exact values, the KS table (None without ``ks_stats``)
+and ``meta["counters"]``.  Group mode samples nothing: no tally or counters.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -24,7 +29,7 @@ from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import BidSequence, as_fraction
 from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import CHUNK, WinTally, chunk_rows, play
+from .montecarlo import CHUNK, chunk_rows, play
 from .position_randomized import _best_response, _undercut, initial_bids, ladder_wins
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, row_sum_error
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
@@ -188,10 +193,7 @@ class Report:
     def to_json_dict(self) -> dict:
         return {
             "scenario": self.scenario.to_json_dict(),
-            "estimates": [
-                {"bidder": e.bidder, "mean": e.mean, "stderr": e.stderr}
-                for e in self.estimates
-            ],
+            "estimates": [asdict(e) for e in self.estimates],
             "exact": [fraction_json(f) for f in self.exact],
             "statistics": self.statistics,
             "meta": self.meta,
@@ -260,27 +262,20 @@ def estimate(scenario: Scenario) -> Report:
     closed form exists."""
     scenario.validate()
     start = time.perf_counter()
-    estimates, exact, statistics, counts = MODES[scenario.mode].run(scenario)
-    meta = {
-        "seed": scenario.seed,
-        **counts,
-        "version": VERSION,
-        "elapsed_s": time.perf_counter() - start,
-    }
-    return Report(scenario, estimates, exact, statistics, meta)
+    tally, exact, ks, counters = MODES[scenario.mode].run(scenario)
+    bidders = range(0 if tally is None else tally.k)
+    estimates = tuple(BidderEstimate(b, tally.mean(b), tally.stderr(b)) for b in bidders)
+    meta = {"seed": scenario.seed, "samples": 0 if tally is None else tally.count}
+    if counters is not None:
+        meta["counters"] = counters
+    meta.update(version=VERSION, elapsed_s=time.perf_counter() - start)
+    return Report(scenario, estimates, tuple(exact), {"ks": ks}, meta)
 
 
-def _tally_estimates(tally: WinTally) -> tuple[BidderEstimate, ...]:
-    return tuple(
-        BidderEstimate(b, tally.mean(b), tally.stderr(b)) for b in range(tally.k)
-    )
-
-
-def _play_counts(scenario: Scenario) -> dict:
-    """Meta entries of a run through ``play``: its samples and chunk layout."""
+def _layout(scenario: Scenario) -> dict:
+    """The chunk layout of a run through ``play``: its ``meta["counters"]``."""
     rows = chunk_rows(scenario.k, scenario.n)
-    layout = {"chunks": -(-scenario.samples // rows), "chunk_rows": rows}
-    return {"samples": scenario.samples, "counters": layout}
+    return {"chunks": -(-scenario.samples // rows), "chunk_rows": rows}
 
 
 def _disadvantaged_split(n, adversary_value: Fraction, k: int) -> list[Fraction]:
@@ -328,8 +323,7 @@ def _marginal_mode(scenario: Scenario):
     # the last bidder's draws make the KS table
     keep = k - 1 if scenario.ks_stats else None
     tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=keep)
-    statistics: dict = {"ks": None if draws is None else ks_table(draws, spec)}
-    return _tally_estimates(tally), tuple(exact), statistics, _play_counts(scenario)
+    return tally, exact, None if draws is None else ks_table(draws, spec), _layout(scenario)
 
 
 def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
@@ -380,7 +374,7 @@ def _position_mode(scenario: Scenario):
     ranks = _exact_ranks(adversary_seq.bids, ladder.bids)
     bidders = [_fixed(ranks[:n])] + [_permuted(ranks[n:])] * (k - 1)
     tally, _ = play(n, scenario.samples, scenario.seed, bidders)
-    return _tally_estimates(tally), tuple(exact), {"ks": None}, _play_counts(scenario)
+    return tally, exact, None, _layout(scenario)
 
 
 def _sequential_mode(scenario: Scenario):
@@ -399,21 +393,19 @@ def _sequential_mode(scenario: Scenario):
         "trials": tally.count,
         "leaves": len(run.wins),
     }
-    counts = {"samples": tally.count, "counters": counters}
-    return _tally_estimates(tally), run.expected, {"ks": None}, counts
+    return tally, run.expected, None, counters
 
 
 def _group_mode(scenario: Scenario):
     sizes = tuple(as_fraction(s) for s in scenario.group_sizes)
     auction = GroupAuction(sizes, scenario.k)
     value = group_wins(auction, list(scenario.adversary.bids))
-    exact = _disadvantaged_split(auction.total, value, scenario.k)
     # no sampler exists for the grouped joint distribution; exact values only
-    return (), tuple(exact), {"ks": None}, {"samples": 0}
+    return None, _disadvantaged_split(auction.total, value, scenario.k), None, None
 
 
 class Mode(NamedTuple):
-    run: Callable  # scenario -> (estimates, exact, statistics, meta entries)
+    run: Callable  # scenario -> (tally or None, exact values, KS table or None, meta counters or None)
     kinds: tuple[str, ...]  # the adversary kinds it accepts, the first by default
 
 

@@ -9,19 +9,19 @@ bidder may pass (distinct from the forbidden zero bid); an object every
 bidder passes on goes unsold.
 
 The library strategies (``steady_strategy``, ``scripted_strategy`` and
-``pass_strategy``) are per-round scripts: bid ``amount[r]`` in round r when
-it is positive and within budget, and pass otherwise.  Each carries its
-script in its ``__dict__``, which ``functools.wraps`` copies onto wrappers.
-When every strategy of a run has a script, in either mode, no strategy is
-called: the merged walk takes a (unit, table) pair, the budget as an integer
-in units of 1/D, D the lcm of the script denominators, and each round's
-integer bids, and merges states that reach the same budgets and win counts.
-Other callables take the history walk, which asks for every bid with the
-full history and keeps one state per history.  Both walks play a round by
-``_round``, which passes a bid over its bidder's budget.  Either exact walk
-ends with its final states' win counts and exact chances, from which
-``sample_leaves`` draws many trials at once, one variate per trial, chunk i
-from ``RngStream(seed, i)``.
+``pass_strategy``) are per-round scripts: bid ``amount[r]`` in round r when it
+is positive and within budget, and pass otherwise.  Each carries its script in
+its ``__dict__``, and ``functools.wraps`` copies it onto a wrapper, which the
+walks then play as the wrapped script, never calling it.  When every strategy
+of a run has a script, in either mode, no strategy is called: the merged walk
+takes a (unit, table) pair, the budget as an integer in units of 1/D, D the
+lcm of the script denominators, and each round's integer bids, and merges
+states that reach the same budgets and win counts.  Other callables take the
+history walk, which asks for every bid with the full history and keeps one
+state per history.  Both walks play a round by ``_round``, which passes a bid
+over its bidder's budget.  Either exact walk ends with its final states' win
+counts and exact chances, from which ``sample_leaves`` draws trials, one
+variate each, chunk i from ``RngStream(seed, i)``.
 """
 
 from __future__ import annotations

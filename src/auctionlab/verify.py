@@ -150,7 +150,7 @@ def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> l
     """Sampler marginals: per-coordinate KS distance against the closed-form
     CDF at the 99.9% critical value, plus the exact-sum property."""
     mode = sampled_mode(k)
-    Scenario(mode, n, k, samples=samples, ks_stats=True).validate()
+    Scenario(mode, n, k, samples=samples, seed=seed, ks_stats=True).validate()
     draws = marginal_draw(mode, n, k)(RngStream(seed, 0), samples)
     table = ks_table(draws, MarginalSpec(n, k))
     checks = [
@@ -250,9 +250,9 @@ def run_suite(name: str, n: int = 4, k: int = 2, samples: int = 1_000_000, seed:
     # the scenario each sampled suite runs
     sampled = sampled_mode(k)
     for suite, scenario in (
-        ("marginals", Scenario(sampled, n, k, samples=samples, ks_stats=True)),
-        ("copycat", Scenario(sampled, n, k, samples=samples)),
-        ("sequential", Scenario("sequential", n, k)),
+        ("marginals", Scenario(sampled, n, k, samples=samples, seed=seed, ks_stats=True)),
+        ("copycat", Scenario(sampled, n, k, samples=samples, seed=seed)),
+        ("sequential", Scenario("sequential", n, k, seed=seed)),
     ):
         if suite in names:
             scenario.validate()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from auctionlab import (
     DomainError,
     GroupAuction,
+    LengthMismatch,
     MarginalSpec,
     NotMultiple,
     OverBudget,
@@ -179,3 +180,16 @@ class TestCopycat:
         # refused before the first chunk is allocated
         with pytest.raises(SizeLimitExceeded):
             copycat_value(MarginalSpec(harness.KS_CELLS // 2 + 1, 2), samples=1)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: wins_vs_marginal(MarginalSpec(4, 2), [0.25] * 3), LengthMismatch, "^expected 4 amounts, got 3$"),
+    (lambda: group_wins(GroupAuction((1, 2), 2), [0.5]), LengthMismatch, "^expected 2 amounts, got 1$"),
+    (lambda: GroupAuction((), 2), DomainError, "^need at least one group$"),
+    (lambda: GroupAuction((1, 0), 2), DomainError, "^group sizes must be positive$"),
+    (lambda: GroupAuction((1, 2), 1), DomainError, "^need at least two bidders$"),
+], ids=["marginal-length", "group-length", "no-groups", "zero-size", "one-bidder"])
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error

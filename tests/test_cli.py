@@ -395,3 +395,17 @@ class TestConfigSchema:
         code, _, err = run_cli(capsys, "simulate", "--config", str(config))
         assert code == 1
         assert "smaples" in err
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["--mode", "two-bidder", "--n", "4", "--adversary", "fixed:"], None, "fixed adversary needs amounts"),
+    ([], [1], "config file must hold a JSON object"),
+], ids=["fixed-without-amounts", "config-not-an-object"])
+def test_simulate_input_errors_exit_1(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")

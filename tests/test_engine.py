@@ -179,3 +179,9 @@ class TestBidEpsStrictness:
     def test_fractional_eps_rejected(self):
         with pytest.raises(TypeError):
             Bid(Fraction(1, 2), 1.5)
+
+
+@pytest.mark.parametrize("value", [[1], None, (1, 2), object()], ids=["list", "none", "tuple", "object"])
+def test_as_fraction_refuses_non_amounts(value):
+    with pytest.raises(TypeError, match="^cannot interpret .* as an exact amount$"):
+        as_fraction(value)

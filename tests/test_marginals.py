@@ -201,3 +201,10 @@ class TestDensityNormalization:
         for k in (2, 3, 4):
             ratio = simplex_normalizer_quadrature(k) / simplex_normalizer(k)
             assert ratio == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_simplex_normalizer_needs_two_bidders(k):
+    with pytest.raises(DomainError, match="^need at least two bidders$") as raised:
+        simplex_normalizer(k)
+    assert type(raised.value) is DomainError

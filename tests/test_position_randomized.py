@@ -629,3 +629,14 @@ class TestLadderWins:
         bid = st.builds(Bid, st.sampled_from(bases), st.integers(-n, n))
         seq = BidSequence(tuple(data.draw(st.lists(bid, min_size=n, max_size=n), label="bids")))
         assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder)
+
+
+@pytest.mark.parametrize("bids,message", [
+    ((1,), "^need at least two bids$"),
+    ((Fraction(3, 4), Fraction(1, 4)), "^bids must be sorted ascending$"),
+    ((Fraction(1, 4), Fraction(1, 2)), "^bids must total exactly 1, got 3/4$"),
+], ids=["one-bid", "unsorted", "under-budget"])
+def test_undercut_sequence_input_errors(bids, message):
+    with pytest.raises(DomainError, match=message) as raised:
+        undercut_sequence(BidSequence(bids))
+    assert type(raised.value) is DomainError

@@ -587,3 +587,17 @@ class TestSeedHandling:
         a = draw_two_bidder(4, RngStream(-3, 1), size=50)
         b = draw_two_bidder(4, RngStream(-3, 1), size=50)
         assert np.array_equal(a, b)
+
+
+NOT_AN_RNG = "^rng must be an RngStream or numpy Generator$"
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: samplers._gen_of(7), TypeError, NOT_AN_RNG),
+    (lambda: draw_two_bidder(4, np.random.RandomState(0)), TypeError, NOT_AN_RNG),
+    (lambda: draw_k_bidder(4, 1, RngStream(0)), DomainError, "^need at least two bidders$"),
+], ids=["int-rng", "legacy-rng", "one-bidder"])
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error

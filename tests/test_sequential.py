@@ -476,3 +476,9 @@ class TestBatchedSampling:
         history = sequential._run_exact([unmarked(steady_strategy(6, 2))] * 2, 6, 2)
         assert len(history.wins) == 20 and history.scale == 1
         assert final_wins(history) == final_wins(run) == {(3, 3): 1}
+
+
+def test_pass_strategy_called_directly_passes():
+    # the walk reads its empty script and never calls it
+    view = sequential.RoundView(0, 2, 2, 1, (Fraction(1), Fraction(1)), (0, 0), ())
+    assert pass_strategy(view) is None

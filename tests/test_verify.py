@@ -40,6 +40,19 @@ class TestRunSuite:
         with pytest.raises(ScenarioError):
             run_suite("bogus")
 
+    @pytest.mark.parametrize("suite", ["marginals", "copycat", "sequential", "all"])
+    def test_fractional_seed_refused_before_drawing(self, monkeypatch, suite):
+        # RngStream(1.5) once drew seed 1's checks
+        monkeypatch.setattr(verify, "RngStream", None)
+        monkeypatch.setattr(verify, "copycat_value", None)
+        with pytest.raises(ScenarioError, match="^seed must be an integer: 1.5$"):
+            run_suite(suite, n=4, k=2, samples=1_000, seed=1.5)
+
+    def test_marginal_suite_refuses_fractional_seed_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(verify, "RngStream", None)
+        with pytest.raises(ScenarioError, match="^seed must be an integer: 1.5$"):
+            verify.marginal_suite(4, 2, 1_000, seed=1.5)
+
 
 class TestSequentialSuite:
     @pytest.mark.parametrize("n,k,seed", [(4, 2, 0), (6, 3, 5), (9, 3, -1), (8, 4, 2)])
