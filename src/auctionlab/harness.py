@@ -148,10 +148,7 @@ class Scenario:
             "mode": self.mode,
             "n": self.n,
             "k": self.k,
-            "adversary": {
-                "kind": self.adversary.kind,
-                "bids": _fractions_json(self.adversary.bids),
-            },
+            "adversary": {"kind": self.adversary.kind, "bids": _fractions_json(self.adversary.bids)},
             "samples": self.samples,
             "seed": self.seed,
             "group_sizes": _fractions_json(self.group_sizes),
@@ -162,11 +159,7 @@ def fraction_json(value: Optional[Fraction]) -> Optional[dict]:
     """Lossless rational serialization: numerator/denominator plus decimal."""
     if value is None:
         return None
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "decimal": format(float(value), ".17g"),
-    }
+    return {"num": value.numerator, "den": value.denominator, "decimal": format(float(value), ".17g")}
 
 
 def _fractions_json(values) -> Optional[list]:
@@ -205,15 +198,8 @@ class Report:
         for b in range(max(len(self.exact), len(self.estimates))):
             est = means.get(b)
             exact = self.exact[b] if b < len(self.exact) else None
-            rows.append(
-                [
-                    b,
-                    "" if est is None else repr(est.mean),
-                    "" if est is None else repr(est.stderr),
-                    "" if exact is None else exact.numerator,
-                    "" if exact is None else exact.denominator,
-                ]
-            )
+            rows.append([b] + (["", ""] if est is None else [repr(est.mean), repr(est.stderr)])
+                        + (["", ""] if exact is None else [exact.numerator, exact.denominator]))
         return rows
 
 
@@ -345,15 +331,28 @@ def _exact_ranks(bids, ladder) -> np.ndarray:
     """Each of ``bids``, then each ``ladder`` amount, as its float64 rank
     among the distinct (base, eps) pairs: ranks order and tie as the bids
     do, which floats of distinct Fractions need not.  float() of a Fraction
-    is monotone, so it leads the key and Fractions meet only on equal floats."""
-    keys = [(float(b.base), b.base, b.eps) for b in bids] + [(float(c), c, 0) for c in ladder]
-    ranks = [0] * len(keys)
-    rank, previous = -1, None
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if keys[i] != previous:
-            rank, previous = rank + 1, keys[i]
-        ranks[i] = rank
-    return np.array(ranks, dtype=float)
+    is monotone, so one ``lexsort`` on (double, eps) orders all but a run of
+    equal doubles holding two Fractions, which alone is sorted exactly."""
+    bases = [b.base for b in bids] + list(ladder)
+    steps = [b.eps for b in bids] + [0] * len(ladder)
+    levels = {e: i for i, e in enumerate(sorted(set(steps)))}  # eps of any size, as small ints
+    eps = np.array([levels[e] for e in steps], dtype=np.int64)
+    doubles = np.array([p / q for p, q in map(Fraction.as_integer_ratio, bases)], dtype=float)
+    order = np.lexsort((eps, doubles))
+    double, eps = doubles[order], eps[order]
+    same = double[1:] == double[:-1]
+    new = np.r_[True, ~same | (eps[1:] != eps[:-1])]
+    pairs = np.flatnonzero(same)
+    mixed = [j for j, a, b in zip(pairs.tolist(), order[pairs].tolist(), order[pairs + 1].tolist())
+             if bases[a] is not bases[b] and bases[a] != bases[b]]
+    bounds = np.r_[0, np.flatnonzero(~same) + 1, len(order)]
+    for r in set(np.searchsorted(bounds, mixed, side="right").tolist()):
+        lo, hi = bounds[r - 1], bounds[r]
+        order[lo:hi] = run = sorted(order[lo:hi].tolist(), key=lambda i: (bases[i], steps[i]))
+        new[lo + 1:hi] = [(bases[a], steps[a]) != (bases[b], steps[b]) for a, b in zip(run, run[1:])]
+    ranks = np.empty(len(order))
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
 
 
 def _position_mode(scenario: Scenario):
@@ -364,10 +363,7 @@ def _position_mode(scenario: Scenario):
         response = _best_response(ladder)
         adversary_seq, adversary_value = response.witness_sequence(), response.value
     else:
-        if kind == "undercut":
-            adversary_seq = _undercut(ladder)
-        else:
-            adversary_seq = BidSequence(scenario.adversary.bids)
+        adversary_seq = _undercut(ladder) if kind == "undercut" else BidSequence(scenario.adversary.bids)
         adversary_value = ladder_wins(k, adversary_seq, ladder)
     exact = _disadvantaged_split(n, adversary_value, k)
 

@@ -174,22 +174,25 @@ def expected_wins_perm(
 
 
 def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
-    """``expected_wins_perm`` with identity Q and uniform P, without the
-    n x n matrices: a bid above ``below`` ladder ranks in (base, eps) order
-    wins with chance (below/n)**(k-1), or ``rank_win_expectation`` at rank
-    below+1 when it ties that rank."""
+    """``expected_wins_perm`` with identity Q and uniform P, on integers:
+    ladder rank i is w_i / W, w_i = i**(ladder.k - 1), so a bid p/q beats
+    the ``below`` ranks with w_i <= floor(pW/q) if eps > 0, else those with
+    w_i < ceil(pW/q), and ties rank below+1 iff eps = 0 and w_{below+1} =
+    pW/q.  It wins k * below**(k-1) units of 1/(k * n**(k-1)), or p**k -
+    (p-1)**k when it ties rank p.  ``k`` scores, and ``ladder.k`` places."""
     _check_bidders(k)
     n = ladder.n
     if bids.n != n:
         raise LengthMismatch(f"expected {n} bids, got {bids.n}")
-    total = Fraction(0)
+    weights = [i ** (ladder.k - 1) for i in range(1, n + 1)]
+    total = 0
     for bid in bids.bids:
-        below = (bisect_right if bid.eps > 0 else bisect_left)(ladder.bids, bid.base)
-        if bid.eps == 0 and below < n and ladder.bids[below] == bid.base:
-            total += rank_win_expectation(n, k, below + 1)
-        else:
-            total += Fraction(below, n) ** (k - 1)
-    return total
+        p, q = bid.base.as_integer_ratio()
+        whole, rest = divmod(p * ladder.weight_total, q)
+        below = bisect_right(weights, whole) if bid.eps > 0 else bisect_left(weights, whole + (rest > 0))
+        tie = bid.eps == 0 and not rest and below < n and weights[below] == whole
+        total += (below + 1) ** k - below**k if tie else k * below ** (k - 1)
+    return Fraction(total, k * n ** (k - 1))
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,5 @@ def undercut_sequence(b_sorted: BidSequence) -> BidSequence:
     first = bids[0]
     if first.base == 0:
         raise Infeasible("cannot undercut a zero-amount lowest bid")
-    out = [Bid._unchecked(first.base, first.eps - (n - 1))]
-    out += [Bid._unchecked(b.base, b.eps + 1) for b in bids[1:]]
-    return BidSequence(tuple(out))
+    rest = tuple(Bid._unchecked(b.base, b.eps + 1) for b in bids[1:])
+    return BidSequence((Bid._unchecked(first.base, first.eps - (n - 1)),) + rest)

@@ -240,29 +240,29 @@ def check_rounds(n: int) -> None:
 def _merged_walk(unit: int, table, k: int, gen=None) -> ExactRun:
     """The walk of an all-scripted profile on integer budgets, merging
     states on (budgets, wins): each bidder starts with ``unit`` and bids
-    ``table[r][b]`` in round r + 1.  Probabilities are exact: integer
-    weights over one common denominator, ``scale``, which a round
-    multiplies by the lcm of its tie counts.  ``gen`` goes to ``_round``."""
+    ``table[r][b]`` in round r + 1.  Chances are integer weights over
+    ``scale``; one pass over a round scales both by the lcm of its tie
+    counts, rescaling when a new count arrives.  ``gen`` goes to ``_round``."""
     # the round's states, (budgets, wins) -> weight, in the order first reached
-    states = {((unit,) * k, (0,) * k): 1}
-    scale = 1
+    states, scale = {((unit,) * k, (0,) * k): 1}, 1
     peak = visits = 0
     for round_index, bids in enumerate(table, 1):
         visits += len(states)
         if visits > MAX_STATE_ROUNDS:
             raise _too_long(round_index)
-        steps = [_round(bids, budgets, wins, gen)[2] for budgets, wins in states]
-        split = math.lcm(*{len(children) for children in steps})
-        scale *= split
-        nxt: dict = {}
-        for children, weight in zip(steps, states.values()):
+        nxt, split = {}, 1
+        for (budgets, wins), weight in states.items():
+            children = _round(bids, budgets, wins, gen)[2]
+            if split % len(children):  # a new tie count: rescale the shares so far
+                grow = math.lcm(split, len(children)) // split
+                nxt, split = {child: share * grow for child, share in nxt.items()}, split * grow
             share = weight * (split // len(children))
             for child in children:
                 nxt[child] = nxt.get(child, 0) + share
         if len(nxt) > MAX_STATES:
             raise _too_many(round_index)
         peak = max(peak, len(nxt))
-        states = nxt
+        states, scale = nxt, scale * split
     return ExactRun(peak, visits, [wins for _, wins in states], list(states.values()), scale)
 
 

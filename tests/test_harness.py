@@ -498,6 +498,20 @@ class TestEstimate:
             assert [rank == r for r in ranks] == [bid == b for b in bids]
         assert sorted(set(ranks)) == list(range(15))
 
+    def test_exact_ranks_take_any_eps_and_equal_amounts_apart(self):
+        # eps past int64, and one amount held by distinct Fraction objects
+        near, tiny = Fraction(1, 91), Fraction(1, 10**30)
+        bases = (near - tiny, near, Fraction(1, 91), near + tiny)
+        bids = [Bid(b, e) for b in bases for e in (-(2**70), -1, 0, 2**63, 2**70)]
+        random.Random(7).shuffle(bids)
+        ladder = [Fraction(1, 91), near + tiny]
+        ranks = harness._exact_ranks(bids, ladder)
+        pairs = [(b.base, b.eps) for b in bids] + [(c, 0) for c in ladder]
+        for rank, pair in zip(ranks, pairs):
+            assert [rank < r for r in ranks] == [pair < p for p in pairs]
+            assert [rank == r for r in ranks] == [pair == p for p in pairs]
+        assert sorted(set(ranks)) == list(range(15))
+
     def test_undercut_matches_dp_value(self):
         report = estimate(
             small_scenario(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -569,16 +570,14 @@ class TestUndercut:
         assert all(type(b.base) is Fraction and type(b.eps) is int for b in witness + undercut.bids)
 
 
+@functools.lru_cache
+def placements(n):
+    return PermutationMarginals.identity(n), PermutationMarginals.uniform(n)
+
+
 def matrix_wins(k, seq, ladder):
     """The oracle: ``expected_wins_perm`` with identity Q and uniform P."""
-    n = ladder.n
-    return expected_wins_perm(
-        k,
-        seq,
-        ladder.as_sequence(),
-        PermutationMarginals.identity(n),
-        PermutationMarginals.uniform(n),
-    )
+    return expected_wins_perm(k, seq, ladder.as_sequence(), *placements(ladder.n))
 
 
 def grid_sequences(ladder, rng):
@@ -629,6 +628,129 @@ class TestLadderWins:
         bid = st.builds(Bid, st.sampled_from(bases), st.integers(-n, n))
         seq = BidSequence(tuple(data.draw(st.lists(bid, min_size=n, max_size=n), label="bids")))
         assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder)
+
+    def test_scoring_k_may_differ_from_the_ladder_k(self):
+        # the ladder places its ranks by ladder.k and a bid scores by k: a
+        # scorer that takes both from one of them disagrees here
+        for lk in range(2, 5):
+            for n in range(lk, 9):
+                ladder = initial_bids(n, lk)
+                own = ladder.as_sequence()
+                for seq in (undercut_sequence(own), best_response(n, lk).witness_sequence(), own):
+                    for k in set(range(2, 6)) - {lk}:
+                        assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder), (n, lk, k)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_matrix_path_where_rounding_decides(self, data):
+        # bases one unit of 1/(W*D) either side of each ladder amount put pW/q
+        # just off (D > 1) or on (D = 1) a weight, past the sizes position_suite checks
+        n, k = data.draw(st.sampled_from([(30, 5), (50, 2), (60, 3)]), label="n, k")
+        ladder = initial_bids(n, k)
+        unit = Fraction(1, ladder.weight_total * data.draw(st.integers(1, 7), label="D"))
+        bases = [Fraction(0), ladder.bids[-1] + unit]
+        bases += [c + d for c in ladder.bids for d in (-unit, 0, unit)]
+        bid = st.builds(Bid, st.sampled_from(bases), st.integers(-n, n))
+        # zero bids, which win nothing, fill the rest: a failure shrinks to one bid
+        bids = data.draw(st.lists(bid, min_size=1, max_size=n), label="bids")
+        seq = BidSequence(tuple(bids) + (Bid(0),) * (n - len(bids)))
+        assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder)
+
+
+def oracle_best_response(c, k):
+    """The adversary's best expected wins when each of k - 1 bidders places
+    the sorted positive sequence c on the objects uniformly at random.
+
+    Each object gets one of 3n + 1 candidate bids: the bare +eps, or c_i +
+    eps, c_i or c_i - n*eps; any other bid wins no more for as much budget.
+    A bid beating B of the n amounts and tying T of them wins with chance
+    ((B + T)**k - B**k) / (k * T * n**(k-1)), or (B/n)**(k-1) when T = 0.
+    A knapsack over the objects keeps the best total for each base cost and
+    eps class: all exact, some +eps and no -n*eps, or some -n*eps, which
+    alone makes the net eps negative.  A multiset is feasible when its
+    base total is under 1, or exactly 1 with a net eps of at most 0."""
+    n = len(c)
+    unit = lcm(*(x.denominator for x in c))
+    scale = k * n ** (k - 1) * lcm(*range(1, n + 1))  # every bid's chance is an integer over it
+
+    def win(base, eps):
+        beat = sum(x < base or (x == base and eps > 0) for x in c)
+        tie = sum(x == base for x in c) if eps == 0 else 0
+        if not tie:
+            return scale // n ** (k - 1) * beat ** (k - 1)
+        return scale // (k * tie * n ** (k - 1)) * ((beat + tie) ** k - beat**k)
+
+    # (base cost in units, eps class 0 exact / 1 plus / 2 minus) -> best chance
+    candidates = {}
+    for base, eps, kind in [(Fraction(0), 1, 1)] + [(x, e, t) for x in c for e, t in ((1, 1), (0, 0), (-n, 2))]:
+        key = (base.numerator * (unit // base.denominator), kind)
+        candidates[key] = max(candidates.get(key, 0), win(base, eps))
+    best = {(0, 0): 0}
+    for _ in range(n):
+        nxt = {}
+        for (spent, kind), total in best.items():
+            for (cost, bid_kind), value in candidates.items():
+                key = (spent + cost, max(kind, bid_kind))
+                if key[0] <= unit and nxt.get(key, -1) < total + value:
+                    nxt[key] = total + value
+        best = nxt
+    return Fraction(max(total for (spent, kind), total in best.items() if spent < unit or kind != 1), scale)
+
+
+def grid_partitions(n, units, least=1):
+    """Every nondecreasing n-tuple of positive integers at least ``least`` totalling ``units``."""
+    if n == 1:
+        yield from [(units,)] if units >= least else []
+        return
+    for first in range(least, units // n + 1):
+        for rest in grid_partitions(n - 1, units - first, first):
+            yield (first,) + rest
+
+
+def power_ladder(n, exponent):
+    weights = [i**exponent for i in range(1, n + 1)]
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+# (n, k) -> grid 1/G holding the ladder
+OPTIMALITY_GRIDS = {(3, 2): 30, (4, 2): 30, (4, 3): 30, (5, 2): 15, (3, 3): 28}
+
+
+@pytest.fixture(scope="module")
+def grid_minimum():
+    """The least best-response value over every sorted sequence on each size's grid."""
+    return {
+        (n, k): min(oracle_best_response([Fraction(a, g) for a in s], k) for s in grid_partitions(n, g))
+        for (n, k), g in OPTIMALITY_GRIDS.items()
+    }
+
+
+class TestLadderOptimality:
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+    def test_oracle_equals_best_response_at_the_ladder(self, n, k):
+        assert oracle_best_response(initial_bids(n, k).bids, k) == best_response(n, k).value
+
+    def test_oracle_by_hand(self):
+        # against [1/4, 1/4, 1/2]: 1/2 + eps, 1/4 + eps and the bare +eps win
+        # 1 + 2/3 + 0 for 3/4; the three exact amounts win 5/6 + 1/3 + 1/3
+        # by the tie split; 1/2 - 3eps and two 1/4 + eps spend exactly 1 at
+        # net -eps and win 2/3 + 2/3 + 2/3, the best
+        c = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+        assert oracle_best_response(c, 2) == 2
+        # two opponents: 1/3 + eps wins outright where an exact 1/3 wins a
+        # third, so two of them and the bare +eps win 2 for 2/3
+        assert oracle_best_response([Fraction(1, 3)] * 3, 3) == 2
+
+    @pytest.mark.parametrize("n,k", sorted(OPTIMALITY_GRIDS))
+    def test_no_grid_sequence_beats_the_ladder(self, n, k, grid_minimum):
+        assert grid_minimum[n, k] == oracle_best_response(initial_bids(n, k).bids, k)
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (5, 2)])
+    def test_ladder_exponent_mutants_lose(self, n, k, grid_minimum):
+        # a ladder of the wrong exponent, or uniform, lets the adversary win
+        # more than against some grid sequence, so the test above would catch it
+        for exponent in (k - 2, k, 0):
+            assert oracle_best_response(power_ladder(n, exponent), k) > grid_minimum[n, k], exponent
 
 
 @pytest.mark.parametrize("bids,message", [

@@ -317,6 +317,33 @@ class TestMarkov:
         assert all(type(w) is Fraction for w in wins)
         assert wins == (Fraction(n, k),) * k
 
+    # each profile's ExactRun: (peak_states, state_rounds, wins, weights, scale)
+    PINNED_RUNS = {
+        "steady_24_2": (13, 168, [(12, 12)], [8388608], 8388608),
+        "steady_12_3": (19, 124, [(4, 4, 4)], [7558272], 7558272),
+        "script_vs_steady_8_4": (7, 28, [(2, 2, 2, 2)], [648], 648),
+        "quarters_7_3": (19, 72, [
+            (4, 3, 0), (4, 2, 1), (4, 1, 2), (4, 0, 3), (3, 4, 0), (3, 3, 1), (3, 2, 2), (3, 1, 3),
+            (3, 0, 4), (2, 4, 1), (2, 3, 2), (2, 2, 3), (2, 1, 4), (1, 4, 2), (1, 3, 3), (1, 2, 4),
+            (0, 4, 3), (0, 3, 4),
+        ], [379, 1137, 1137, 379, 379, 1120, 1680, 1120, 379, 1137, 1680, 1680, 1137, 1137, 1120,
+            1137, 379, 379], 17496),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_exact_run_fields_are_pinned(self, name):
+        # the merged walk's counters, final states in order and integer weights
+        script = ["0.3", "0.1", "0.2", "0.05", "0.15", "0.1", "0.05", "0.05"]
+        profiles = {
+            "steady_24_2": ([steady_strategy(24, 2)] * 2, 24, 2),
+            "steady_12_3": ([steady_strategy(12, 3)] * 3, 12, 3),
+            "script_vs_steady_8_4": ([scripted_strategy(script)] + [steady_strategy(8, 4)] * 3, 8, 4),
+            # three bidders bid 1/4 in every round: ties of two and three all the way
+            "quarters_7_3": ([scripted_strategy(["1/4"] * 7)] * 3, 7, 3),
+        }
+        run = sequential._run_exact(*profiles[name])
+        assert tuple(run) == self.PINNED_RUNS[name]
+
     @pytest.mark.parametrize(
         "n,k", [(8, 2), (12, 2), (6, 3), (9, 3), (8, 4), (5, 5), (6, 6)]
     )
