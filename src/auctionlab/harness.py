@@ -30,7 +30,7 @@ from .engine import BidSequence, as_fraction
 from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, chunk_rows, play
-from .position_randomized import _best_response, _undercut, initial_bids, ladder_wins
+from .position_randomized import _best_response, _ladder_places, _place_wins, _undercut, check_ladder, initial_bids
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, row_sum_error
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
@@ -109,6 +109,8 @@ class Scenario:
                 f"a sampled row of {k} bidders x {n} objects exceeds the "
                 f"{KS_CELLS:,}-cell limit"
             )
+        if mode == "position-randomized":
+            check_ladder(n, k)
         if mode == "k-bidder" and k > MAX_SIMPLEX_K:
             raise SizeLimitExceeded(f"k-bidder draws of {k} bidders exceed the {MAX_SIMPLEX_K}-bidder limit")
         if self.ks_stats and self.samples * n > KS_CELLS:
@@ -327,50 +329,22 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
     return {"entries": entries, "max_sum_error": row_sum_error(draws)}
 
 
-def _exact_ranks(bids, ladder) -> np.ndarray:
-    """Each of ``bids``, then each ``ladder`` amount, as its float64 rank
-    among the distinct (base, eps) pairs: ranks order and tie as the bids
-    do, which floats of distinct Fractions need not.  float() of a Fraction
-    is monotone, so one ``lexsort`` on (double, eps) orders all but a run of
-    equal doubles holding two Fractions, which alone is sorted exactly."""
-    bases = [b.base for b in bids] + list(ladder)
-    steps = [b.eps for b in bids] + [0] * len(ladder)
-    levels = {e: i for i, e in enumerate(sorted(set(steps)))}  # eps of any size, as small ints
-    eps = np.array([levels[e] for e in steps], dtype=np.int64)
-    doubles = np.array([p / q for p, q in map(Fraction.as_integer_ratio, bases)], dtype=float)
-    order = np.lexsort((eps, doubles))
-    double, eps = doubles[order], eps[order]
-    same = double[1:] == double[:-1]
-    new = np.r_[True, ~same | (eps[1:] != eps[:-1])]
-    pairs = np.flatnonzero(same)
-    mixed = [j for j, a, b in zip(pairs.tolist(), order[pairs].tolist(), order[pairs + 1].tolist())
-             if bases[a] is not bases[b] and bases[a] != bases[b]]
-    bounds = np.r_[0, np.flatnonzero(~same) + 1, len(order)]
-    for r in set(np.searchsorted(bounds, mixed, side="right").tolist()):
-        lo, hi = bounds[r - 1], bounds[r]
-        order[lo:hi] = run = sorted(order[lo:hi].tolist(), key=lambda i: (bases[i], steps[i]))
-        new[lo + 1:hi] = [(bases[a], steps[a]) != (bases[b], steps[b]) for a, b in zip(run, run[1:])]
-    ranks = np.empty(len(order))
-    ranks[order] = np.cumsum(new) - 1
-    return ranks
-
-
 def _position_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     ladder = initial_bids(n, k)
     kind = scenario.adversary.kind
     if kind == "dp-optimal":
         response = _best_response(ladder)
-        adversary_seq, adversary_value = response.witness_sequence(), response.value
+        places, adversary_value = _ladder_places(response.witness, ladder), response.value
     else:
         adversary_seq = _undercut(ladder) if kind == "undercut" else BidSequence(scenario.adversary.bids)
-        adversary_value = ladder_wins(k, adversary_seq, ladder)
-    exact = _disadvantaged_split(n, adversary_value, k)
-
-    ranks = _exact_ranks(adversary_seq.bids, ladder.bids)
-    bidders = [_fixed(ranks[:n])] + [_permuted(ranks[n:])] * (k - 1)
+        places = _ladder_places(adversary_seq.bids, ladder)
+        adversary_value = _place_wins(k, n, places)
+    # rank i stands at place 2i: places order and tie as the bids do against the ladder
+    ladder_row = np.arange(2, 2 * n + 1, 2, dtype=float)
+    bidders = [_fixed(np.array(places, dtype=float))] + [_permuted(ladder_row)] * (k - 1)
     tally, _ = play(n, scenario.samples, scenario.seed, bidders)
-    return tally, exact, None, _layout(scenario)
+    return tally, _disadvantaged_split(n, adversary_value, k), None, _layout(scenario)
 
 
 def _sequential_mode(scenario: Scenario):

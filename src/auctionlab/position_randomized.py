@@ -39,16 +39,14 @@ class InitialBids:
 MAX_VALUE_DIGITS = 4300
 
 # Most digits a ladder may hold, counted as n ranks of k * log10(n) digits
-# each.  (10**6, 3) holds 1.8e7 and its best response takes seconds and a
-# few hundred megabytes, a Fraction of about 200 bytes per rank and a
-# witness as much again.
+# each.  (10**6, 3) holds 1.8e7, and a position run of that size takes about
+# five seconds and 340 MB: per rank, a ladder Fraction of about 120 bytes, a
+# witness or undercut Bid of about 100 and an int place of about 40.
 MAX_LADDER_DIGITS = 20_000_000
 
 
-def initial_bids(n: int, k: int) -> InitialBids:
-    """Optimal initial sequence within the position-randomized class."""
-    if k < 2 or n < k:
-        raise DomainError("need n >= k >= 2")
+def check_ladder(n: int, k: int) -> None:
+    """Refuse, before any work, a ladder too long to hold or to print."""
     # weight_total, the ladder's largest integer, is below n**k
     digits = k * math.log10(n)
     if digits >= MAX_VALUE_DIGITS:
@@ -61,6 +59,13 @@ def initial_bids(n: int, k: int) -> InitialBids:
             f"the n = {n}, k = {k} ladder holds about {n * digits:,.0f} digits, past the "
             f"ladder limit of {MAX_LADDER_DIGITS:,}"
         )
+
+
+def initial_bids(n: int, k: int) -> InitialBids:
+    """Optimal initial sequence within the position-randomized class."""
+    if k < 2 or n < k:
+        raise DomainError("need n >= k >= 2")
+    check_ladder(n, k)
     weights = [i ** (k - 1) for i in range(1, n + 1)]
     total = sum(weights)
     return InitialBids(n, k, total, tuple(Fraction(w, total) for w in weights))
@@ -173,26 +178,40 @@ def expected_wins_perm(
     return Fraction(total, q_marginals._unit * p_marginals._unit**m * ties)
 
 
-def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
-    """``expected_wins_perm`` with identity Q and uniform P, on integers:
-    ladder rank i is w_i / W, w_i = i**(ladder.k - 1), so a bid p/q beats
-    the ``below`` ranks with w_i <= floor(pW/q) if eps > 0, else those with
-    w_i < ceil(pW/q), and ties rank below+1 iff eps = 0 and w_{below+1} =
-    pW/q.  It wins k * below**(k-1) units of 1/(k * n**(k-1)), or p**k -
-    (p-1)**k when it ties rank p.  ``k`` scores, and ``ladder.k`` places."""
-    _check_bidders(k)
-    n = ladder.n
-    if bids.n != n:
-        raise LengthMismatch(f"expected {n} bids, got {bids.n}")
-    weights = [i ** (ladder.k - 1) for i in range(1, n + 1)]
-    total = 0
-    for bid in bids.bids:
+def _ladder_places(bids: Iterable[Bid], ladder: InitialBids) -> list[int]:
+    """Each bid's place among the ladder's ranks w_i / W, w_i = i**(ladder.k
+    - 1): 2i if it ties rank i, 2i + 1 if it beats ranks 1..i and no more.
+    A bid p/q beats the ranks with w_i <= floor(pW/q) if eps > 0, else those
+    with w_i < ceil(pW/q), and ties the next iff eps = 0 and it is pW/q."""
+    weights = [i ** (ladder.k - 1) for i in range(1, ladder.n + 1)]
+    places = []
+    for bid in bids:
         p, q = bid.base.as_integer_ratio()
         whole, rest = divmod(p * ladder.weight_total, q)
         below = bisect_right(weights, whole) if bid.eps > 0 else bisect_left(weights, whole + (rest > 0))
-        tie = bid.eps == 0 and not rest and below < n and weights[below] == whole
-        total += (below + 1) ** k - below**k if tie else k * below ** (k - 1)
+        tie = bid.eps == 0 and not rest and below < ladder.n and weights[below] == whole
+        places.append(2 * below + 1 + tie)
+    return places
+
+
+def _place_wins(k: int, n: int, places: Iterable[int]) -> Fraction:
+    """Expected wins of bids at ``_ladder_places`` against k - 1 uniformly
+    permuted n-rank ladders: one beating i ranks wins k * i**(k-1) units of
+    1/(k * n**(k-1)), and one tying rank i wins i**k - (i-1)**k."""
+    total = 0
+    for place in places:
+        rank, beats = divmod(place, 2)
+        total += k * rank ** (k - 1) if beats else rank**k - (rank - 1) ** k
     return Fraction(total, k * n ** (k - 1))
+
+
+def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
+    """``expected_wins_perm`` with identity Q and uniform P, on integers:
+    ``k`` scores the bids' places, and ``ladder.k`` places them."""
+    _check_bidders(k)
+    if bids.n != ladder.n:
+        raise LengthMismatch(f"expected {ladder.n} bids, got {bids.n}")
+    return _place_wins(k, ladder.n, _ladder_places(bids.bids, ladder))
 
 
 @dataclass(frozen=True)

@@ -184,13 +184,18 @@ def _scripts(strategies: Sequence[Strategy]) -> Optional[list[tuple[Fraction, ..
 
 def _unit_table(scripts, n: int) -> tuple[int, list[tuple[int, ...]]]:
     """The budget in units of 1/D, D the lcm of the scripts' denominators,
-    and each round's bids in those units (0 for a pass)."""
-    unit = math.lcm(*{a.denominator for script in scripts for a in script[:n]})
-    columns = [
-        [max(a.numerator, 0) * (unit // a.denominator) for a in script[:n]]
-        + [0] * (n - len(script[:n]))
-        for script in scripts
-    ]
+    and each round's bids in those units (0 for a pass).  A run of one
+    amount object, as a steady script's n rounds, converts once."""
+    scripts = [tuple(script[:n]) for script in scripts]
+    unit = math.lcm(*{a.denominator for s in scripts for a, last in zip(s, (None,) + s) if a is not last})
+    columns = []
+    for script in scripts:
+        column, last = [], None
+        for a in script:
+            if a is not last:
+                last, value = a, max(a.numerator, 0) * (unit // a.denominator)
+            column.append(value)
+        columns.append(column + [0] * (n - len(script)))
     return unit, list(zip(*columns))
 
 

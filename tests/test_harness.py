@@ -26,7 +26,7 @@ from auctionlab import (
     ks_distance,
     marginal_cdf,
 )
-from auctionlab import harness, montecarlo
+from auctionlab import harness, montecarlo, position_randomized
 from auctionlab.montecarlo import WinTally, play, win_counts
 from auctionlab.samplers import MAX_SIMPLEX_K
 
@@ -398,6 +398,18 @@ class TestScenarioValidation:
         with pytest.raises(SizeLimitExceeded, match="cell limit"):
             Scenario("position-randomized", harness.KS_CELLS // 3 + 1, 3, undercut).validate()
 
+    def test_oversized_ladder_is_refused_before_any_work(self, monkeypatch):
+        # (10**7, 3) holds about 2.1e8 digits; only estimate used to refuse it
+        with pytest.raises(SizeLimitExceeded, match="ladder limit of 20,000,000"):
+            Scenario("position-randomized", 10**7, 3).validate()
+        monkeypatch.setattr(position_randomized, "MAX_LADDER_DIGITS", 15)
+        Scenario("position-randomized", 8, 2).validate()
+        for kind in ("dp-optimal", "undercut"):
+            with pytest.raises(SizeLimitExceeded, match="ladder limit of 15"):
+                Scenario("position-randomized", 9, 2, AdversaryPlan(kind)).validate()
+        # the other modes build no ladder
+        Scenario("two-bidder", 9, 2).validate()
+
     def test_simplex_bidder_limit(self):
         # past MAX_SIMPLEX_K nearly every k-bidder row would hold an underflowed gamma
         Scenario("k-bidder", MAX_SIMPLEX_K, MAX_SIMPLEX_K, samples=10).validate()
@@ -486,31 +498,24 @@ class TestEstimate:
         first = report.estimates[0]
         assert abs(first.mean - float(report.exact[0])) <= 3 * first.stderr
 
-    def test_exact_ranks_order_and_tie_as_bids(self):
-        # the middle three bases share one double
-        near, tiny = Fraction(1, 91), Fraction(1, 10**30)
-        bases = [Fraction(0), near - tiny, near, near + tiny, Fraction(1, 3)]
-        bids = [Bid(b, e) for b in bases for e in (-1, 0, 1)] * 2
-        random.Random(5).shuffle(bids)
-        ranks = harness._exact_ranks(bids, [])
-        for rank, bid in zip(ranks, bids):
-            assert [rank < r for r in ranks] == [bid < b for b in bids]
-            assert [rank == r for r in ranks] == [bid == b for b in bids]
-        assert sorted(set(ranks)) == list(range(15))
-
-    def test_exact_ranks_take_any_eps_and_equal_amounts_apart(self):
-        # eps past int64, and one amount held by distinct Fraction objects
-        near, tiny = Fraction(1, 91), Fraction(1, 10**30)
-        bases = (near - tiny, near, Fraction(1, 91), near + tiny)
-        bids = [Bid(b, e) for b in bases for e in (-(2**70), -1, 0, 2**63, 2**70)]
-        random.Random(7).shuffle(bids)
-        ladder = [Fraction(1, 91), near + tiny]
-        ranks = harness._exact_ranks(bids, ladder)
-        pairs = [(b.base, b.eps) for b in bids] + [(c, 0) for c in ladder]
-        for rank, pair in zip(ranks, pairs):
-            assert [rank < r for r in ranks] == [pair < p for p in pairs]
-            assert [rank == r for r in ranks] == [pair == p for p in pairs]
-        assert sorted(set(ranks)) == list(range(15))
+    @pytest.mark.parametrize("n,k", [(n, k) for k in range(2, 6) for n in range(k, 13)])
+    def test_ladder_places_order_and_tie_as_bids(self, n, k):
+        # position mode plays places against ranks at 2i: amounts one double
+        # from a rank, equal amounts in distinct Fraction objects and eps
+        # past int64 must place as the bids compare
+        ladder = initial_bids(n, k)
+        tiny = Fraction(1, 10**30)
+        bases = [Fraction(0), Fraction(1, 91), Fraction(1)]
+        for c in ladder.bids:
+            assert float(c - tiny) == float(c) == float(c + tiny)
+            bases += [c - tiny, Fraction(c.numerator, c.denominator), c + tiny]
+        bids = [Bid(b, e) for b in bases for e in (-(2**70), -1, 0, 1, 2**63, 2**70)]
+        random.Random(n * k).shuffle(bids)
+        places = position_randomized._ladder_places(bids, ladder)
+        for bid, place in zip(bids, places):
+            for i, c in enumerate(ladder.bids, 1):
+                assert (place < 2 * i) == (bid < Bid(c)), (bid, i)
+                assert (place == 2 * i) == (bid == Bid(c)), (bid, i)
 
     def test_undercut_matches_dp_value(self):
         report = estimate(

@@ -370,6 +370,18 @@ class TestMarkov:
         assert unit == 12
         assert table == [(3, 4), (0, 0), (2, 0), (0, 0)]
 
+    def test_units_convert_runs_of_one_object_as_equal_amounts(self):
+        # a run of one Fraction object converts once; the same amounts in
+        # distinct objects, a negative amount and rounds past n convert
+        # alike, and the second script's quarter sets the unit with them
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        shared = (third, third, sixth, sixth, third, Fraction(-1, 2), Fraction(1, 5))
+        fresh = tuple(Fraction(a.numerator, a.denominator) for a in shared)
+        quarter = (third, third, Fraction(1, 4))
+        table = [(4, 4), (4, 4), (2, 3), (2, 0), (4, 0), (0, 0)]
+        assert sequential._unit_table([shared, quarter], 6) == (12, table)
+        assert sequential._unit_table([fresh, quarter], 6) == (12, table)
+
 
 EIGHTHS = st.integers(0, 8).map(lambda v: Fraction(v, 8))
 
