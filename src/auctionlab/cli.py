@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -242,13 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse ``argv``; a ``--config`` file's values become the subcommand's
     defaults, and a second parse lets the flags win.  A sampled command
-    given no seed reads AUCTIONLAB_SEED."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    given no seed reads AUCTIONLAB_SEED.  The parser is built once per
+    process, but a ``--config`` call builds its own to set defaults on."""
+    args = _shared_parser().parse_args(argv)
     if args.config:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         args.parser.set_defaults(**_config_defaults(args.parser, args.config))
         args = parser.parse_args(argv)
     if "seed" in vars(args) and args.seed is None:

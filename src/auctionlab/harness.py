@@ -314,14 +314,32 @@ def _marginal_mode(scenario: Scenario):
     return tally, exact, None if draws is None else ks_table(draws, spec), _layout(scenario)
 
 
+def _first_equal_columns(draws: np.ndarray) -> list[int]:
+    """Each column's first equal column, itself if none: a candidate is the
+    first column with its row-0 value, confirmed in one pass over blocks of
+    at most ``CHUNK`` cells, with no copy of a column or of the table."""
+    firsts: dict = {}
+    reps = np.array([firsts.setdefault(v, c) for c, v in enumerate(draws[0].tolist())], dtype=np.intp)
+    copies = np.flatnonzero(reps != np.arange(reps.size))
+    equal = np.ones(copies.size, dtype=bool)
+    step = max(1, CHUNK // reps.size)
+    for start in range(1, draws.shape[0], step):
+        block = draws[start:start + step]
+        equal &= (block[:, copies] == block[:, reps[copies]]).all(axis=0)
+    reps[copies[~equal]] = copies[~equal]
+    return reps.tolist()
+
+
 def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
     """KS distance of each column of ``draws`` from the closed-form
-    marginal, with the 99.9% critical value, and the worst row-sum error."""
+    marginal, with the 99.9% critical value, and the worst row-sum error.
+    A column equal to an earlier one, as the samplers' copies are, takes its distance."""
+    if not draws.size:
+        raise EmptySample("cannot compute a KS table on an empty sample")
     threshold = KS_FACTOR / math.sqrt(draws.shape[0])
-    distances = [
-        ks_distance(draws[:, c], lambda v: marginal_cdf(spec, v))
-        for c in range(draws.shape[1])
-    ]
+    reps = _first_equal_columns(draws)
+    scored = {r: ks_distance(draws[:, r], partial(marginal_cdf, spec)) for r in dict.fromkeys(reps)}
+    distances = [scored[r] for r in reps]
     entries = [
         {"coordinate": c, "distance": d, "threshold": threshold, "passed": d <= threshold}
         for c, d in enumerate(distances)

@@ -54,9 +54,9 @@ def check_ladder(n: int, k: int) -> None:
             f"the exact values of the n = {n}, k = {k} ladder run to about {digits:,.0f} "
             f"digits, past the {MAX_VALUE_DIGITS:,} that can be printed"
         )
-    if n * digits > MAX_LADDER_DIGITS:
+    if n > MAX_LADDER_DIGITS / digits:
         raise SizeLimitExceeded(
-            f"the n = {n}, k = {k} ladder holds about {n * digits:,.0f} digits, past the "
+            f"the n = {n}, k = {k} ladder holds about 10^{math.log10(n) + math.log10(digits):.1f} digits, past the "
             f"ladder limit of {MAX_LADDER_DIGITS:,}"
         )
 

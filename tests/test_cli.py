@@ -229,6 +229,12 @@ class TestBestResponse:
         assert out == ""
         assert "ladder limit of 50" in err
 
+    def test_ladder_past_float_range_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "best-response", "--n", str(10**400), "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "ladder limit of 20,000,000" in err
+
 
 class TestMarginals:
     def test_grid_json(self, capsys):

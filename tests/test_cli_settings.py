@@ -103,6 +103,24 @@ class TestFlagsAndConfigAgree:
                 with_config(tmp_path, command, {dest: int(text)})
 
 
+class TestSharedParser:
+    def test_plain_calls_share_one_parser(self, tmp_path):
+        first = parse_args(["simulate"]).parser
+        assert parse_args(["simulate", "--n", "5"]).parser is first
+        assert with_config(tmp_path, "simulate", {"n": 5}).parser is not first
+
+    def test_config_defaults_stay_with_their_call(self, tmp_path):
+        assert with_config(tmp_path, "simulate", {"n": 6}).n == 6
+        assert parse_args(["simulate", "--mode", "two-bidder"]).n == 4
+
+    def test_exit_codes_after_the_parser_is_built(self, capsys):
+        parse_args(["simulate"])
+        assert main(["--version"]) == 0
+        assert main(["simulate", "--bogus"]) == 1
+        assert main(["--version"]) == 0
+        capsys.readouterr()
+
+
 class TestModeDefaults:
     @pytest.mark.parametrize(
         "mode, n, k, kind",

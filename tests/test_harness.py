@@ -140,6 +140,71 @@ class TestKsMemory:
         assert max(ratios.values()) <= 1.75, ratios
 
 
+def ks_reference(draws, n, k):
+    """ks_table's distances, one ks_distance per column."""
+    cdf = partial(marginal_cdf, MarginalSpec(n, k))
+    return [ks_distance(draws[:, c], cdf) for c in range(draws.shape[1])]
+
+
+def table_distances(draws, n, k):
+    return [e["distance"] for e in harness.ks_table(draws, MarginalSpec(n, k))["entries"]]
+
+
+def count_ks_calls(monkeypatch):
+    calls = []
+
+    def counted(sample, cdf):
+        calls.append(sample.size)
+        return ks_distance(sample, cdf)
+
+    monkeypatch.setattr(harness, "ks_distance", counted)
+    return calls
+
+
+class TestKsCopies:
+    """ks_table scores each distinct column once; a column equal to an
+    earlier one takes its distance."""
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (7, 2), (64, 2), (6, 3), (12, 3), (64, 4)])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_matches_per_column_reference(self, n, k, layout):
+        # two blocks of the copy check and a partial third
+        rows = 2 * (montecarlo.CHUNK // n) + 7
+        draws = layout(memory_draws(n, k)[:rows])
+        assert table_distances(draws, n, k) == ks_reference(draws, n, k)
+
+    @pytest.mark.parametrize("n, k, calls", [(64, 2, 2), (12, 3, 3), (7, 2, 5), (5, 2, 5)])
+    def test_one_call_per_distinct_column(self, n, k, calls, monkeypatch):
+        draws = memory_draws(n, k)[:5_000]
+        counted = count_ks_calls(monkeypatch)
+        harness.ks_table(draws, MarginalSpec(n, k))
+        assert len(counted) == calls
+
+    def test_non_adjacent_copy_is_merged(self, monkeypatch):
+        draws = np.random.default_rng(4).random((3_000, 4)) / 2
+        draws[:, 3] = draws[:, 0]
+        counted = count_ks_calls(monkeypatch)
+        distances = table_distances(draws, 4, 2)
+        assert len(counted) == 3
+        assert distances[3] == distances[0]
+        assert distances == ks_reference(draws, 4, 2)
+
+    def test_column_that_differs_below_row_zero_is_not_merged(self, monkeypatch):
+        rows = 3 * (montecarlo.CHUNK // 4)
+        draws = np.random.default_rng(6).random((rows, 4)) / 2
+        draws[:, 2] = draws[:, 0]
+        draws[rows - 1, 2] = 0.25  # the last block differs in one cell
+        counted = count_ks_calls(monkeypatch)
+        distances = table_distances(draws, 4, 2)
+        assert len(counted) == 4
+        assert distances == ks_reference(draws, 4, 2)
+
+    def test_empty_table_raises(self):
+        # an all-NaN table's DomainError is checked with ks_distance's NaN cases
+        with pytest.raises(EmptySample):
+            harness.ks_table(np.empty((0, 4)), MarginalSpec(4, 2))
+
+
 def chunk_samples(k, n):
     """Three full play chunks and a partial fourth."""
     return 3 * montecarlo.chunk_rows(k, n) + 5

@@ -66,6 +66,11 @@ class TestInitialBids:
         with pytest.raises(SizeLimitExceeded):
             best_response(9, 2)
 
+    def test_ladder_limit_on_an_n_past_float_range(self):
+        # n * digits once overflowed to a plain OverflowError past n ~ 1e308
+        with pytest.raises(SizeLimitExceeded, match=r"about 10\^402\.9 digits, past the ladder limit"):
+            initial_bids(10**400, 2)
+
     def test_value_digit_limit(self):
         # weight_total < n**k: refused once n**k may need 4,300 digits or more
         for n, k in ((10**2150, 2), (1500, 1500)):
