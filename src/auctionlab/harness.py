@@ -26,11 +26,11 @@ import numpy as np
 
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
-from .engine import BidSequence, as_fraction
+from .engine import Bid, as_fraction
 from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, chunk_rows, play
-from .position_randomized import _best_response, _ladder_places, _place_wins, _undercut, check_ladder, initial_bids
+from .position_randomized import _adversary_places, _ladder_places, _place_wins, check_ladder
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, row_sum_error
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
@@ -348,21 +348,13 @@ def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
 
 
 def _position_mode(scenario: Scenario):
-    n, k = scenario.n, scenario.k
-    ladder = initial_bids(n, k)
-    kind = scenario.adversary.kind
-    if kind == "dp-optimal":
-        response = _best_response(ladder)
-        places, adversary_value = _ladder_places(response.witness, ladder), response.value
-    else:
-        adversary_seq = _undercut(ladder) if kind == "undercut" else BidSequence(scenario.adversary.bids)
-        places = _ladder_places(adversary_seq.bids, ladder)
-        adversary_value = _place_wins(k, n, places)
+    n, k, bids = scenario.n, scenario.k, scenario.adversary.bids
+    places = _adversary_places(n) if bids is None else _ladder_places(map(Bid, bids), n, k)
     # rank i stands at place 2i: places order and tie as the bids do against the ladder
     ladder_row = np.arange(2, 2 * n + 1, 2, dtype=float)
     bidders = [_fixed(np.array(places, dtype=float))] + [_permuted(ladder_row)] * (k - 1)
     tally, _ = play(n, scenario.samples, scenario.seed, bidders)
-    return tally, _disadvantaged_split(n, adversary_value, k), None, _layout(scenario)
+    return tally, _disadvantaged_split(n, _place_wins(k, n, places), k), None, _layout(scenario)
 
 
 def _sequential_mode(scenario: Scenario):

@@ -39,25 +39,26 @@ class InitialBids:
 MAX_VALUE_DIGITS = 4300
 
 # Most digits a ladder may hold, counted as n ranks of k * log10(n) digits
-# each.  (10**6, 3) holds 1.8e7, and a position run of that size takes about
-# five seconds and 340 MB: per rank, a ladder Fraction of about 120 bytes, a
-# witness or undercut Bid of about 100 and an int place of about 40.
+# each; (10**6, 3) holds 1.8e7.  It bounds ``initial_bids``, ``best_response``
+# and ``ladder_wins``, which build one Fraction or Bid per rank; position
+# mode plays the library adversaries with neither, at the same sizes.
 MAX_LADDER_DIGITS = 20_000_000
 
 
 def check_ladder(n: int, k: int) -> None:
     """Refuse, before any work, a ladder too long to hold or to print."""
     # weight_total, the ladder's largest integer, is below n**k
-    digits = k * math.log10(n)
+    power = math.log10(n)
+    digits = k * power
     if digits >= MAX_VALUE_DIGITS:
         raise SizeLimitExceeded(
-            f"the exact values of the n = {n}, k = {k} ladder run to about {digits:,.0f} "
+            f"the exact values of the n = 10^{power:.1f}, k = {k} ladder run to about {digits:,.0f} "
             f"digits, past the {MAX_VALUE_DIGITS:,} that can be printed"
         )
     if n > MAX_LADDER_DIGITS / digits:
         raise SizeLimitExceeded(
-            f"the n = {n}, k = {k} ladder holds about 10^{math.log10(n) + math.log10(digits):.1f} digits, past the "
-            f"ladder limit of {MAX_LADDER_DIGITS:,}"
+            f"the n = 10^{power:.1f}, k = {k} ladder holds about 10^{power + math.log10(digits):.1f} digits, "
+            f"past the ladder limit of {MAX_LADDER_DIGITS:,}"
         )
 
 
@@ -178,20 +179,27 @@ def expected_wins_perm(
     return Fraction(total, q_marginals._unit * p_marginals._unit**m * ties)
 
 
-def _ladder_places(bids: Iterable[Bid], ladder: InitialBids) -> list[int]:
-    """Each bid's place among the ladder's ranks w_i / W, w_i = i**(ladder.k
-    - 1): 2i if it ties rank i, 2i + 1 if it beats ranks 1..i and no more.
-    A bid p/q beats the ranks with w_i <= floor(pW/q) if eps > 0, else those
-    with w_i < ceil(pW/q), and ties the next iff eps = 0 and it is pW/q."""
-    weights = [i ** (ladder.k - 1) for i in range(1, ladder.n + 1)]
+def _ladder_places(bids: Iterable[Bid], n: int, k: int) -> list[int]:
+    """Each bid's place among the ranks w_i / W of the (n, k) ladder, w_i =
+    i**(k - 1): 2i if it ties rank i, 2i + 1 if it beats ranks 1..i and no
+    more.  A bid p/q beats the ranks with w_i <= floor(pW/q) if eps > 0, else
+    those with w_i < ceil(pW/q), and ties the next iff eps = 0 and it is pW/q."""
+    weights = [i ** (k - 1) for i in range(1, n + 1)]
+    total = sum(weights)
     places = []
     for bid in bids:
         p, q = bid.base.as_integer_ratio()
-        whole, rest = divmod(p * ladder.weight_total, q)
+        whole, rest = divmod(p * total, q)
         below = bisect_right(weights, whole) if bid.eps > 0 else bisect_left(weights, whole + (rest > 0))
-        tie = bid.eps == 0 and not rest and below < ladder.n and weights[below] == whole
+        tie = bid.eps == 0 and not rest and below < n and weights[below] == whole
         places.append(2 * below + 1 + tie)
     return places
+
+
+def _adversary_places(n: int) -> list[int]:
+    """``_ladder_places`` of the undercut and of the best-response witness
+    alike: below rank 1, then one eps over ranks 2..n."""
+    return [1, *range(5, 2 * n + 2, 2)]
 
 
 def _place_wins(k: int, n: int, places: Iterable[int]) -> Fraction:
@@ -211,7 +219,7 @@ def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
     _check_bidders(k)
     if bids.n != ladder.n:
         raise LengthMismatch(f"expected {ladder.n} bids, got {bids.n}")
-    return _place_wins(k, ladder.n, _ladder_places(bids.bids, ladder))
+    return _place_wins(k, ladder.n, _ladder_places(bids.bids, ladder.n, ladder.k))
 
 
 @dataclass(frozen=True)
@@ -238,21 +246,10 @@ def best_response(n: int, k: int) -> BestResponse:
     infinitesimal plus ranks 2..n spend exactly, so the optimum is
     (weight_total - 1) / n**(k-1).
     """
-    return _best_response(initial_bids(n, k))
-
-
-def _best_response(ladder: InitialBids) -> BestResponse:
-    """``best_response`` to a ladder already built."""
-    n, k = ladder.n, ladder.k
+    ladder = initial_bids(n, k)
     witness = (Bid._unchecked(Fraction(0), +1),) + tuple(Bid._unchecked(c, +1) for c in ladder.bids[1:])
     value = Fraction(ladder.weight_total - 1, n ** (k - 1))
     return BestResponse(n=n, k=k, value=value, witness=witness)
-
-
-def _undercut(ladder: InitialBids) -> BidSequence:
-    """``undercut_sequence`` of a built ladder: sorted, positive and unit-total by construction."""
-    first, *rest = ladder.bids
-    return BidSequence((Bid._unchecked(first, 1 - ladder.n),) + tuple(Bid._unchecked(c, +1) for c in rest))
 
 
 def undercut_sequence(b_sorted: BidSequence) -> BidSequence:

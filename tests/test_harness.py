@@ -576,7 +576,7 @@ class TestEstimate:
             bases += [c - tiny, Fraction(c.numerator, c.denominator), c + tiny]
         bids = [Bid(b, e) for b in bases for e in (-(2**70), -1, 0, 1, 2**63, 2**70)]
         random.Random(n * k).shuffle(bids)
-        places = position_randomized._ladder_places(bids, ladder)
+        places = position_randomized._ladder_places(bids, n, k)
         for bid, place in zip(bids, places):
             for i, c in enumerate(ladder.bids, 1):
                 assert (place < 2 * i) == (bid < Bid(c)), (bid, i)

@@ -66,6 +66,15 @@ class TestInitialBids:
         with pytest.raises(SizeLimitExceeded):
             best_response(9, 2)
 
+    def test_limit_messages_name_n_by_its_power_of_ten(self):
+        # an n of 5,001 digits once failed to print, so a plain ValueError
+        # escaped where SizeLimitExceeded was meant
+        for build in (initial_bids, best_response):
+            with pytest.raises(SizeLimitExceeded, match=r"n = 10\^5000\.0, k = 2 ladder run to"):
+                build(10**5000, 2)
+        with pytest.raises(SizeLimitExceeded, match=r"n = 10\^6\.3, k = 3 ladder holds"):
+            initial_bids(2 * 10**6, 3)
+
     def test_ladder_limit_on_an_n_past_float_range(self):
         # n * digits once overflowed to a plain OverflowError past n ~ 1e308
         with pytest.raises(SizeLimitExceeded, match=r"about 10\^402\.9 digits, past the ladder limit"):
@@ -548,16 +557,16 @@ class TestUndercut:
         with pytest.raises(ValueError):
             undercut_sequence(BidSequence.of(Fraction(1, 3), Fraction(1, 3)))
 
-    @pytest.mark.parametrize(
-        "n,k", [(n, k) for n, k in itertools.product([2, 3, 4, 7, 12, 50], [2, 3, 4, 6]) if n >= k]
-    )
-    def test_undercut_of_a_built_ladder_equals_the_checked_one(self, n, k):
-        # position mode builds the undercut from the ladder, skipping the
-        # sortedness and total checks that hold by construction
-        ladder = initial_bids(n, k)
-        built = position_randomized._undercut(ladder)
-        assert built == undercut_sequence(ladder.as_sequence())
-        assert all(type(b.base) is Fraction and type(b.eps) is int for b in built.bids)
+    @pytest.mark.parametrize("n,k", [(n, k) for k in range(2, 6) for n in range(k, 41)] + [(10**4, 3)])
+    def test_closed_form_places_are_the_undercut_and_witness_places(self, n, k):
+        # position mode plays the undercut and dp-optimal at these places
+        # without building either sequence; the checked ones must land there
+        places = position_randomized._adversary_places(n)
+        undercut = undercut_sequence(initial_bids(n, k).as_sequence())
+        response = best_response(n, k)
+        assert places == position_randomized._ladder_places(undercut.bids, n, k)
+        assert places == position_randomized._ladder_places(response.witness, n, k)
+        assert position_randomized._place_wins(k, n, places) == response.value
 
     @pytest.mark.parametrize("n,k", [(6, 3), (36, 5), (10**4, 3)])
     def test_unchecked_bids_equal_checked_ones(self, n, k):
