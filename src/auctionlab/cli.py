@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._version import VERSION
-from .errors import InputError, ScenarioError, SizeLimitExceeded
+from .engine import as_fraction
+from .errors import DomainError, InputError, ScenarioError, SizeLimitExceeded
 from .harness import MODES, AdversaryPlan, Scenario, estimate, fraction_json
 from .marginals import MarginalSpec, marginal_cdf, spread_density
 from .position_randomized import best_response
@@ -38,8 +39,8 @@ MAX_GRID = 10_000
 def _parse_amount(text) -> Fraction:
     """Exact amount from CLI/config text: decimals stay decimal-exact."""
     try:
-        return Fraction(text if isinstance(text, (int, Fraction)) else str(text))
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(text if isinstance(text, (int, Fraction)) else str(text))
+    except DomainError:
         raise ScenarioError(f"invalid amount {text!r}") from None
 
 
@@ -132,7 +133,9 @@ def _cmd_simulate(args) -> int:
         ks_stats=args.ks,
     )
     report = estimate(scenario)
-    _render(args, report.to_json_dict(), report.to_csv_rows())
+    # only the printed form is built: a CSV report holds neither the bids nor a decimal
+    json_report = report.to_json_dict() if args.format == "json" else None
+    _render(args, json_report, report.to_csv_rows() if args.format == "csv" else None)
     return 0
 
 

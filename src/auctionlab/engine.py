@@ -10,6 +10,7 @@ embedded by their exact binary value, never rounded.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -19,18 +20,25 @@ from .errors import DomainError, LengthMismatch, OverBudget, ZeroBid
 
 AmountLike = Union[int, float, str, Fraction]
 
+# Python's default cap on the digits of an int it reads or prints
+MAX_VALUE_DIGITS = 4300
+
 
 def as_fraction(value: AmountLike) -> Fraction:
-    """Exact embedding of a finite amount, else DomainError: floats map to
-    their binary value, strings like "0.6" or "3/5" to their decimal-exact rational."""
+    """Exact embedding of a finite amount, else DomainError: floats map to their binary value, strings
+    like "0.6" or "3/5" to their decimal-exact rational, but a decimal exponent past
+    ``MAX_VALUE_DIGITS`` is refused before Fraction builds its power of ten."""
     if isinstance(value, Fraction):
         return value
     if not isinstance(value, (int, float, str, Rational)):
         raise TypeError(f"cannot interpret {value!r} as an exact amount")
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value) if isinstance(value, str) else None
     try:
-        return Fraction(value)
+        if exponent is None or abs(int(exponent[1])) <= MAX_VALUE_DIGITS:
+            return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"{value!r} is not a finite exact amount") from None
+    raise DomainError(f"{value!r} has a decimal exponent past {MAX_VALUE_DIGITS:,}")
 
 
 @dataclass(frozen=True, order=True)

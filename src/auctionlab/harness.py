@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import VERSION
 from .adversary import GroupAuction, group_wins, wins_vs_marginal
-from .engine import Bid, as_fraction
+from .engine import MAX_VALUE_DIGITS, Bid, as_fraction
 from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, chunk_rows, play
@@ -157,11 +157,27 @@ class Scenario:
         }
 
 
+def _printable(value: Fraction) -> tuple[int, int]:
+    """``value``'s numerator and denominator, or SizeLimitExceeded if either has too many digits to print."""
+    for part in (value.numerator, value.denominator):
+        if part.bit_length() > 3 * MAX_VALUE_DIGITS and abs(part) >= 10**MAX_VALUE_DIGITS:
+            raise SizeLimitExceeded(f"an exact value runs to about {int(math.log10(abs(part))) + 1:,} digits, "
+                                    f"past the {MAX_VALUE_DIGITS:,} that can be printed")
+    return value.numerator, value.denominator
+
+
 def fraction_json(value: Optional[Fraction]) -> Optional[dict]:
-    """Lossless rational serialization: numerator/denominator plus decimal."""
+    """Lossless rational serialization: numerator/denominator plus decimal.
+    A value past the digits or the float range it prints in raises SizeLimitExceeded."""
     if value is None:
         return None
-    return {"num": value.numerator, "den": value.denominator, "decimal": format(float(value), ".17g")}
+    num, den = _printable(value)
+    try:
+        decimal = format(float(value), ".17g")
+    except OverflowError:
+        scale = math.log10(abs(num)) - math.log10(den)
+        raise SizeLimitExceeded(f"an exact value of about 10^{scale:.1f} is past the float range") from None
+    return {"num": num, "den": den, "decimal": decimal}
 
 
 def _fractions_json(values) -> Optional[list]:
@@ -201,7 +217,7 @@ class Report:
             est = means.get(b)
             exact = self.exact[b] if b < len(self.exact) else None
             rows.append([b] + (["", ""] if est is None else [repr(est.mean), repr(est.stderr)])
-                        + (["", ""] if exact is None else [exact.numerator, exact.denominator]))
+                        + (["", ""] if exact is None else list(_printable(exact))))
         return rows
 
 

@@ -11,11 +11,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from numbers import Integral
 from typing import Iterable
 
-from .engine import Bid, BidSequence
+from .engine import MAX_VALUE_DIGITS, Bid, BidSequence
 from .errors import DomainError, Infeasible, LengthMismatch, NotDoublyStochastic, SizeLimitExceeded
 
 
@@ -34,30 +33,28 @@ class InitialBids:
         return BidSequence(tuple(Bid(b) for b in self.bids))
 
 
-# Python's default cap on the digits of an int it prints: a ladder whose
-# exact values may run longer is refused, since no report could show them.
-MAX_VALUE_DIGITS = 4300
-
 # Most digits a ladder may hold, counted as n ranks of k * log10(n) digits
-# each; (10**6, 3) holds 1.8e7.  It bounds ``initial_bids``, ``best_response``
-# and ``ladder_wins``, which build one Fraction or Bid per rank; position
+# each; (10**6, 3) holds 1.8e7.  It bounds ``initial_bids`` and
+# ``best_response``, which build one Fraction or Bid per rank; position
 # mode plays the library adversaries with neither, at the same sizes.
 MAX_LADDER_DIGITS = 20_000_000
 
 
 def check_ladder(n: int, k: int) -> None:
     """Refuse, before any work, a ladder too long to hold or to print."""
-    # weight_total, the ladder's largest integer, is below n**k
+    # weight_total, the ladder's largest integer, is below n**k; k is
+    # compared before it multiplies, as k * log10(n) may overflow a float
     power = math.log10(n)
-    digits = k * power
-    if digits >= MAX_VALUE_DIGITS:
+    bidders = k if k < 10**6 else f"10^{math.log10(k):.1f}"
+    ladder = f"n = 10^{power:.1f}, k = {bidders} ladder"
+    if k >= MAX_VALUE_DIGITS / power:
         raise SizeLimitExceeded(
-            f"the exact values of the n = 10^{power:.1f}, k = {k} ladder run to about {digits:,.0f} "
+            f"the exact values of the {ladder} run to about 10^{math.log10(k) + math.log10(power):.1f} "
             f"digits, past the {MAX_VALUE_DIGITS:,} that can be printed"
         )
-    if n > MAX_LADDER_DIGITS / digits:
+    if n > MAX_LADDER_DIGITS / (k * power):
         raise SizeLimitExceeded(
-            f"the n = 10^{power:.1f}, k = {k} ladder holds about 10^{power + math.log10(digits):.1f} digits, "
+            f"the {ladder} holds about 10^{power + math.log10(k * power):.1f} digits, "
             f"past the ladder limit of {MAX_LADDER_DIGITS:,}"
         )
 
@@ -127,16 +124,12 @@ def rank_win_expectation(n: int, k: int, p: int) -> Fraction:
 
         sum_{i=0}^{k-1} 1/(i+1) * C(k-1, i) * (1/n)**i * ((p-1)/n)**(k-1-i),
 
-    telescopes to (p**k - (p-1)**k) / (k * n**(k-1)), returned directly.
+    telescopes to (p**k - (p-1)**k) / (k * n**(k-1)): the score of a bid
+    tying rank p, at place 2p.
     """
     if not 1 <= p <= n:
         raise DomainError(f"rank {p} outside 1..{n}")
-    return Fraction(p**k - (p - 1) ** k, k * n ** (k - 1))
-
-
-def _check_bidders(k) -> None:
-    if not isinstance(k, Integral) or k < 2:
-        raise DomainError(f"need an integer k >= 2 bidders, got {k!r}")
+    return _place_wins(k, n, (2 * p,))
 
 
 def expected_wins_perm(
@@ -158,7 +151,8 @@ def expected_wins_perm(
     pairs, P and Q entries as their numerators, so the total is one integer
     over unit_Q * unit_P**(k-1) * lcm(1..k).
     """
-    _check_bidders(k)
+    if not isinstance(k, Integral) or k < 2:
+        raise DomainError(f"need an integer k >= 2 bidders, got {k!r}")
     n = a_init.n
     if b_init.n != n or q_marginals.n != n or p_marginals.n != n:
         raise LengthMismatch("bid sequences and matrices must share size n")
@@ -168,7 +162,7 @@ def expected_wins_perm(
         for seq in (a_init, b_init)
     )
     m, ties = k - 1, math.lcm(*range(1, k + 1))
-    coefficients = [comb(m, i) * (ties // (i + 1)) for i in range(k)]
+    coefficients = [math.comb(m, i) * (ties // (i + 1)) for i in range(k)]
     total = 0
     for q_col, col in zip(q_marginals._columns, p_marginals._columns):
         for weight, bid in zip(q_col, mine):
@@ -211,15 +205,6 @@ def _place_wins(k: int, n: int, places: Iterable[int]) -> Fraction:
         rank, beats = divmod(place, 2)
         total += k * rank ** (k - 1) if beats else rank**k - (rank - 1) ** k
     return Fraction(total, k * n ** (k - 1))
-
-
-def ladder_wins(k: int, bids: BidSequence, ladder: InitialBids) -> Fraction:
-    """``expected_wins_perm`` with identity Q and uniform P, on integers:
-    ``k`` scores the bids' places, and ``ladder.k`` places them."""
-    _check_bidders(k)
-    if bids.n != ladder.n:
-        raise LengthMismatch(f"expected {ladder.n} bids, got {bids.n}")
-    return _place_wins(k, ladder.n, _ladder_places(bids.bids, ladder.n, ladder.k))
 
 
 @dataclass(frozen=True)

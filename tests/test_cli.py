@@ -236,6 +236,74 @@ class TestBestResponse:
         assert err.startswith("error:") and "ladder limit of 20,000,000" in err
 
 
+class TestPrintLimits:
+    MODES = {
+        "two-bidder": ["--mode", "two-bidder", "--n", "4"],
+        "position": ["--mode", "position-randomized", "--n", "4", "--k", "2"],
+        "sequential": ["--mode", "sequential", "--n", "4", "--k", "2"],
+        "group": ["--mode", "group", "--n", "1", "--k", "2", "--group-sizes", "1"],
+    }
+
+    def simulate(self, capsys, mode, amount, fmt):
+        amounts = amount if mode == "group" else f"{amount},0,0,0"
+        return run_cli(capsys, "simulate", *self.MODES[mode], "--samples", "10", "--format", fmt,
+                       "--adversary", f"fixed:{amounts}")
+
+    def test_huge_k_best_response_exits_1(self, capsys):
+        # k * log10(n) once overflowed to a plain OverflowError, exit 2
+        code, out, err = run_cli(capsys, "best-response", "--n", str(10**401), "--k", str(10**400))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the exact values of the n = 10^401.0, k = 10^400.0 ladder")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_amount_past_the_exponent_limit_exits_1(self, capsys, mode, fmt):
+        # 1e-5000's denominator once failed to print: a plain ValueError, exit 2
+        code, out, err = self.simulate(capsys, mode, "1e-5000", fmt)
+        assert (code, out, err) == (1, "", "error: invalid amount '1e-5000'\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_value_past_the_digit_limit_exits_1(self, capsys, mode, fmt):
+        # 1e-4300 reads, but its denominator runs to 4,301 digits; a CSV
+        # report prints no bids, so only an exact value past the limit stops it
+        code, out, err = self.simulate(capsys, mode, "1e-4300", fmt)
+        if fmt == "csv" and mode in ("position", "sequential"):
+            assert code == 0 and out.startswith("bidder,")
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: an exact value runs to about 4,301 digits, past the 4,300 that can be printed\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_value_past_the_digit_limit_exits_1(self, capsys, fmt):
+        # each amount holds under 4,300 digits, the adversary's exact value more
+        code, out, err = run_cli(capsys, "simulate", *self.MODES["two-bidder"], "--samples", "10", "--format", fmt,
+                                 "--adversary", f"fixed:1/{2**7400},1/{3**4650},0,0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: an exact value runs to about") and "past the 4,300 that can be printed" in err
+
+    def test_value_past_the_float_range_exits_1_in_json(self, capsys):
+        argv = ["simulate", "--mode", "group", "--n", str(10**400), "--k", "2",
+                "--group-sizes", str(10**400), "--adversary", "fixed:0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: an exact value of about 10^400.0 is past the float range\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == "0,,,0,1"
+
+    def test_huge_exponent_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = self.simulate(capsys, "two-bidder", "1e-10000000", "json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", "error: invalid amount '1e-10000000'\n")
+
+    def test_exponent_within_the_limit_is_accepted(self, capsys):
+        code, out, _ = self.simulate(capsys, "sequential", "1e-4000", "json")
+        assert code == 0
+        assert json.loads(out)["scenario"]["adversary"]["bids"][0]["den"] == 10**4000
+
+
 class TestMarginals:
     def test_grid_json(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,3 +186,24 @@ class TestBidEpsStrictness:
 def test_as_fraction_refuses_non_amounts(value):
     with pytest.raises(TypeError, match="^cannot interpret .* as an exact amount$"):
         as_fraction(value)
+
+
+class TestDecimalExponent:
+    @pytest.mark.parametrize("text", ["1e-4301", "1e4301", "1E+4_301", "2.5e-10000000", " 1e-99999999 "])
+    def test_exponent_past_the_digit_limit_is_refused_before_it_is_built(self, text):
+        # Fraction("1e-10000000") once spent about 10 s building 10**(10**7) before failing
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="decimal exponent past 4,300"):
+            as_fraction(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_exponents_up_to_the_limit_are_kept(self):
+        assert as_fraction("1e-4000") == Fraction(1, 10**4000)
+        assert as_fraction("-3.5E4300") == -35 * 10**4299
+        assert as_fraction("1e-4_300") == Fraction(1, 10**4300)
+        with pytest.raises(DomainError, match="not a finite exact amount"):
+            as_fraction("12e")
+
+    def test_exponent_too_long_to_read_is_malformed(self):
+        with pytest.raises(DomainError, match="not a finite exact amount"):
+            as_fraction("1e-" + "9" * 5000)

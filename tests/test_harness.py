@@ -674,6 +674,35 @@ class TestEstimate:
         assert rows[1][0] == 0
 
 
+class TestPrintLimits:
+    # Python prints an int of at most 4,300 digits; a longer one, or a decimal
+    # past the float range, once escaped as a plain ValueError or OverflowError
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 10**4300), Fraction(10**4300), Fraction(-7 * 10**5000, 3), Fraction(1, 2**7400 * 3**4650),
+    ])
+    def test_values_with_too_many_digits_are_refused(self, value):
+        with pytest.raises(SizeLimitExceeded, match="digits, past the 4,300 that can be printed"):
+            harness.fraction_json(value)
+        report = harness.Report(small_scenario(), (), (Fraction(1), value), {}, {})
+        with pytest.raises(SizeLimitExceeded, match="digits, past the 4,300 that can be printed"):
+            report.to_csv_rows()
+
+    def test_values_at_the_digit_limit_print(self):
+        value = Fraction(-(10**4300 - 1), 10**4300 - 3)
+        assert harness.fraction_json(value) == {"num": value.numerator, "den": value.denominator, "decimal": "-1"}
+        report = harness.Report(small_scenario(), (), (value,), {}, {})
+        assert report.to_csv_rows()[1][3:] == [value.numerator, value.denominator]
+        assert len(str(value.denominator)) == 4300
+
+    def test_values_past_the_float_range_are_refused_in_json_only(self):
+        for value in (Fraction(10**400), Fraction(-(10**310), 7)):
+            with pytest.raises(SizeLimitExceeded, match=r"about 10\^\d+\.\d is past the float range"):
+                harness.fraction_json(value)
+            report = harness.Report(small_scenario(), (), (value,), {}, {})
+            assert report.to_csv_rows()[1][3:] == [value.numerator, value.denominator]
+        assert harness.fraction_json(Fraction(1, 10**400))["decimal"] == "0"
+
+
 class TestZeroSumPerDraw:
     def test_exact_engine_resolution_by_chunks(self):
         # the harness realizes ties by sampling, so per-draw wins are

@@ -25,7 +25,7 @@ from auctionlab import (
     validate_sequence,
 )
 from auctionlab import position_randomized
-from auctionlab.position_randomized import ladder_wins
+from auctionlab.position_randomized import _ladder_places, _place_wins
 
 
 class TestInitialBids:
@@ -74,6 +74,15 @@ class TestInitialBids:
                 build(10**5000, 2)
         with pytest.raises(SizeLimitExceeded, match=r"n = 10\^6\.3, k = 3 ladder holds"):
             initial_bids(2 * 10**6, 3)
+
+    def test_k_past_float_range_is_refused(self):
+        # k * log10(n) once overflowed to a plain OverflowError past k ~ 1e308
+        for build in (initial_bids, best_response):
+            with pytest.raises(SizeLimitExceeded, match=r"n = 10\^401\.0, k = 10\^400\.0 ladder run to about 10\^402\.6 digits"):
+                build(10**401, 10**400)
+        # a k of 5,001 digits would not print in full
+        with pytest.raises(SizeLimitExceeded, match=r"k = 10\^5000\.0 ladder"):
+            initial_bids(10**5001, 10**5000)
 
     def test_ladder_limit_on_an_n_past_float_range(self):
         # n * digits once overflowed to a plain OverflowError past n ~ 1e308
@@ -291,8 +300,6 @@ class TestExpectedWinsPerm:
         seq = ladder.as_sequence()
         with pytest.raises(DomainError):
             expected_wins_perm(k, seq, seq, PermutationMarginals.identity(2), PermutationMarginals.uniform(2))
-        with pytest.raises(DomainError):
-            ladder_wins(k, seq, ladder)
 
 
 def tied_instance(rng, n):
@@ -616,20 +623,16 @@ def grid_sequences(ladder, rng):
         yield BidSequence(edges + tuple(rng.choice(pool) for _ in range(n - 2)))
 
 
-class TestLadderWins:
+class TestPlaceWins:
     def test_matches_matrix_path_on_grid(self):
         rng = random.Random(53)
         for k in range(2, 6):
             for n in range(k, 13):
                 ladder = initial_bids(n, k)
                 for seq in grid_sequences(ladder, rng):
-                    assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder), (
+                    assert _place_wins(k, n, _ladder_places(seq.bids, n, k)) == matrix_wins(k, seq, ladder), (
                         n, k, [str(b) for b in seq.bids]
                     )
-
-    def test_size_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            ladder_wins(2, BidSequence.of(0.5, 0.5), initial_bids(3, 2))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -641,10 +644,10 @@ class TestLadderWins:
         bases = [Fraction(0), *ladder.bids, *mids, ladder.bids[-1] + Fraction(1, 3)]
         bid = st.builds(Bid, st.sampled_from(bases), st.integers(-n, n))
         seq = BidSequence(tuple(data.draw(st.lists(bid, min_size=n, max_size=n), label="bids")))
-        assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder)
+        assert _place_wins(k, n, _ladder_places(seq.bids, n, k)) == matrix_wins(k, seq, ladder)
 
     def test_scoring_k_may_differ_from_the_ladder_k(self):
-        # the ladder places its ranks by ladder.k and a bid scores by k: a
+        # the ladder places its ranks by lk and a bid scores by k: a
         # scorer that takes both from one of them disagrees here
         for lk in range(2, 5):
             for n in range(lk, 9):
@@ -652,7 +655,9 @@ class TestLadderWins:
                 own = ladder.as_sequence()
                 for seq in (undercut_sequence(own), best_response(n, lk).witness_sequence(), own):
                     for k in set(range(2, 6)) - {lk}:
-                        assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder), (n, lk, k)
+                        assert _place_wins(k, n, _ladder_places(seq.bids, n, lk)) == matrix_wins(k, seq, ladder), (
+                            n, lk, k
+                        )
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.data())
@@ -668,7 +673,7 @@ class TestLadderWins:
         # zero bids, which win nothing, fill the rest: a failure shrinks to one bid
         bids = data.draw(st.lists(bid, min_size=1, max_size=n), label="bids")
         seq = BidSequence(tuple(bids) + (Bid(0),) * (n - len(bids)))
-        assert ladder_wins(k, seq, ladder) == matrix_wins(k, seq, ladder)
+        assert _place_wins(k, n, _ladder_places(seq.bids, n, k)) == matrix_wins(k, seq, ladder)
 
 
 def oracle_best_response(c, k):

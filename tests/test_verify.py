@@ -26,10 +26,14 @@ class TestRunSuite:
         assert all(c.passed for c in checks)
         assert "ladder_scoring_mismatches" in {c.name for c in checks}
 
-    def test_position_catches_off_by_one_ladder_scoring(self, monkeypatch):
-        real = verify.ladder_wins
-        off_by_one = lambda k, bids, ladder: real(k, bids, ladder) + 1
-        monkeypatch.setattr(verify, "ladder_wins", off_by_one)
+    @pytest.mark.parametrize("name, mutant", [
+        # scoring off by one
+        ("_place_wins", lambda real: lambda k, n, places: real(k, n, places) + 1),
+        # the closed form starting at place 3, one eps over rank 1, not below it
+        ("_adversary_places", lambda real: lambda n: [3, *real(n)[1:]]),
+    ], ids=["place-wins-plus-one", "adversary-places-from-3"])
+    def test_position_catches_a_broken_closed_form(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
         rows = {c.name: c for c in verify.position_suite(max_n=6, max_k=3)}
         assert not rows["ladder_scoring_mismatches"].passed
         assert rows["ladder_scoring_mismatches"].value == 9  # every (n, k) in range
