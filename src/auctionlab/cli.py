@@ -57,6 +57,7 @@ def _parse_adversary(value) -> AdversaryPlan | None:
     if value is None:
         return None
     if isinstance(value, dict):
+        _refuse_unknown(value, ("bids", "kind"), "adversary keys")
         kind, bids = value.get("kind"), value.get("bids")
     else:
         kind, _, bids = str(value).partition(":")
@@ -67,6 +68,12 @@ def _parse_adversary(value) -> AdversaryPlan | None:
     return None if kind is None else AdversaryPlan(kind, bids)
 
 
+def _refuse_unknown(keys, allowed, what: str) -> None:
+    unknown = set(keys) - set(allowed)
+    if unknown:
+        raise ScenarioError(f"unknown {what}: {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     """The JSON object at ``path`` as defaults for ``parser``'s options."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -74,18 +81,13 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     if not isinstance(config, dict):
         raise ScenarioError("config file must hold a JSON object")
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    unknown = set(config) - set(actions)
-    if unknown:
-        raise ScenarioError(
-            f"unknown config keys for {parser.prog}: {sorted(unknown)}; "
-            f"allowed: {sorted(actions)}"
-        )
+    _refuse_unknown(config, actions, f"config keys for {parser.prog}")
     return {key: _config_value(actions[key], value) for key, value in config.items()}
 
 
 def _config_value(action: argparse.Action, raw):
-    """Convert and check a config value as argparse does its flag's text:
-    numbers become text first, so 6 and "6" both read like ``--n 6``."""
+    """Convert and check a config value as argparse does its flag's text,
+    which a number becomes first (6 and "6" both read like ``--n 6``); null is refused."""
     try:
         if action.nargs == 0:  # a switch such as --ks takes true or false
             value, valid = raw, isinstance(raw, bool)
@@ -93,7 +95,7 @@ def _config_value(action: argparse.Action, raw):
             value = raw if isinstance(raw, (dict, list)) else str(raw)
             if action.type is not None:
                 value = action.type(value)
-            valid = action.choices is None or value in action.choices
+            valid = raw is not None and (action.choices is None or value in action.choices)
     except (TypeError, ValueError):
         valid = False
     if not valid:
@@ -101,16 +103,19 @@ def _config_value(action: argparse.Action, raw):
     return value
 
 
-def _render(args, json_obj, csv_rows: list[list], text: str | None = None) -> None:
-    """Write the report in the ``--format`` form to ``--out`` or stdout."""
-    if args.format == "json":
-        payload = json.dumps(json_obj, indent=2) + "\n"
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows(csv_rows)
-        payload = buffer.getvalue()
-    else:
-        payload = text
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _csv(rows: list[list]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _render(args, forms: dict) -> None:
+    """Write the ``--format`` form, built alone by its builder in ``forms``, to ``--out`` or stdout."""
+    payload = forms[args.format]()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -133,24 +138,23 @@ def _cmd_simulate(args) -> int:
         ks_stats=args.ks,
     )
     report = estimate(scenario)
-    # only the printed form is built: a CSV report holds neither the bids nor a decimal
-    json_report = report.to_json_dict() if args.format == "json" else None
-    _render(args, json_report, report.to_csv_rows() if args.format == "csv" else None)
+    _render(args, {"json": lambda: _json(report.to_json_dict()),
+                   "csv": lambda: _csv(report.to_csv_rows())})
     return 0
 
 
 def _cmd_best_response(args) -> int:
     response = best_response(args.n, args.k)
-    value = fraction_json(response.value)
-    witness = [{"base": fraction_json(b.base), "eps": b.eps} for b in response.witness]
-    _render(
-        args,
-        {"n": args.n, "k": args.k, "value": value, "witness": witness},
-        [["value_num", "value_den", "decimal"], [value["num"], value["den"], value["decimal"]]],
-        f"best response value for n={args.n}, k={args.k}: "
-        f"{response.value} = {float(response.value)}\n"
-        f"witness multiset: {{{', '.join(str(b) for b in response.witness)}}}\n",
-    )
+    _render(args, {
+        "text": lambda: f"best response value for n={args.n}, k={args.k}: "
+                        f"{response.value} = {float(response.value)}\n"
+                        f"witness multiset: {{{', '.join(str(b) for b in response.witness)}}}\n",
+        "json": lambda: _json({"n": args.n, "k": args.k, "value": fraction_json(response.value),
+                               "witness": [{"base": fraction_json(b.base), "eps": b.eps}
+                                           for b in response.witness]}),
+        "csv": lambda: _csv([["value_num", "value_den", "decimal"],
+                             list(fraction_json(response.value).values())]),
+    })
     return 0
 
 
@@ -164,31 +168,26 @@ def _cmd_marginals(args) -> int:
     cdf = [{"b": float(b), "value": marginal_cdf(spec, float(b))} for b in bs]
     vs = np.linspace(0.0, 2.0 / 3.0, args.grid + 1)[:-1]
     spread = [{"v": float(v), "value": spread_density(float(v))} for v in vs]
-    _render(
-        args,
-        {"spec": {"n": args.n, "k": args.k}, "cdf": cdf, "spread_density": spread},
-        [["kind", "x", "value"]]
-        + [["cdf", r["b"], r["value"]] for r in cdf]
-        + [["spread_density", r["v"], r["value"]] for r in spread],
-    )
+    _render(args, {
+        "json": lambda: _json({"spec": {"n": args.n, "k": args.k}, "cdf": cdf, "spread_density": spread}),
+        "csv": lambda: _csv([["kind", "x", "value"]]
+                            + [["cdf", r["b"], r["value"]] for r in cdf]
+                            + [["spread_density", r["v"], r["value"]] for r in spread]),
+    })
     return 0
 
 
 def _cmd_verify(args) -> int:
     checks = run_suite(args.suite, n=args.n, k=args.k, samples=args.samples, seed=args.seed)
     passed = all(c.passed for c in checks)
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
-        f"{c.value:.6g} (threshold {c.threshold:.6g})\n"
-        for c in checks
-    ]
-    _render(
-        args,
-        {"suite": args.suite, "checks": [asdict(c) for c in checks], "passed": passed},
-        [["name", "value", "threshold", "passed"]]
-        + [[c.name, repr(c.value), repr(c.threshold), c.passed] for c in checks],
-        "".join(lines) + f"suite {args.suite}: {'PASS' if passed else 'FAIL'}\n",
-    )
+    _render(args, {
+        "text": lambda: "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: "
+                                f"{c.value:.6g} (threshold {c.threshold:.6g})\n" for c in checks)
+                        + f"suite {args.suite}: {'PASS' if passed else 'FAIL'}\n",
+        "json": lambda: _json({"suite": args.suite, "checks": [asdict(c) for c in checks], "passed": passed}),
+        "csv": lambda: _csv([["name", "value", "threshold", "passed"]]
+                            + [[c.name, repr(c.value), repr(c.threshold), c.passed] for c in checks]),
+    })
     return 0 if passed else 1
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from auctionlab import harness, position_randomized, sequential, verify
-from auctionlab.cli import main
+from auctionlab import cli, harness, position_randomized, sequential, verify
+from auctionlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -474,8 +475,14 @@ class TestConfigSchema:
 @pytest.mark.parametrize("argv,config,message", [
     (["--mode", "two-bidder", "--n", "4", "--adversary", "fixed:"], None, "fixed adversary needs amounts"),
     ([], [1], "config file must hold a JSON object"),
-], ids=["fixed-without-amounts", "config-not-an-object"])
-def test_simulate_input_errors_exit_1(capsys, tmp_path, argv, config, message):
+    # a null once read as the text "None": the report went to a file of that name
+    (["--mode", "two-bidder", "--samples", "10"], {"out": None}, "config key 'out' has an invalid value: None"),
+    # a misspelt key once left the mode's default adversary in play
+    (["--mode", "position-randomized", "--samples", "10"], {"adversary": {"knd": "undercut"}},
+     "unknown adversary keys: ['knd']; allowed: ['bids', 'kind']"),
+], ids=["fixed-without-amounts", "config-not-an-object", "null-out", "unknown-adversary-key"])
+def test_simulate_input_errors_exit_1(capsys, tmp_path, monkeypatch, argv, config, message):
+    monkeypatch.chdir(tmp_path)
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -483,3 +490,51 @@ def test_simulate_input_errors_exit_1(capsys, tmp_path, argv, config, message):
     code, out, err = run_cli(capsys, "simulate", *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["config.json"] if config is not None else [])
+
+
+# a small run of each command; a command missing here fails the format test
+SMALL_ARGV = {
+    "simulate": ["--mode", "two-bidder", "--samples", "100"],
+    "sequential": ["--samples", "100"],
+    "best-response": [],
+    "marginals": ["--grid", "4"],
+    "verify": ["--suite", "position"],
+}
+
+
+def declared_formats():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, fmt) for name, parser in commands.choices.items()
+            for fmt in next(a for a in parser._actions if a.dest == "format").choices]
+
+
+class TestForms:
+    @pytest.mark.parametrize("command,fmt", declared_formats())
+    def test_every_declared_format_prints(self, capsys, command, fmt):
+        code, out, _ = run_cli(capsys, command, *SMALL_ARGV[command], "--format", fmt)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("fmt,calls", [("text", 0), ("csv", 1), ("json", 51)])
+    def test_best_response_serializes_only_its_form(self, capsys, monkeypatch, fmt, calls):
+        values = []
+        monkeypatch.setattr(cli, "fraction_json", lambda v: values.append(v) or harness.fraction_json(v))
+        code, out, _ = run_cli(capsys, "best-response", "--n", "50", "--k", "3", "--format", fmt)
+        assert code == 0 and out
+        assert len(values) == calls
+
+    def test_simulate_csv_builds_no_json(self, capsys, monkeypatch):
+        calls = []
+        to_json_dict = harness.Report.to_json_dict
+        monkeypatch.setattr(harness.Report, "to_json_dict", lambda r: calls.append(r) or to_json_dict(r))
+        code, out, _ = run_cli(capsys, "simulate", "--mode", "two-bidder", "--samples", "100", "--format", "csv")
+        assert code == 0 and out.startswith("bidder,")
+        assert calls == []
+
+    def test_a_form_that_raises_writes_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "simulate", "--mode", "two-bidder", "--n", "4", "--samples", "10",
+                                 "--adversary", "fixed:1e-4300,0,0,0", "--format", "json", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert "past the 4,300 that can be printed" in err
+        assert not target.exists()

@@ -83,7 +83,7 @@ class TestFlagsAndConfigAgree:
 
     @pytest.mark.parametrize(
         "config",
-        [{"n": [4]}, {"n": 4.5}, {"n": True}, {"format": "xml"}, {"k": None}],
+        [{"n": [4]}, {"n": 4.5}, {"n": True}, {"format": "xml"}, {"k": None}, {"out": None}],
     )
     def test_wrong_config_type_refused(self, config, tmp_path):
         with pytest.raises(ScenarioError, match="invalid value"):
