@@ -15,7 +15,6 @@ and ``meta["counters"]``.  Group mode samples nothing: no tally or counters.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -31,14 +30,16 @@ from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, Scena
 from .marginals import MarginalSpec, marginal_cdf
 from .montecarlo import CHUNK, chunk_rows, play
 from .position_randomized import _adversary_places, _ladder_places, _place_wins, check_ladder
-from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, row_sum_error
+from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, k_bidder_columns, row_sum_error
+from .samplers import two_bidder_columns
 from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
 
-# Most samples x objects a KS table holds at once: 256 MB of float64 draws.
-# It also caps bidders x objects in one sampled row, the least a chunk holds.
+# Most samples x objects a KS run draws: 256 MiB of float64, all held by verify
+# but only the layout's source columns by simulate.  It also caps bidders x
+# objects in one sampled row, the least a chunk holds.
 KS_CELLS = 1 << 25
 
 
@@ -81,10 +82,9 @@ class Scenario:
 
     def validate(self) -> None:
         for name in ("n", "k", "samples", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ScenarioError(f"{name} must be an integer: {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):  # True is no count
+                raise ScenarioError(f"{name} must be an integer: {value!r}")
         mode, n, k = self.mode, self.n, self.k
         if mode not in MODES:
             raise ScenarioError(f"unknown mode {mode!r}; choose from {tuple(MODES)}")
@@ -228,14 +228,16 @@ def ks_distance(sample, cdf: Callable) -> float:
 
     ``cdf`` must map an array elementwise: it is called once per block of
     ``CHUNK`` sorted sample points, and an output of any other shape raises
-    LengthMismatch.  The statistic assumes a continuous ``cdf``: one that
-    steps exactly where the sample does scores 1/N, not 0.  A sample that
-    is not 1-D raises LengthMismatch, and a NaN sample point or cdf value
-    DomainError.
+    LengthMismatch.  An ascending sample is scored as it is, unsorted and
+    unchanged.  The statistic assumes a continuous ``cdf``: one that steps
+    exactly where the sample does scores 1/N, not 0.  A sample that is not
+    1-D raises LengthMismatch, and a NaN sample point or cdf value DomainError.
     """
     if np.ndim(sample) != 1:
         raise LengthMismatch(f"a KS sample must be 1-D, got shape {np.shape(sample)}")
-    values = np.sort(np.asarray(sample, dtype=float))
+    values = np.asarray(sample, dtype=float)
+    if not all((np.diff(values[i:i + CHUNK + 1]) >= 0).all() for i in range(0, values.size, CHUNK)):
+        values = np.sort(values)  # a sample with a NaN is not ascending
     size = values.size
     if size == 0:
         raise EmptySample("cannot compute a KS distance on an empty sample")
@@ -247,11 +249,10 @@ def ks_distance(sample, cdf: Callable) -> float:
             raise LengthMismatch(
                 f"cdf returned shape {theory.shape} for a sample of shape {block.shape}"
             )
-        block[...] = theory  # the sorted points are spent: the block keeps the cdf
-        del theory
         gap = np.arange(start + 1, start + block.size + 1, dtype=float)
         gap /= size
-        gap -= block
+        gap -= theory
+        del theory
         top = float(gap.max())
         if math.isnan(top):  # a NaN point or cdf value, which Python's max() would drop
             raise DomainError(f"NaN in the sample or its cdf at sorted points {start + 1}..{start + block.size}")
@@ -308,15 +309,18 @@ def sampled_mode(k: int) -> str:
     return "two-bidder" if k == 2 else "k-bidder"
 
 
-def marginal_draw(mode: str, n: int, k: int) -> Callable:
-    """``draw(rng, size, out=None)``: the vectorized sampler of a two-bidder or k-bidder mode."""
-    return partial(draw_two_bidder, n) if mode == "two-bidder" else partial(draw_k_bidder, n, k)
+def marginal_draw(mode: str, n: int, k: int) -> tuple[Callable, list[tuple]]:
+    """``(draw, columns)``: the vectorized sampler of a two-bidder or k-bidder mode,
+    ``draw(rng, size, out=None)``, and the column layout of its rows."""
+    if mode == "two-bidder":
+        return partial(draw_two_bidder, n), two_bidder_columns(n)
+    return partial(draw_k_bidder, n, k), k_bidder_columns(n, k)
 
 
 def _marginal_mode(scenario: Scenario):
     n, k = scenario.n, scenario.k
     spec = MarginalSpec(n, k)
-    draw = marginal_draw(scenario.mode, n, k)
+    draw, columns = marginal_draw(scenario.mode, n, k)
     bidders = [lambda rng, plane: draw(rng, len(plane), plane)] * k
     if scenario.adversary.kind == "fixed":
         adversary_value = wins_vs_marginal(spec, list(scenario.adversary.bids))
@@ -324,43 +328,42 @@ def _marginal_mode(scenario: Scenario):
     else:
         adversary_value = Fraction(n, k)
     exact = _disadvantaged_split(n, adversary_value, k)
-    # the last bidder's draws make the KS table
-    keep = k - 1 if scenario.ks_stats else None
-    tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=keep)
-    return tally, exact, None if draws is None else ks_table(draws, spec), _layout(scenario)
+    if not scenario.ks_stats:
+        return play(n, scenario.samples, scenario.seed, bidders)[0], exact, None, _layout(scenario)
+    # the last bidder's draws make the KS table: play keeps their source columns, and
+    # the row-sum error is the worst of each chunk's full rows
+    kept, errors = list(dict.fromkeys(source for source, _ in columns)), []
+    bidders[-1] = lambda rng, plane: errors.append(row_sum_error(draw(rng, len(plane), plane)))
+    tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=(k - 1, kept))
+    columns = [(kept.index(source), about) for source, about in columns]
+    return tally, exact, ks_table(draws, spec, columns, max(errors)), _layout(scenario)
 
 
-def _first_equal_columns(draws: np.ndarray) -> list[int]:
-    """Each column's first equal column, itself if none: a candidate is the
-    first column with its row-0 value, confirmed in one pass over blocks of
-    at most ``CHUNK`` cells, with no copy of a column or of the table."""
-    firsts: dict = {}
-    reps = np.array([firsts.setdefault(v, c) for c, v in enumerate(draws[0].tolist())], dtype=np.intp)
-    copies = np.flatnonzero(reps != np.arange(reps.size))
-    equal = np.ones(copies.size, dtype=bool)
-    step = max(1, CHUNK // reps.size)
-    for start in range(1, draws.shape[0], step):
-        block = draws[start:start + step]
-        equal &= (block[:, copies] == block[:, reps[copies]]).all(axis=0)
-    reps[copies[~equal]] = copies[~equal]
-    return reps.tolist()
-
-
-def ks_table(draws: np.ndarray, spec: MarginalSpec) -> dict:
-    """KS distance of each column of ``draws`` from the closed-form
-    marginal, with the 99.9% critical value, and the worst row-sum error.
-    A column equal to an earlier one, as the samplers' copies are, takes its distance."""
+def ks_table(draws: np.ndarray, spec: MarginalSpec, columns: list[tuple], max_sum_error=None) -> dict:
+    """KS distance of each of a sampler's ``columns`` (its (source, about)
+    layout, as ``samplers.two_bidder_columns``; sources index ``draws``) from
+    the closed-form marginal, with the 99.9% critical value, and the worst
+    row-sum error (``row_sum_error(draws)`` unless given).  Each source column
+    is sorted once, and a copy takes its source's distance.  A mirror is
+    scored from fl(about - sorted[::-1]), its own column sorted, bit for bit."""
     if not draws.size:
         raise EmptySample("cannot compute a KS table on an empty sample")
     threshold = KS_FACTOR / math.sqrt(draws.shape[0])
-    reps = _first_equal_columns(draws)
-    scored = {r: ks_distance(draws[:, r], partial(marginal_cdf, spec)) for r in dict.fromkeys(reps)}
-    distances = [scored[r] for r in reps]
+    cdf = partial(marginal_cdf, spec)
+    distinct, scored = list(dict.fromkeys(columns)), {}
+    for source in dict.fromkeys(source for source, _ in distinct):
+        values = np.sort(draws[:, source])
+        for about in [a for s, a in distinct if s == source]:
+            if about is not None:  # fl(about - x) falls as x rises
+                values = values[::-1]
+                np.subtract(about, values, out=values)
+            scored[source, about] = ks_distance(values, cdf)
+        del values  # freed before the next source is sorted
     entries = [
         {"coordinate": c, "distance": d, "threshold": threshold, "passed": d <= threshold}
-        for c, d in enumerate(distances)
+        for c, d in enumerate(scored[column] for column in columns)
     ]
-    return {"entries": entries, "max_sum_error": row_sum_error(draws)}
+    return {"entries": entries, "max_sum_error": row_sum_error(draws) if max_sum_error is None else max_sum_error}
 
 
 def _position_mode(scenario: Scenario):

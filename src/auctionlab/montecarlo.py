@@ -116,20 +116,21 @@ def play(
     fills bidder b's plane of ``row_planes(buffer, k, length, n)`` in place
     (column-major if ``by_columns(length, n)``), and the ties are then
     realized on the same generator, bids that compare equal tying.  With
-    ``keep`` = b, ``kept`` holds bidder b's rows in sample order, laid out
-    alike, else it is None.  Fillers must copy draws kept past their call.
+    ``keep`` = (b, columns), ``kept`` holds those columns of bidder b's rows
+    in sample order, laid out by ``by_columns`` for their width, else it is
+    None.  Fillers must copy draws kept past their call.
     """
     k = len(bidders)
     rows = chunk_rows(k, n)
     buffer = np.empty(k * min(rows, samples) * n)
-    kept = None if keep is None else row_planes(np.empty(samples * n), 1, samples, n)[0]
+    kept = None if keep is None else row_planes(np.empty(samples * len(keep[1])), 1, samples, len(keep[1]))[0]
 
     def chunk(rng: RngStream, start: int, length: int) -> np.ndarray:
         base = row_planes(buffer, k, length, n)
         for fill, plane in zip(bidders, base):
             fill(rng, plane)
         if kept is not None:
-            kept[start:start + length] = base[keep]
+            kept[start:start + length] = base[keep[0]][:, keep[1]]
         return win_counts(base, rng.generator)
 
     return tally_chunks(k, samples, rows, seed, chunk), kept

@@ -27,6 +27,9 @@ SUM_TOLERANCE = 1e-12
 # near 2**(-1074/(k-1)), so 0.94% of rows are redrawn at k = 83, 1.06% at 84 and nearly all at 200.
 MAX_SIMPLEX_K = 83
 
+# Most cells in one row block of a vectorized draw's scratch: 512 KiB of float64
+BLOCK = 1 << 16
+
 
 def _exact(row: np.ndarray, total: Fraction) -> list[Fraction]:
     """The positive floats of ``row`` as Fractions, scaled exactly to sum to ``total``."""
@@ -99,25 +102,28 @@ def draw_triple(rng, size: int | None = None):
 
 
 def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Write N triple draws into the (N, 3) array ``out``, column by column."""
-    size = out.shape[0]
-    lo, mid, hi = vals = np.empty((3, size))
-    for row in (hi, lo, mid):  # u, v, w
-        gen.random(out=row)
-    np.cbrt(hi, out=hi)
-    hi *= ONE_THIRD  # the range d
-    lo *= ONE_THIRD - hi
-    mid *= hi
-    mid += lo
-    hi += lo
-    perm = gen.integers(0, 6, size)
-    # row i's coordinate c is vals.flat[_PERMS3[perm[i], c] * N + i]; row blocks bound the indices
-    for start in range(0, size, 1 << 16):
-        block = perm[start:start + (1 << 16)]
-        for c in range(3):
-            index = (_PERMS3[:, c] * size).take(block)
-            index += np.arange(start, start + block.size)
-            vals.take(index, out=out[start:start + block.size, c])
+    """Write N triple draws into the (N, 3) array ``out``: u, v and w into its columns, then
+    each row block's (min, middle, max), permuted by the block's ``integers(0, 6)``."""
+    for column in out.T:  # u, v, w
+        _random_into(gen, column)
+    for block in _row_blocks(len(out), 3):
+        u, v, w = columns = out[block].T
+        lo, mid, hi = vals = np.empty((3, len(u)))
+        np.cbrt(u, out=hi)
+        hi *= ONE_THIRD  # the range d
+        np.subtract(ONE_THIRD, hi, out=lo)
+        lo *= v
+        np.multiply(w, hi, out=mid)
+        mid += lo
+        hi += lo
+        # row i's coordinate c is vals.flat[_PERMS3[perm[i], c] * rows + i]
+        perm, row, index = gen.integers(0, 6, len(u)), np.arange(len(u)), np.empty(len(u), np.intp)
+        for c, column in enumerate(columns):  # in-range indices: "clip" takes without a buffer copy
+            _PERMS3[:, c].take(perm, out=index, mode="clip")
+            index *= len(u)
+            index += row
+            vals.take(index, out=column, mode="clip")
+        del vals, perm, row, index  # freed before the next block's
     return out
 
 
@@ -141,7 +147,7 @@ def draw_two_bidder(n: int, rng, size: int | None = None, out: np.ndarray | None
     if size is not None or out is not None:
         return _two_bidder_array(n, gen, _rows_out(out, size, n))
     row = _two_bidder_array(n, gen, np.empty((1, n)))[0]
-    pairs = n // 2 if n % 2 == 0 else (n - 3) // 2
+    pairs = n // 2 - n % 2
     b, c = _exact(row[[0, pairs]], Fraction(2, n)) if pairs else (None, None)
     triple = _exact(row[2 * pairs:], Fraction(3, n)) if n % 2 else []
     return _unit_total([b] * pairs + [c] * pairs + triple)
@@ -164,7 +170,7 @@ def _rows_out(out: np.ndarray | None, size, n: int) -> np.ndarray:
     """The array a vectorized draw fills: ``out`` once checked, else a new one of ``size`` rows."""
     if out is None:
         try:
-            rows = operator.index(size)
+            rows = -1 if isinstance(size, bool) else operator.index(size)
         except TypeError:
             rows = -1
         if rows < 0:
@@ -176,18 +182,48 @@ def _rows_out(out: np.ndarray | None, size, n: int) -> np.ndarray:
     return out
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering ``rows`` rows, each of at most BLOCK cells of ``width`` and at least one row."""
+    step = max(1, BLOCK // max(1, width))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _random_into(gen: np.random.Generator, view: np.ndarray) -> None:
+    """``gen.random`` into the 1-D or 2-D ``view`` in C order, as one call filling a C-contiguous
+    ``view`` does: in place, else through temporaries of at most BLOCK cells."""
+    if view.flags.c_contiguous:
+        gen.random(out=view)
+        return
+    rows = view.reshape(len(view), -1)
+    for block in _row_blocks(*rows.shape):
+        for part in _row_blocks(rows.shape[1], 1):  # one part unless a row passes BLOCK cells
+            rows[block, part] = gen.random(rows[block, part].shape)
+
+
+def two_bidder_columns(n: int) -> list[tuple[int, float | None]]:
+    """``draw_two_bidder(n)``'s column layout: each column's (source, about), its values being
+    column ``source``'s, or their mirror fl(about - x) if ``about`` is not None.  Runs of column
+    0 and of its mirror about 2/n, then any triple; a source names itself before its one mirror."""
+    pairs = n // 2 - n % 2
+    return [(0, None)] * pairs + [(0, 2.0 / n)] * pairs + [(c, None) for c in range(2 * pairs, n)]
+
+
 def _two_bidder_array(n: int, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    b1 = gen.random(out.shape[0]) * (2.0 / n)
-    pairs = n // 2 if n % 2 == 0 else (n - 3) // 2
-    out[:, :pairs] = b1[:, None]
-    np.subtract(2.0 / n, b1[:, None], out=out[:, pairs:2 * pairs])
-    del b1  # freed before the triple's and the row sums' columns are made
+    pairs, b = n // 2 - n % 2, out[:, 0]
+    _random_into(gen, b)  # n = 3 draws b too, and the triple overwrites it
+    b *= 2.0 / n
     if n % 2:
-        x, y, z = _fill_triple(gen, out[:, 2 * pairs:]).T
-        for column, bid in zip((x, y, z), [x - y, y - z, z - x]):
-            bid += ONE_THIRD
-            bid *= 3.0 / n
-            column[...] = bid
+        _fill_triple(gen, out[:, 2 * pairs:])
+    for block in _row_blocks(len(out), n):  # numpy copies a broadcast operand it finds overlapping
+        rows = out[block]
+        rows[:, 1:pairs] = rows[:, :1]
+        np.subtract(2.0 / n, rows[:, :1], out=rows[:, pairs:2 * pairs])
+        if n % 2:
+            x, y, z = rows[:, 2 * pairs:].T
+            for column, bid in zip((x, y, z), [x - y, y - z, z - x]):
+                bid += ONE_THIRD
+                bid *= 3.0 / n
+                column[...] = bid
     return _unit_rows(out, gen, lambda g, m: draw_two_bidder(n, g, m))
 
 
@@ -203,33 +239,41 @@ def draw_simplex(k: int, rng, size: int | None = None):
     return draw_k_bidder(k, k, rng, 1)[0] if size is None else draw_k_bidder(k, k, rng, size)
 
 
-def _simplex_gammas(k: int, gen: np.random.Generator, out: np.ndarray, m: int) -> np.ndarray:
-    """Rows of k Gamma(a = 1/(k-1)) variates, Gamma(1 + a) * U**(1/a), divided by m times their
-    sums.  The uniforms fill the first size * k cells of ``out``, which the groups then overwrite."""
-    u = out.ravel("K")[:out.size // m].reshape(-1, k)
-    gen.random(out=u)
-    u **= k - 1
-    u *= gen.standard_gamma(1.0 + 1.0 / (k - 1), u.shape)
-    return u / (m * _row_sums(u))[:, None]
+def _simplex_gammas(gen: np.random.Generator, rows: np.ndarray, m: int) -> None:
+    """Fill the (size, k) ``rows`` with Gamma(a = 1/(k-1)) variates, Gamma(1 + a) * U**(1/a),
+    divided by m times their sums: every uniform, in C order, then the gammas block by block."""
+    k = rows.shape[1]
+    _random_into(gen, rows)
+    for block in _row_blocks(len(rows), k):
+        u = rows[block]
+        u **= k - 1
+        u *= gen.standard_gamma(1.0 + 1.0 / (k - 1), u.shape)
+        u /= (m * _row_sums(u))[:, None]
 
 
-def _sphere_rows(gen: np.random.Generator, size: int, m: int) -> np.ndarray:
-    """(size, 3) Dirichlet(1/2, 1/2, 1/2) rows over m: squared coordinates of a uniform point
-    on the sphere, whose height is uniform (Archimedes): U**2, then 1 - U**2 split as cos**2,
-    sin**2 of (pi/2) V, which are 0 only at V = 0 (1 - cos(pi V) is 0 below V = 3e-9)."""
-    a, b, c = abc = np.empty((3, size))
-    gen.random(out=abc[:2])  # U into a, then V into b
-    b *= np.pi / 2
-    np.sin(b, out=c)
-    np.cos(b, out=b)
-    a *= a
-    rest = np.subtract(1.0, a)
-    rest /= m
-    a /= m
-    for bid in (b, c):
-        bid *= bid
-        bid *= rest
-    return abc.T
+def _sphere_rows(gen: np.random.Generator, rows: np.ndarray, m: int) -> None:
+    """Fill the (size, 3) ``rows`` with Dirichlet(1/2, 1/2, 1/2) rows over m: squared coordinates
+    of a uniform point on the sphere, whose height is uniform (Archimedes): U**2, then 1 - U**2
+    split as cos**2, sin**2 of (pi/2) V, which are 0 only at V = 0 (1 - cos(pi V) is 0 below
+    V = 3e-9).  U, then V, go into the first two columns as one (2, size) call fills them."""
+    _random_into(gen, rows.T[:2])
+    for block in _row_blocks(len(rows), 3):
+        a, b, c = rows[block].T  # U in a, V in b
+        b *= np.pi / 2
+        np.sin(b, out=c)
+        np.cos(b, out=b)
+        a *= a
+        rest = np.subtract(1.0, a)
+        rest /= m
+        a /= m
+        for bid in (b, c):
+            bid *= bid
+            bid *= rest
+
+
+def k_bidder_columns(n: int, k: int) -> list[tuple[int, None]]:
+    """``draw_k_bidder(n, k)``'s layout, as ``two_bidder_columns``: every group of k copies the first."""
+    return [(c, None) for c in range(k)] * (n // k)
 
 
 def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray | None = None):
@@ -252,39 +296,43 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     if size is None and out is None:
         return _unit_total(_exact(draw_simplex(k, gen), Fraction(1, m)) * m)
     out = _rows_out(out, size, n)
-    rows = _sphere_rows(gen, len(out), m) if k == 3 else _simplex_gammas(k, gen, out, m)
+    (_sphere_rows if k == 3 else _simplex_gammas)(gen, out[:, :k], m)
     # out's groups as a (size, m, k) view: splitting out.T's first axis copies neither layout
-    out.T.reshape(m, k, len(out)).transpose(2, 0, 1)[...] = rows[:, None, :]
+    groups = out.T.reshape(m, k, len(out)).transpose(2, 0, 1)
+    for block in _row_blocks(len(out), n):  # numpy copies a broadcast operand it finds overlapping
+        groups[block, 1:] = groups[block, :1]
     return _unit_rows(out, gen, lambda g, s: draw_k_bidder(n, k, g, s))
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)`` of a C-ordered ``a`` bit for bit, in any layout.
     numpy reduces each row on its own, so ``by_columns`` shapes go down the
-    columns in 1 MB row blocks (0.14-0.5x the time; other shapes measured
-    0.8-11x), in numpy's pairwise order: from +0.0 left to right below 8
-    cells, else ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest in
-    order.  Others sum a C-ordered copy: numpy adds F-ordered rows in turn."""
+    columns (0.14-0.5x the time; other shapes measured 0.8-11x), in numpy's
+    pairwise order: from +0.0 left to right below 8 cells, else
+    ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7)), then the rest in order.  Others
+    sum a C-ordered copy: numpy adds F-ordered rows in turn."""
     rows, n = a.shape
     if not by_columns(rows, n):
         return np.ascontiguousarray(a).sum(axis=1)
-    total, step = np.empty(rows), (1 << 17) // n
-    for start in range(0, rows, step):
-        block, c = total[start:start + step], a[start:start + step].T
-        np.add(c[0], 0.0, out=block)
-        if n >= 8:
-            block += c[1]
-            block += c[2] + c[3]
-            block += (c[4] + c[5]) + (c[6] + c[7])
-        for column in c[8 if n >= 8 else 1:]:
-            block += column
+    c = a.T
+    total = np.add(c[0], 0.0)
+    if n >= 8:
+        total += c[1]
+        total += c[2] + c[3]
+        total += (c[4] + c[5]) + (c[6] + c[7])
+    for column in c[8 if n >= 8 else 1:]:
+        total += column
     return total
 
 
 def row_sum_error(rows: np.ndarray) -> float:
-    """max |s - 1| over ``_row_sums(rows)``, as max(max s - 1, 1 - min s); 0.0 for no rows."""
-    sums = _row_sums(rows)
-    return float(max(sums.max(initial=1.0) - 1.0, 1.0 - sums.min(initial=1.0)))
+    """max |s - 1| over ``_row_sums(rows)``, as max(max s - 1, 1 - min s), summed row block
+    by row block; 0.0 for no rows."""
+    top = bottom = 1.0
+    for block in _row_blocks(*rows.shape):
+        sums = _row_sums(rows[block])
+        top, bottom = sums.max(initial=top), sums.min(initial=bottom)
+    return float(max(top - 1.0, 1.0 - bottom))
 
 
 def _unit_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
@@ -293,6 +341,6 @@ def _unit_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
     if not error <= SUM_TOLERANCE:
         raise InvariantError(f"sampled rows miss a unit total by {error}")
     while not out.min(initial=1.0) > 0.0:  # an empty draw has no zero bid
-        bad = np.any(out <= 0.0, axis=1)
+        bad = np.concatenate([np.any(out[block] <= 0.0, axis=1) for block in _row_blocks(*out.shape)])
         out[bad] = redraw(gen, int(bad.sum()))
     return out

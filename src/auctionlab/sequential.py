@@ -233,7 +233,7 @@ def check_rounds(n: int) -> None:
     """Refuse n rounds before any work: n must be a whole number, and every
     round visits at least one state, so n > MAX_STATE_ROUNDS can never
     finish."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"a sequential run needs a nonnegative integer round count, not {n!r}")
     if n > MAX_STATE_ROUNDS:
         raise SizeLimitExceeded(

@@ -140,8 +140,8 @@ def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> l
     CDF at the 99.9% critical value, plus the exact-sum property."""
     mode = sampled_mode(k)
     Scenario(mode, n, k, samples=samples, seed=seed, ks_stats=True).validate()
-    draws = marginal_draw(mode, n, k)(RngStream(seed, 0), samples)
-    table = ks_table(draws, MarginalSpec(n, k))
+    draw, columns = marginal_draw(mode, n, k)
+    table = ks_table(draw(RngStream(seed, 0), samples), MarginalSpec(n, k), columns)
     checks = [
         _check(f"ks_coordinate_{e['coordinate']}", e["distance"], e["threshold"])
         for e in table["entries"]

@@ -26,7 +26,7 @@ from auctionlab import (
     ks_distance,
     marginal_cdf,
 )
-from auctionlab import harness, montecarlo, position_randomized
+from auctionlab import harness, montecarlo, position_randomized, samplers, verify
 from auctionlab.montecarlo import WinTally, play, win_counts
 from auctionlab.samplers import MAX_SIMPLEX_K
 
@@ -82,13 +82,24 @@ class TestKsDistance:
         # NaN point or cdf value used to add nothing to the statistic
         spec = MarginalSpec(4, 2)
         with pytest.raises(DomainError):
-            harness.ks_table(np.full((1_000, 4), math.nan), spec)
+            harness.ks_table(np.full((1_000, 4), math.nan), spec, alone(4))
         half = np.random.default_rng(5).random(1_000)
         half[::2] = math.nan
         with pytest.raises(DomainError, match="NaN in the sample or its cdf"):
             ks_distance(half, lambda v: np.clip(v, 0, 1))
         with pytest.raises(DomainError, match="NaN in the sample or its cdf"):
             ks_distance([0.1, 0.2, 0.3], lambda v: np.where(v > 0.25, math.nan, v))
+
+    def test_ascending_sample_is_scored_as_it_is(self):
+        # no sorted copy and no write: ks_table passes sorted and mirrored columns
+        sample = np.sort(np.random.default_rng(8).random(8 * montecarlo.CHUNK + 5))
+        before = sample.tobytes()
+        cdf = lambda v: np.clip(v, 0, 1)  # noqa: E731
+        distance, peak = traced_peak(lambda: ks_distance(sample, cdf))
+        assert sample.tobytes() == before
+        assert peak < sample.nbytes / 2
+        assert distance == ks_distance(np.random.default_rng(9).permutation(sample), cdf)
+        assert distance == ks_distance(sample[::-1].copy()[::-1], cdf)  # a reversed view
 
     def test_cdf_called_once_per_block(self):
         calls = []
@@ -101,8 +112,12 @@ class TestKsDistance:
         assert calls == [montecarlo.CHUNK, montecarlo.CHUNK, 1]
 
 
-MEMORY_ROWS = 1 << 18
-MEMORY_CASES = [(2, 2), (5, 2), (7, 2), (6, 3)]
+# every memory case draws a 16 MiB table
+MEMORY_CELLS = 1 << 21
+MEMORY_CASES = [(2, 2), (3, 2), (5, 2), (7, 2), (21, 2), (3, 3), (6, 3), (4, 4), (8, 4), (64, 4), (83, 83)]
+
+# a few ks_distance blocks of CHUNK float64 points
+KS_BLOCKS = 4 * montecarlo.CHUNK * 8
 
 
 def traced_peak(run):
@@ -114,30 +129,80 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def sampler(n, k):
+    """The vectorized sampler of (n, k) and its column layout."""
+    return harness.marginal_draw(harness.sampled_mode(k), n, k)
+
+
 def memory_draws(n, k):
-    if k == 2:
-        return draw_two_bidder(n, RngStream(8), size=MEMORY_ROWS)
-    return draw_k_bidder(n, k, RngStream(8), size=MEMORY_ROWS)
+    draw, _ = sampler(n, k)
+    return draw(RngStream(8), MEMORY_CELLS // n)
 
 
 class TestKsMemory:
     """A KS run holds its draws plus about one column: the samplers write
-    in place and ks_table scores each sorted column in blocks."""
+    in place beside block scratch, and ks_table scores one sorted source
+    column at a time in blocks."""
 
-    def test_draws_peak_within_two_and_a_half_times_their_size(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_draws_peak_within_a_tenth_over_their_size_plus_a_mib(self, order):
+        # the scratch a draw holds beside its rows, in either layout; row-major
+        # (21, 2) once paid a column when numpy copied an overlapping operand
+        scratch = {}
+        for n, k in MEMORY_CASES:
+            out = np.empty((MEMORY_CELLS // n, n), order=order)
+            draw, _ = sampler(n, k)
+            _, peak = traced_peak(lambda: draw(RngStream(8), len(out), out))
+            scratch[n, k] = peak / out.nbytes
+        assert max(scratch.values()) <= 0.1 + 2**20 / (MEMORY_CELLS * 8), scratch
+
+    def test_redrawn_rows_hold_no_mask_of_the_table(self):
+        # at k = 83 about 1% of rows hold a zero bid and are redrawn; a mask of every
+        # cell, as _unit_rows once built, is an eighth of the table
+        out = np.empty((MEMORY_CELLS // MAX_SIMPLEX_K, MAX_SIMPLEX_K))
+        draw, _ = sampler(MAX_SIMPLEX_K, MAX_SIMPLEX_K)
+        _, peak = traced_peak(lambda: draw(RngStream(8), len(out), out))
+        assert peak < out.nbytes / 8, peak / out.nbytes
+
+    def test_allocating_draws_peak_within_a_tenth_over_their_size_plus_a_mib(self):
         ratios = {}
         for n, k in MEMORY_CASES:
             draws, peak = traced_peak(lambda: memory_draws(n, k))
-            ratios[n, k] = peak / draws.nbytes
-        assert max(ratios.values()) <= 2.5, ratios
+            ratios[n, k] = (peak - 2**20) / draws.nbytes
+        assert max(ratios.values()) <= 1.1, ratios
 
-    def test_ks_table_peaks_within_one_and_three_quarter_times_the_draws(self):
-        ratios = {}
+    def test_ks_table_peaks_within_one_sorted_column_and_blocks(self):
+        extra = {}
         for n, k in MEMORY_CASES:
             draws = memory_draws(n, k)
-            _, peak = traced_peak(lambda: harness.ks_table(draws, MarginalSpec(n, k)))
-            ratios[n, k] = (draws.nbytes + peak) / draws.nbytes
-        assert max(ratios.values()) <= 1.75, ratios
+            _, peak = traced_peak(lambda: harness.ks_table(draws, MarginalSpec(n, k), sampler(n, k)[1]))
+            extra[n, k] = (peak - len(draws) * 8) / KS_BLOCKS
+        assert max(extra.values()) <= 1.0, extra
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (21, 2), (6, 3), (4, 4)])
+    def test_marginal_suite_peaks_within_its_table_a_column_and_4_mib(self, n, k):
+        rows = MEMORY_CELLS // n
+        checks, peak = traced_peak(lambda: verify.marginal_suite(n, k, samples=rows, seed=8))
+        assert len(checks) == n + 1
+        assert peak <= rows * (n + 1) * 8 + 4 * 2**20, peak / (rows * n * 8)
+
+    @pytest.mark.parametrize("mode,n,k,sources", [
+        ("two-bidder", 8, 2, 1), ("two-bidder", 7, 2, 4), ("two-bidder", 3, 2, 3),
+        ("k-bidder", 6, 3, 3), ("k-bidder", 8, 4, 4), ("k-bidder", 4, 2, 2),
+    ])
+    def test_simulate_keeps_only_the_source_columns(self, monkeypatch, mode, n, k, sources):
+        kept = []
+
+        def recording(draws, *args):
+            kept.append(draws.shape)
+            return ks_table(draws, *args)
+
+        ks_table = harness.ks_table
+        monkeypatch.setattr(harness, "ks_table", recording)
+        samples = 3 * montecarlo.chunk_rows(k, n) + 5
+        report = estimate(Scenario(mode, n, k, samples=samples, seed=4, ks_stats=True))
+        assert kept == [(samples, sources)]
+        assert len(report.statistics["ks"]["entries"]) == n
 
 
 def ks_reference(draws, n, k):
@@ -146,8 +211,13 @@ def ks_reference(draws, n, k):
     return [ks_distance(draws[:, c], cdf) for c in range(draws.shape[1])]
 
 
-def table_distances(draws, n, k):
-    return [e["distance"] for e in harness.ks_table(draws, MarginalSpec(n, k))["entries"]]
+def alone(n):
+    """A layout of n columns, each its own source."""
+    return [(c, None) for c in range(n)]
+
+
+def table_distances(draws, n, k, columns):
+    return [e["distance"] for e in harness.ks_table(draws, MarginalSpec(n, k), columns)["entries"]]
 
 
 def count_ks_calls(monkeypatch):
@@ -161,48 +231,76 @@ def count_ks_calls(monkeypatch):
     return calls
 
 
+# two-bidder n = 2..9, and k-bidder (k * m, k) for k = 2..5 and m = 1..3
+LAYOUT_CASES = [("two-bidder", n, 2) for n in range(2, 10)] + [
+    ("k-bidder", k * m, k) for k in range(2, 6) for m in range(1, 4)
+]
+
+
 class TestKsCopies:
-    """ks_table scores each distinct column once; a column equal to an
-    earlier one takes its distance."""
+    """ks_table scores each source column of a sampler's declared layout
+    once: a copy takes its source's distance, and a mirror is scored from
+    its reflected sorted source."""
 
     @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (7, 2), (64, 2), (6, 3), (12, 3), (64, 4)])
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_matches_per_column_reference(self, n, k, layout):
-        # two blocks of the copy check and a partial third
-        rows = 2 * (montecarlo.CHUNK // n) + 7
-        draws = layout(memory_draws(n, k)[:rows])
-        assert table_distances(draws, n, k) == ks_reference(draws, n, k)
+        # two ks_distance blocks and a partial third
+        rows = 2 * montecarlo.CHUNK + 7
+        draw, columns = sampler(n, k)
+        draws = layout(draw(RngStream(8), rows))
+        assert table_distances(draws, n, k, columns) == ks_reference(draws, n, k)
 
     @pytest.mark.parametrize("n, k, calls", [(64, 2, 2), (12, 3, 3), (7, 2, 5), (5, 2, 5)])
     def test_one_call_per_distinct_column(self, n, k, calls, monkeypatch):
-        draws = memory_draws(n, k)[:5_000]
+        draw, columns = sampler(n, k)
+        draws = draw(RngStream(8), 5_000)
         counted = count_ks_calls(monkeypatch)
-        harness.ks_table(draws, MarginalSpec(n, k))
+        harness.ks_table(draws, MarginalSpec(n, k), columns)
         assert len(counted) == calls
 
-    def test_non_adjacent_copy_is_merged(self, monkeypatch):
+    def test_undeclared_copies_are_scored_alone(self, monkeypatch):
+        # an equal column the layout does not name as a copy is scored: ks_table guesses no copies
         draws = np.random.default_rng(4).random((3_000, 4)) / 2
         draws[:, 3] = draws[:, 0]
         counted = count_ks_calls(monkeypatch)
-        distances = table_distances(draws, 4, 2)
-        assert len(counted) == 3
-        assert distances[3] == distances[0]
-        assert distances == ks_reference(draws, 4, 2)
-
-    def test_column_that_differs_below_row_zero_is_not_merged(self, monkeypatch):
-        rows = 3 * (montecarlo.CHUNK // 4)
-        draws = np.random.default_rng(6).random((rows, 4)) / 2
-        draws[:, 2] = draws[:, 0]
-        draws[rows - 1, 2] = 0.25  # the last block differs in one cell
-        counted = count_ks_calls(monkeypatch)
-        distances = table_distances(draws, 4, 2)
+        assert table_distances(draws, 4, 2, alone(4)) == ks_reference(draws, 4, 2)
         assert len(counted) == 4
-        assert distances == ks_reference(draws, 4, 2)
+
+    @pytest.mark.parametrize("mode, n, k", LAYOUT_CASES)
+    @pytest.mark.parametrize("side", ["rows", "columns"])
+    def test_declared_layout_holds(self, monkeypatch, mode, n, k, side):
+        # either side of by_columns, and with row 3 redrawn after a planted zero bid
+        rows = 128 * n - (side == "rows")
+        real = samplers._unit_rows
+        planted = []
+
+        def plant_zero(out, gen, redraw):
+            if not planted:
+                planted.append(True)
+                out[3] = [0.0] + [1.0 / (n - 1)] * (n - 1)
+            return real(out, gen, redraw)
+
+        monkeypatch.setattr(samplers, "_unit_rows", plant_zero)
+        draw, columns = harness.marginal_draw(mode, n, k)
+        draws = draw(RngStream(12, n), rows)
+        assert samplers.by_columns(rows, n) == (side == "columns") == draws.flags.f_contiguous
+        assert planted and draws[3].min() > 0.0
+        assert len(columns) == n
+        for c, (source, about) in enumerate(columns):
+            assert columns[source] == (source, None)
+            if about is None:
+                assert draws[:, c].tobytes() == draws[:, source].tobytes()
+                continue
+            assert mode == "two-bidder" and about == 2.0 / n
+            assert draws[:, c].tobytes() == np.subtract(about, draws[:, source]).tobytes()
+            reflected = np.subtract(about, np.sort(draws[:, source])[::-1])
+            assert reflected.tobytes() == np.sort(draws[:, c]).tobytes()
 
     def test_empty_table_raises(self):
         # an all-NaN table's DomainError is checked with ks_distance's NaN cases
         with pytest.raises(EmptySample):
-            harness.ks_table(np.empty((0, 4)), MarginalSpec(4, 2))
+            harness.ks_table(np.empty((0, 4)), MarginalSpec(4, 2), alone(4))
 
 
 def chunk_samples(k, n):
@@ -247,7 +345,8 @@ class TestKsOffsets:
             rng = RngStream(seed, index)
             draw_two_bidder(n, rng, size=length)  # the adversary's copycat draw
             last.append(draw_two_bidder(n, rng, size=length))
-        expected = harness.ks_table(np.concatenate(last), MarginalSpec(n, 2))
+        # every column scored on its own, with no layout: the kept source columns give the same table
+        expected = harness.ks_table(np.concatenate(last), MarginalSpec(n, 2), alone(n))
         assert with_ks.statistics["ks"] == expected
 
 
@@ -279,7 +378,7 @@ class TestWinCounts:
                 plane[...] = b
             return fill
 
-        tally, kept = play(3, samples, 5, [recording(0), recording(1)], keep=1)
+        tally, kept = play(3, samples, 5, [recording(0), recording(1)], keep=(1, [0, 1, 2]))
         lengths = [rows, rows, 7]
         assert calls == [(i, b, (length, 3)) for i, length in enumerate(lengths) for b in (0, 1)]
         assert tally.count == samples and tally.sums == [0, 3 * samples]
@@ -368,10 +467,13 @@ class TestScenarioValidation:
             ).validate()
 
     @pytest.mark.parametrize(
-        "field,value", [("n", 4.0), ("k", 3.0), ("samples", 10.5), ("seed", 1.5), ("n", Fraction(4))]
+        "field,value",
+        [("n", 4.0), ("k", 3.0), ("samples", 10.5), ("seed", 1.5), ("n", Fraction(4)),
+         ("samples", True), ("n", True), ("k", True), ("seed", False)],
     )
     def test_sizes_and_seed_must_be_integers(self, field, value):
-        # floats once escaped as TypeErrors, and seed 1.5 ran as seed 1
+        # floats once escaped as TypeErrors, and seed 1.5 ran as seed 1; samples=True
+        # ran one sample and printed "samples": true
         sizes = {"n": 6, "k": 3, "samples": 10, "seed": np.int64(1)}
         Scenario("k-bidder", **sizes).validate()
         with pytest.raises(ScenarioError, match=f"{field} must be an integer"):

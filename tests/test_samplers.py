@@ -324,8 +324,8 @@ class TestUnitRows:
 class TestRowSums:
     @pytest.mark.parametrize("n", [*range(1, 141), 255, 256, 257, 1000])
     def test_equals_numpy_bit_for_bit(self, n):
-        # one 1 MB row block and 3 more rows, so narrow widths cross a block
-        # boundary; mixed magnitudes and signs make a reordered sum show
+        # two of row_sum_error's BLOCK-cell row blocks and 3 more rows, so it crosses block
+        # boundaries; mixed magnitudes and signs make a reordered sum show
         gen = np.random.default_rng(n)
         wide = gen.standard_normal(((1 << 17) // n + 3, n + 3))
         wide *= 10.0 ** gen.integers(-8, 9, wide.shape)
@@ -472,7 +472,7 @@ class TestDrawIntoOut:
         ],
         ids=["two-bidder", "k-bidder-3", "k-bidder-4", "simplex", "triple"],
     )
-    @pytest.mark.parametrize("size", [2.5, np.float64(3.0), "3", -1, np.int64(-2)])
+    @pytest.mark.parametrize("size", [2.5, np.float64(3.0), "3", -1, np.int64(-2), True, False])
     def test_bad_size_is_refused(self, draw, size):
         with pytest.raises(DomainError, match=r"size must be an integer >= 0"):
             draw(RngStream(0), size)
@@ -543,6 +543,126 @@ class TestDrawIntoOut:
         twin = np.random.default_rng(43)
         draw_k_bidder(6, 3, twin, 8)
         assert gen.bit_generator.state == twin.bit_generator.state  # no row was redrawn
+
+
+# The full-array samplers from before draws went block by block, frozen as the reference
+# the block-wise samplers match bit for bit, generator state included.
+
+
+def reference_triple(gen, size):
+    lo, mid, hi = vals = np.empty((3, size))
+    for row in (hi, lo, mid):  # u, v, w
+        gen.random(out=row)
+    np.cbrt(hi, out=hi)
+    hi *= ONE_THIRD
+    lo *= ONE_THIRD - hi
+    mid *= hi
+    mid += lo
+    hi += lo
+    perm = gen.integers(0, 6, size)
+    return vals[samplers._PERMS3[perm], np.arange(size)[:, None]]
+
+
+def reference_two_bidder(n, gen, size):
+    b1 = gen.random(size) * (2.0 / n)
+    pairs = n // 2 if n % 2 == 0 else (n - 3) // 2
+    rows = np.empty((size, n))
+    rows[:, :pairs] = b1[:, None]
+    rows[:, pairs:2 * pairs] = 2.0 / n - b1[:, None]
+    if n % 2:
+        x, y, z = reference_triple(gen, size).T
+        for c, bid in enumerate([x - y, y - z, z - x], start=2 * pairs):
+            bid += ONE_THIRD
+            bid *= 3.0 / n
+            rows[:, c] = bid
+    return rows
+
+
+def reference_sphere(gen, size, m):
+    a, b, c = abc = np.empty((3, size))
+    gen.random(out=abc[:2])
+    b *= np.pi / 2
+    np.sin(b, out=c)
+    np.cos(b, out=b)
+    a *= a
+    rest = np.subtract(1.0, a)
+    rest /= m
+    a /= m
+    for bid in (b, c):
+        bid *= bid
+        bid *= rest
+    return abc.T
+
+
+def reference_gammas(k, gen, size, m):
+    u = gen.random((size, k))
+    u **= k - 1
+    u *= gen.standard_gamma(1.0 + 1.0 / (k - 1), u.shape)
+    return u / (m * u.sum(axis=1))[:, None]
+
+
+def reference_rows(n, k, gen, size):
+    if k == 2:
+        return reference_two_bidder(n, gen, size)
+    m = n // k
+    return np.tile(reference_sphere(gen, size, m) if k == 3 else reference_gammas(k, gen, size, m), m)
+
+
+def around(*blocks):
+    """1, B - 1, B, B + 1 and 3B + 7 rows for each block size B."""
+    return sorted({size for b in blocks for size in (1, b - 1, b, b + 1, 3 * b + 7)})
+
+
+def block_sizes(k):
+    """The row blocks a (n, k) draw's variates pass through: whole BLOCK-cell runs of
+    uniforms, then BLOCK // 3 rows of triples or sphere points, or BLOCK // k of gammas;
+    the sphere's U and V take one call up to BLOCK // 2 rows."""
+    block = samplers.BLOCK
+    return around(block // 3, block) if k in (2, 3) else around(block // k, block // 2)
+
+
+class TestBlockDraws:
+    """Each vectorized sampler fills its rows block by block, with the variates,
+    values and generator state of the full-array reference."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (7, 2), (3, 3), (6, 3), (4, 4), (10, 5)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_full_array_reference(self, n, k, order):
+        for size in block_sizes(k) + ([samplers.BLOCK // 2 + 1] if k == 3 else []):
+            gen, twin = np.random.default_rng([size, n]), np.random.default_rng([size, n])
+            out = np.empty((size, n), order=order)
+            assert vector_sampler(n, k)(gen, size, out) is out
+            assert out.tobytes() == reference_rows(n, k, twin, size).tobytes(), size
+            assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_triple_matches_the_full_array_reference(self, order):
+        for size in block_sizes(2):
+            gen, twin = np.random.default_rng(size), np.random.default_rng(size)
+            out = samplers._fill_triple(gen, np.empty((size, 3), order=order))
+            assert out.tobytes() == reference_triple(twin, size).tobytes(), size
+            assert gen.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda gen, size: gen.random(size),
+            lambda gen, size: gen.integers(0, 6, size),
+            lambda gen, size: gen.standard_gamma(1.0 + 1.0 / 3, size),
+            lambda gen, size: gen.standard_gamma(1.0 + 1.0 / (MAX_SIMPLEX_K - 1), size),
+        ],
+        ids=["random", "integers", "gamma-4", "gamma-max"],
+    )
+    def test_block_by_block_calls_continue_one_stream(self, draw):
+        # integers(0, 6) takes 32-bit halves: one left over from a call is the next call's first
+        for parts in [(1, 1, 1), (3, 4), (5, 6, 7), (1_000, 1), (21_845, 21_846, 3)]:
+            gen, twin = np.random.default_rng(17), np.random.default_rng(17)
+            for g in (gen, twin):
+                g.integers(0, 6, 1)
+            whole = draw(gen, sum(parts))
+            split = np.concatenate([draw(twin, part) for part in parts])
+            assert whole.tobytes() == split.tobytes(), parts
+            assert gen.bit_generator.state == twin.bit_generator.state
 
 
 class TestSimplexBidderLimit:

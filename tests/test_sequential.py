@@ -171,7 +171,7 @@ class TestSampledMode:
         assert views == []
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
-    @pytest.mark.parametrize("n", [-1, -2, 2.0, Fraction(2)])
+    @pytest.mark.parametrize("n", [-1, -2, 2.0, Fraction(2), True])
     def test_round_count_must_be_a_nonnegative_integer(self, n, mode):
         # script[:n] once made n = -1 play two of these three rounds
         s = scripted_strategy(["0.5", "0.25", "0.25"])
