@@ -32,7 +32,7 @@ from .montecarlo import CHUNK, chunk_rows, play
 from .position_randomized import _adversary_places, _ladder_places, _place_wins, check_ladder
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, k_bidder_columns, row_sum_error
 from .samplers import two_bidder_columns
-from .sequential import _run_exact, check_rounds, sample_leaves, scripted_strategy, steady_strategy
+from .sequential import _run_exact, check_rounds, check_unit, sample_leaves, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
@@ -41,6 +41,10 @@ KS_FACTOR = 1.95
 # but only the layout's source columns by simulate.  It also caps bidders x
 # objects in one sampled row, the least a chunk holds.
 KS_CELLS = 1 << 25
+
+# Most columns, one report entry each, a KS table scores: 2^16 two-bidder
+# columns of one sample take about 1.2 s and 115 MB, and print 9.7 MB.
+KS_COLUMNS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,8 @@ class Scenario:
             check_ladder(n, k)
         if mode == "k-bidder" and k > MAX_SIMPLEX_K:
             raise SizeLimitExceeded(f"k-bidder draws of {k} bidders exceed the {MAX_SIMPLEX_K}-bidder limit")
+        if self.ks_stats and n > KS_COLUMNS:
+            raise SizeLimitExceeded(f"a KS table of {n:,} columns exceeds the {KS_COLUMNS:,}-column limit")
         if self.ks_stats and self.samples * n > KS_CELLS:
             raise SizeLimitExceeded(
                 f"a KS table of {self.samples} samples x {n} objects exceeds the "
@@ -137,6 +143,7 @@ class Scenario:
         if mode == "sequential":
             if bids is None or any(b < 0 or b > 1 for b in bids):
                 raise ScenarioError("fixed adversary needs a bid script of amounts in [0, 1]")
+            check_unit([bids] + [(Fraction(k, n),)] * (k - 1), n)  # the k - 1 steady scripts
             return
         count = len(self.group_sizes) if mode == "group" else n
         if bids is None or len(bids) != count:
@@ -297,10 +304,24 @@ def _fixed(row: np.ndarray) -> Callable:
 
 
 def _permuted(row: np.ndarray) -> Callable:
-    """A filler that puts ``row`` in every row of its plane, each shuffled."""
+    """A filler that puts ``row`` in every row of its plane, each shuffled.  Up to 8 cells, one
+    ``integers(0, n!)`` per row picks a permutation of range(n) in ``itertools.permutations`` order,
+    from a table of uint32 codes with position j's rank in bits 3j..3j+2; past 8, ``permuted`` shuffles."""
+    n = len(row)
+    if n > 8:
+        def fill(rng, plane):
+            plane[...] = row
+            rng.generator.permuted(plane, axis=1, out=plane)
+        return fill
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for m in range(1, n + 1):  # each first rank i, then range(m - 1)'s perms shifted past i
+        perms = np.concatenate([np.insert(perms + (perms >= i), 0, i, axis=1) for i in range(m)])
+    codes = np.einsum("ij,j->i", perms, 8 ** np.arange(n, dtype=np.uint32), dtype=np.uint32, casting="unsafe")
+
     def fill(rng, plane):
-        plane[...] = row
-        rng.generator.permuted(plane, axis=1, out=plane)
+        code = codes[rng.generator.integers(0, len(codes), size=len(plane))]
+        for j, column in enumerate(plane.T):
+            row.take((code >> 3 * j) & 7, out=column, mode="clip")  # clip: no buffered copy
     return fill
 
 

@@ -38,22 +38,19 @@ def win_counts(base: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """
     k, rows, n = base.shape
     at_top = base == base.max(axis=0)
-    wins = np.zeros((k, rows), dtype=np.int64)
-    # credit every top bidder: uint8 einsum sums are exact up to 255 objects
-    for start in range(0, n, 255):
-        wins += np.einsum("brn->br", at_top[..., start:start + 255].view(np.uint8))
-    # one bidder keeps each shared object's credit, the others lose theirs;
-    # tie counts take the least dtype that holds k, so a chunk's temporaries stay small
+    # each tied object keeps only its drawn top bidder; tie counts take the
+    # least dtype that holds k, so a chunk's temporaries stay small
     count = np.min_scalar_type(k)
     ties = at_top.sum(axis=0, dtype=count) > 1
     if ties.any():  # flatnonzero copies a column-major mask
         row, obj = np.divmod(np.flatnonzero(ties), n)
         tied = at_top[:, row, obj]
         pick = (gen.random(row.size) * tied.sum(axis=0)).astype(count)
-        winner = tied & (np.cumsum(tied, axis=0, dtype=count) == pick + 1)
-        bidder, column = np.nonzero(tied & ~winner)
-        losses = np.bincount(bidder * rows + row[column], minlength=k * rows)
-        wins -= losses.reshape(k, rows)
+        at_top[:, row, obj] = tied & (np.cumsum(tied, axis=0, dtype=count) == pick + 1)
+    wins = np.zeros((k, rows), dtype=np.int64)
+    # uint8 einsum sums are exact up to 255 objects
+    for start in range(0, n, 255):
+        wins += np.einsum("brn->br", at_top[..., start:start + 255].view(np.uint8))
     return wins
 
 

@@ -446,6 +446,16 @@ class TestKsSizeLimit:
         assert out == ""
         assert "cell limit" in err
 
+    @pytest.mark.parametrize("command", [["simulate", "--mode", "two-bidder", "--ks"],
+                                         ["verify", "--suite", "marginals"]])
+    def test_one_sample_past_the_column_limit_exits_1(self, capsys, monkeypatch, command):
+        # one sample stays under the cell cap, but the report holds an entry per column
+        self.no_draws(monkeypatch)
+        n = str(harness.KS_COLUMNS + 2)
+        code, out, err = run_cli(capsys, *command, "--n", n, "--samples", "1")
+        assert (code, out) == (1, "")
+        assert "65,536-column limit" in err
+
     def test_oversized_verify_all_exits_1_before_any_suite(self, capsys, monkeypatch):
         self.no_draws(monkeypatch)
 
@@ -461,6 +471,23 @@ class TestKsSizeLimit:
         assert code == 1
         assert out == ""
         assert "cell limit" in err
+
+
+class TestUnitLimit:
+    def test_wide_denominator_script_exits_1_before_any_run(self, capsys, tmp_path, monkeypatch):
+        # 200 rounds of distinct 4,000-digit denominators once ran 22 s on their lcm
+        def refuse(*args, **kwargs):
+            raise RuntimeError("ran a sequential walk past the unit limit")
+
+        monkeypatch.setattr(harness, "_run_exact", refuse)
+        config = tmp_path / "wide.json"
+        amounts = ",".join(f"1/{10**3999 + 2 * i + 1}" for i in range(200))
+        config.write_text(json.dumps({"n": 200, "samples": 10, "adversary": f"fixed:{amounts}"}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sequential", "--config", str(config))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert "limit of 100,000 digits" in err
 
 
 class TestConfigSchema:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -330,6 +331,43 @@ class TestChunkMemory:
         assert peak <= 1.75 * stack_bytes, peak / stack_bytes
 
 
+class TestPermutedFiller:
+    """Position mode's ladder filler: a table of every permutation up to 8
+    cells, ``Generator.permuted`` past them."""
+
+    @staticmethod
+    def planes(n, rows):
+        # one row-major plane, and one column-major plane of the same shape
+        return [np.empty((rows, n)), samplers.row_planes(np.empty(rows * n), 1, rows, n)[0]]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_the_drawn_permutations_in_lexicographic_order(self, n):
+        row = np.arange(2.0, 2 * n + 1, 2)
+        perms = [list(p) for p in itertools.permutations(range(n))]
+        fill = harness._permuted(row)
+        for plane in self.planes(n, 200 * n):
+            fill(RngStream(n, 3), plane)
+            twin = RngStream(n, 3).generator.integers(0, math.factorial(n), size=len(plane))
+            assert np.array_equal(plane, np.array([row[perms[i]] for i in twin]))
+
+    def test_past_eight_cells_rows_are_permuted(self):
+        row = np.arange(2.0, 19, 2)
+        for plane in self.planes(9, 2000):
+            harness._permuted(row)(RngStream(9, 4), plane)
+            twin = np.tile(row, (len(plane), 1))
+            RngStream(9, 4).generator.permuted(twin, axis=1, out=twin)
+            assert np.array_equal(plane, twin)
+
+    def test_four_cell_permutations_are_uniform(self):
+        # chi-square over all 24 permutations of one 48,000-row plane, at 99.9%
+        row = np.arange(4.0)
+        plane = np.empty((48_000, 4))
+        harness._permuted(row)(RngStream(2024, 0), plane)
+        index = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
+        counts = np.bincount([index[tuple(r)] for r in plane.astype(int).tolist()], minlength=24)
+        assert stats.chisquare(counts).pvalue > 0.001
+
+
 class TestKsOffsets:
     def test_ks_columns_follow_chunk_streams(self):
         # the partial last chunk lands at row 2 * rows
@@ -551,6 +589,15 @@ class TestScenarioValidation:
             Scenario("k-bidder", 8, 2, samples=limit + 1, ks_stats=True).validate()
         # no KS table, no limit
         Scenario("k-bidder", 8, 2, samples=limit + 1).validate()
+
+    def test_ks_table_column_limit(self):
+        # one sample keeps samples x n under the cell cap, but the report holds an entry per column
+        Scenario("two-bidder", harness.KS_COLUMNS, samples=1, ks_stats=True).validate()
+        for mode, k in (("two-bidder", 2), ("k-bidder", 2)):
+            with pytest.raises(SizeLimitExceeded, match="65,536-column limit"):
+                Scenario(mode, harness.KS_COLUMNS + 2, k, samples=1, ks_stats=True).validate()
+        # no KS table, no column limit
+        Scenario("two-bidder", harness.KS_COLUMNS + 2, samples=1).validate()
 
     def test_sampled_row_size_limit(self):
         # one row of k x n bids is the least a chunk holds: 3.2 GB here

@@ -56,6 +56,13 @@ re-recorded two fields, the ``max_sum_error`` of ``two_bidder_copycat_ks``
 moved by at most 1.1e-16, inside their 1e-15 tolerance, and were left as
 recorded.
 
+Drawing position mode's ladder rows up to 8 objects from a table of all
+n! permutations, one ``integers(0, n!)`` per row instead of
+``Generator.permuted``, re-recorded the reports ``position_undercut`` and
+``position_dp_optimal``.  ``position_9_3_undercut`` was recorded just before
+that change: past 8 objects the filler still calls ``permuted``, so it did
+not move, and nor did any other entry.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.  Drawing sampled trials
@@ -117,6 +124,9 @@ SCENARIOS = {
     ),
     "position_dp_optimal": Scenario(
         "position-randomized", 6, 3, AdversaryPlan("dp-optimal"), SAMPLES, 16
+    ),
+    "position_9_3_undercut": Scenario(
+        "position-randomized", 9, 3, AdversaryPlan("undercut"), SAMPLES, 25
     ),
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import functools
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
+    AdversaryPlan,
     DomainError,
     LengthMismatch,
     NotMultiple,
@@ -277,6 +279,44 @@ class TestStateCap:
         monkeypatch.setattr(sequential, "MAX_STATES", 1)
         strategies = [steady_strategy(6, 2), steady_strategy(6, 2)]
         assert sum(run_sequential(strategies, 6, 2, seed=3, mode="sample")) == 6
+
+
+class TestUnitLimit:
+    """A merged walk's unit is refused, before any lcm is built, on the
+    bound sum(log10(d)) over its distinct denominators d."""
+
+    # 200 distinct 4,000-digit denominators: a unit of up to about 8e5 digits
+    WIDE = [Fraction(1, 10**3999 + 2 * i + 1) for i in range(200)]
+
+    def test_wide_denominators_refused_before_any_lcm(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an lcm past the unit limit")
+
+        monkeypatch.setattr(sequential.math, "lcm", refuse)
+        profile = [scripted_strategy(self.WIDE), steady_strategy(200, 2)]
+        with pytest.raises(SizeLimitExceeded, match="limit of 100,000 digits"):
+            run_sequential(profile, 200, 2)
+        with pytest.raises(SizeLimitExceeded, match="limit of 100,000 digits"):
+            Scenario("sequential", 200, 2, AdversaryPlan.fixed(self.WIDE), samples=10).validate()
+
+    def test_digits_times_runs_limit(self, monkeypatch):
+        # four runs of 1/1000 (four amount objects) and a steady run of 1/2:
+        # log10(1000) + log10(2) = 3.30 digits times 5 runs = 16.5
+        script = [Fraction(1, 1000) for _ in range(4)]
+        profile = [scripted_strategy(script), steady_strategy(4, 2)]
+        monkeypatch.setattr(sequential, "MAX_UNIT_RUN_DIGITS", 17)
+        assert run_sequential(profile, 4, 2) == (Fraction(2), Fraction(2))
+        monkeypatch.setattr(sequential, "MAX_UNIT_RUN_DIGITS", 16)
+        with pytest.raises(SizeLimitExceeded, match="or 16 digits x runs"):
+            run_sequential(profile, 4, 2)
+        with pytest.raises(SizeLimitExceeded, match="or 16 digits x runs"):
+            Scenario("sequential", 4, 2, AdversaryPlan.fixed(script), samples=10).validate()
+
+    def test_steady_scripts_stay_far_below_the_limits(self):
+        n = sequential.MAX_STATE_ROUNDS
+        runs = sequential.check_unit([steady_strategy(n, 4)._script] * 4, n)
+        assert len(runs) == 4
+        assert 4 * math.log10(n) < sequential.MAX_UNIT_RUN_DIGITS / 1e6
 
 
 class TestMarkov:
