@@ -79,15 +79,19 @@ def group_wins(auction: GroupAuction, amounts: Sequence):
     exact = _all_rational(amounts) and _all_rational(auction.sizes)
     number = Fraction if exact else float
     slack = 0 if exact else FLOAT_BUDGET_SLACK
-    sizes = [number(s) for s in auction.sizes]
-    vals = [number(a) for a in amounts]
+    try:
+        sizes = [number(s) for s in auction.sizes]
+        vals = [number(a) for a in amounts]
+        k = number(auction.k)
+    except OverflowError:
+        raise DomainError("float amounts need group sizes and k within the float range") from None
     n = sum(sizes)
-    cap = number(auction.k) / n + slack
+    cap = k / n + slack
     for a in vals:
         if a < 0 or a > cap:
             raise DomainError(f"group amount {a} outside [0, k/n]")
     spend = sum(s * a for s, a in zip(sizes, vals))
     if spend > 1 + slack:
         raise OverBudget(f"group bids total {spend} > 1")
-    slope = n / number(auction.k)
+    slope = n / k
     return sum(s * slope * a for s, a in zip(sizes, vals))

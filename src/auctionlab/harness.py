@@ -28,11 +28,11 @@ from .adversary import GroupAuction, group_wins, wins_vs_marginal
 from .engine import MAX_VALUE_DIGITS, Bid, as_fraction
 from .errors import DomainError, EmptySample, LengthMismatch, NotMultiple, ScenarioError, SizeLimitExceeded
 from .marginals import MarginalSpec, marginal_cdf
-from .montecarlo import CHUNK, chunk_rows, play
+from .montecarlo import play
 from .position_randomized import _adversary_places, _ladder_places, _place_wins, check_ladder
 from .samplers import MAX_SIMPLEX_K, draw_k_bidder, draw_two_bidder, k_bidder_columns, row_sum_error
-from .samplers import two_bidder_columns
-from .sequential import _run_exact, check_rounds, check_unit, sample_leaves, scripted_strategy, steady_strategy
+from .samplers import _row_blocks, two_bidder_columns
+from .sequential import _run_exact, check_size, check_unit, sample_leaves, scripted_strategy, steady_strategy
 
 # two-sided 99.9% Kolmogorov-Smirnov critical value: KS_FACTOR / sqrt(N)
 KS_FACTOR = 1.95
@@ -45,6 +45,10 @@ KS_CELLS = 1 << 25
 # Most columns, one report entry each, a KS table scores: 2^16 two-bidder
 # columns of one sample take about 1.2 s and 115 MB, and print 9.7 MB.
 KS_COLUMNS = 1 << 16
+
+# Most bidders in group mode, one exact report entry each: 2^16 take 1.2 s and
+# 100 MB and print 6.7 MB of JSON, and 10^6 once took 6.4 s and 1.1 GB.
+MAX_GROUP_K = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class Scenario:
         if mode in ("k-bidder", "sequential") and n % k:
             raise ScenarioError(f"{mode} mode requires k | n")
         if mode == "sequential":
-            check_rounds(n)
+            check_size(n, k)
         if self.ks_stats and mode not in ("two-bidder", "k-bidder"):
             raise ScenarioError(f"KS statistics need a sampled marginal; {mode} mode has none")
         if self.group_sizes is not None and mode != "group":
@@ -125,6 +129,8 @@ class Scenario:
                 f"{KS_CELLS:,}-cell limit; use at most {KS_CELLS // n:,} samples"
             )
         if mode == "group":
+            if k > MAX_GROUP_K:
+                raise SizeLimitExceeded(f"group mode of {k:,} bidders exceeds the {MAX_GROUP_K:,}-bidder limit")
             sizes = [as_fraction(s) for s in self.group_sizes or ()]
             if not (sizes and all(s > 0 for s in sizes)):
                 raise ScenarioError("group mode requires positive group_sizes")
@@ -234,7 +240,7 @@ def ks_distance(sample, cdf: Callable) -> float:
     the sorted points x_1 <= ... <= x_N.
 
     ``cdf`` must map an array elementwise: it is called once per block of
-    ``CHUNK`` sorted sample points, and an output of any other shape raises
+    ``samplers.BLOCK`` sorted sample points, and an output of any other shape raises
     LengthMismatch.  An ascending sample is scored as it is, unsorted and
     unchanged.  The statistic assumes a continuous ``cdf``: one that steps
     exactly where the sample does scores 1/N, not 0.  A sample that is not
@@ -243,14 +249,14 @@ def ks_distance(sample, cdf: Callable) -> float:
     if np.ndim(sample) != 1:
         raise LengthMismatch(f"a KS sample must be 1-D, got shape {np.shape(sample)}")
     values = np.asarray(sample, dtype=float)
-    if not all((np.diff(values[i:i + CHUNK + 1]) >= 0).all() for i in range(0, values.size, CHUNK)):
+    if not all((np.diff(values[b.start:b.stop + 1]) >= 0).all() for b in _row_blocks(values.size, 1)):
         values = np.sort(values)  # a sample with a NaN is not ascending
     size = values.size
     if size == 0:
         raise EmptySample("cannot compute a KS distance on an empty sample")
     distance = 0.0
-    for start in range(0, size, CHUNK):
-        block = values[start:start + CHUNK]
+    for rows in _row_blocks(size, 1):
+        block, start = values[rows], rows.start
         theory = np.asarray(cdf(block), dtype=float)
         if theory.shape != block.shape:
             raise LengthMismatch(
@@ -282,12 +288,6 @@ def estimate(scenario: Scenario) -> Report:
         meta["counters"] = counters
     meta.update(version=VERSION, elapsed_s=time.perf_counter() - start)
     return Report(scenario, estimates, tuple(exact), {"ks": ks}, meta)
-
-
-def _layout(scenario: Scenario) -> dict:
-    """The chunk layout of a run through ``play``: its ``meta["counters"]``."""
-    rows = chunk_rows(scenario.k, scenario.n)
-    return {"chunks": -(-scenario.samples // rows), "chunk_rows": rows}
 
 
 def _disadvantaged_split(n, adversary_value: Fraction, k: int) -> list[Fraction]:
@@ -350,14 +350,15 @@ def _marginal_mode(scenario: Scenario):
         adversary_value = Fraction(n, k)
     exact = _disadvantaged_split(n, adversary_value, k)
     if not scenario.ks_stats:
-        return play(n, scenario.samples, scenario.seed, bidders)[0], exact, None, _layout(scenario)
+        tally, layout, _ = play(n, scenario.samples, scenario.seed, bidders)
+        return tally, exact, None, layout
     # the last bidder's draws make the KS table: play keeps their source columns, and
     # the row-sum error is the worst of each chunk's full rows
     kept, errors = list(dict.fromkeys(source for source, _ in columns)), []
     bidders[-1] = lambda rng, plane: errors.append(row_sum_error(draw(rng, len(plane), plane)))
-    tally, draws = play(n, scenario.samples, scenario.seed, bidders, keep=(k - 1, kept))
+    tally, layout, draws = play(n, scenario.samples, scenario.seed, bidders, keep=(k - 1, kept))
     columns = [(kept.index(source), about) for source, about in columns]
-    return tally, exact, ks_table(draws, spec, columns, max(errors)), _layout(scenario)
+    return tally, exact, ks_table(draws, spec, columns, max(errors)), layout
 
 
 def ks_table(draws: np.ndarray, spec: MarginalSpec, columns: list[tuple], max_sum_error=None) -> dict:
@@ -393,8 +394,8 @@ def _position_mode(scenario: Scenario):
     # rank i stands at place 2i: places order and tie as the bids do against the ladder
     ladder_row = np.arange(2, 2 * n + 1, 2, dtype=float)
     bidders = [_fixed(np.array(places, dtype=float))] + [_permuted(ladder_row)] * (k - 1)
-    tally, _ = play(n, scenario.samples, scenario.seed, bidders)
-    return tally, _disadvantaged_split(n, _place_wins(k, n, places), k), None, _layout(scenario)
+    tally, layout, _ = play(n, scenario.samples, scenario.seed, bidders)
+    return tally, _disadvantaged_split(n, _place_wins(k, n, places), k), None, layout
 
 
 def _sequential_mode(scenario: Scenario):

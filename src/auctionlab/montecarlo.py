@@ -20,7 +20,7 @@ import numpy as np
 
 from .samplers import RngStream, row_planes
 
-# sample_leaves's trials per chunk and ks_distance's points per block, not play's
+# sample_leaves's trials per chunk, not play's
 CHUNK = 1 << 16
 
 # Most bid cells (bidders x rows x objects) per play chunk: 1 MB of float64
@@ -91,21 +91,23 @@ def chunk_rows(k: int, n: int) -> int:
     return max(1, CELLS // (k * n))
 
 
-def tally_chunks(k: int, total: int, rows: int, seed: int, body: Callable) -> WinTally:
+def tally_chunks(k: int, total: int, rows: int, seed: int, body: Callable) -> tuple[WinTally, dict]:
     """Tally ``total`` samples of k bidders in chunks of ``rows``: chunk i,
     from sample ``start`` on, adds ``body(RngStream(seed, i), start,
-    length)``, its (k, length) int wins, in chunk order."""
-    tally = WinTally(k)
-    for index, start in enumerate(range(0, total, rows)):
+    length)``, its (k, length) int wins, in chunk order.  Returns the tally
+    and the layout run, ``{"chunks": count, "chunk_rows": rows}``."""
+    tally, starts = WinTally(k), range(0, total, rows)
+    for index, start in enumerate(starts):
         tally.add(body(RngStream(seed, index), start, min(rows, total - start)))
-    return tally
+    return tally, {"chunks": len(starts), "chunk_rows": rows}
 
 
 def play(
     n: int, samples: int, seed: int, bidders: Sequence[Callable], keep=None
-) -> tuple[WinTally, np.ndarray | None]:
+) -> tuple[WinTally, dict, np.ndarray | None]:
     """Tally the wins of ``len(bidders)`` bidders over ``samples`` seeded
-    auctions of n objects; returns ``(tally, kept)``.
+    auctions of n objects; returns ``(tally, layout, kept)``, ``layout``
+    being ``tally_chunks``'s.
 
     Every chunk of ``tally_chunks`` reuses one flat buffer of k * rows * n
     float64 cells, rows being ``chunk_rows(k, n)`` or ``samples`` if fewer:
@@ -130,4 +132,5 @@ def play(
             kept[start:start + length] = base[keep[0]][:, keep[1]]
         return win_counts(base, rng.generator)
 
-    return tally_chunks(k, samples, rows, seed, chunk), kept
+    tally, layout = tally_chunks(k, samples, rows, seed, chunk)
+    return tally, layout, kept

@@ -75,6 +75,14 @@ Strategy = Callable[[RoundView], Optional[Fraction]]
 # 34,650 states there, (20,2) at 184,756.
 MAX_STATES = 50_000
 
+# Most budget and win cells (states x bidders) one exact round may hold, and
+# most cells of a run's n x k bid table or of one state's k children (k x k),
+# refused before any work.  All-steady (18,18) peaks at 875,160 cells and a
+# sampled (500000,2) table holds 10^6.  At the limit the all-steady (128,128)
+# and (1448,1448) refusals take 0.5-1.2 s and 81-142 MB, where (160,160) once
+# held 50,000 states of 160 bidders: 25 s and 1.8 GB.
+MAX_CELLS = 1 << 21
+
 # Most state-visits (states summed over rounds) one exact run may make, so
 # every accepted run does bounded work: the per-round cap alone let a run of
 # many mid-sized rounds go on for a minute.  All-steady (60,3), (40,4) and
@@ -225,8 +233,16 @@ class ExactRun(NamedTuple):
         )
 
 
-def _too_many(round_index: int) -> SizeLimitExceeded:
-    return SizeLimitExceeded(f"exact round {round_index} exceeds {MAX_STATES} states")
+def _state_cap(k: int) -> int:
+    """Most states one exact round of k bidders may hold: MAX_STATES, and
+    MAX_CELLS budget and win cells (states x k)."""
+    return min(MAX_STATES, MAX_CELLS // max(k, 1))
+
+
+def _too_many(round_index: int, k: int) -> SizeLimitExceeded:
+    cap = _state_cap(k)
+    cells = "" if cap == MAX_STATES else f" of {k} bidders, past {MAX_CELLS:,} budget and win cells"
+    return SizeLimitExceeded(f"exact round {round_index} exceeds {cap} states{cells}")
 
 
 def _too_long(round_index: int) -> SizeLimitExceeded:
@@ -236,16 +252,22 @@ def _too_long(round_index: int) -> SizeLimitExceeded:
     )
 
 
-def check_rounds(n: int) -> None:
-    """Refuse n rounds before any work: n must be a whole number, and every
-    round visits at least one state, so n > MAX_STATE_ROUNDS can never
-    finish."""
+def check_size(n: int, k: int) -> None:
+    """Refuse n rounds of k bidders before any work: n must be a whole
+    number, and every round visits at least one state, so n >
+    MAX_STATE_ROUNDS can never finish; nor can a run whose n x k bid table,
+    or one state's k children of k cells each, pass MAX_CELLS."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise DomainError(f"a sequential run needs a nonnegative integer round count, not {n!r}")
     if n > MAX_STATE_ROUNDS:
         raise SizeLimitExceeded(
             f"{n:,} rounds exceed the {MAX_STATE_ROUNDS:,} state-visits a sequential run "
             f"may make, and every round visits at least one state"
+        )
+    if max(n, k) * k > MAX_CELLS:
+        raise SizeLimitExceeded(
+            f"{n:,} rounds of {k:,} bidders pass the {MAX_CELLS:,}-cell limit on a bid table "
+            f"(rounds x bidders) and on one state's children (bidders x bidders)"
         )
 
 
@@ -271,6 +293,7 @@ def _merged_walk(unit: int, table, k: int, gen=None) -> ExactRun:
     # the round's states, (budgets, wins) -> weight, in the order first reached
     states, scale = {((unit,) * k, (0,) * k): 1}, 1
     peak = visits = 0
+    cap = _state_cap(k)
     for round_index, bids in enumerate(table, 1):
         visits += len(states)
         if visits > MAX_STATE_ROUNDS:
@@ -284,8 +307,8 @@ def _merged_walk(unit: int, table, k: int, gen=None) -> ExactRun:
             share = weight * (split // len(children))
             for child in children:
                 nxt[child] = nxt.get(child, 0) + share
-        if len(nxt) > MAX_STATES:
-            raise _too_many(round_index)
+            if len(nxt) > cap:
+                raise _too_many(round_index, k)
         peak = max(peak, len(nxt))
         states, scale = nxt, scale * split
     return ExactRun(peak, visits, [wins for _, wins in states], list(states.values()), scale)
@@ -298,6 +321,7 @@ def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
     # (budgets, wins, history, probability)
     states = [((Fraction(1),) * k, (0,) * k, (), Fraction(1))]
     peak = visits = 0
+    cap = _state_cap(k)
     for round_index in range(1, n + 1):
         visits += len(states)
         if visits > MAX_STATE_ROUNDS:
@@ -309,8 +333,8 @@ def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
             share = prob if len(winners) == 1 else prob / len(winners)
             for w, (child_budgets, child_wins) in zip(winners, children):
                 nxt.append((child_budgets, child_wins, history + (RoundResult(w, top),), share))
-            if len(nxt) > MAX_STATES:
-                raise _too_many(round_index)
+            if len(nxt) > cap:
+                raise _too_many(round_index, k)
         peak = max(peak, len(nxt))
         states = nxt
     return ExactRun(peak, visits, [w for _, w, _, _ in states], [p for _, _, _, p in states], 1)
@@ -319,7 +343,7 @@ def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:
 def _run_exact(strategies, n: int, k: int, gen=None) -> ExactRun:
     """The merged integer walk when every strategy has a script, else the
     history walk; a generator ``gen`` keeps one branch."""
-    check_rounds(n)
+    check_size(n, k)
     scripts = _scripts(strategies)
     if scripts is None:
         return _history_walk(strategies, n, k, gen)
@@ -340,7 +364,7 @@ def sample_leaves(run: ExactRun, trials: int, seed: int) -> WinTally:
     def chunk(rng, start: int, length: int) -> np.ndarray:
         return leaf_wins[:, rng.generator.choice(chance.size, length, p=chance)]
 
-    return tally_chunks(leaf_wins.shape[0], trials, CHUNK, seed, chunk)
+    return tally_chunks(leaf_wins.shape[0], trials, CHUNK, seed, chunk)[0]
 
 
 def run_sequential(

@@ -15,10 +15,9 @@ import numpy as np
 from .errors import ScenarioError
 from .harness import Scenario, copycat_value, ks_table, marginal_draw, sampled_mode
 from .marginals import MarginalSpec, pair_density, simplex_normalizer, triple_density
-from .montecarlo import CHUNK
 from .position_randomized import PermutationMarginals, best_response, expected_wins_perm, initial_bids
 from .position_randomized import _adversary_places, _ladder_places, _place_wins, undercut_sequence
-from .samplers import RngStream
+from .samplers import SUM_TOLERANCE, RngStream, _row_blocks
 from .sequential import _merged_walk, _unit_table, steady_strategy
 
 
@@ -146,7 +145,7 @@ def marginal_suite(n: int, k: int, samples: int = 1_000_000, seed: int = 0) -> l
         _check(f"ks_coordinate_{e['coordinate']}", e["distance"], e["threshold"])
         for e in table["entries"]
     ]
-    checks.append(_check("max_sum_error", table["max_sum_error"], 1e-12))
+    checks.append(_check("max_sum_error", table["max_sum_error"], SUM_TOLERANCE))
     return checks
 
 
@@ -196,20 +195,21 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
     cannot outbid it n - n/k + 1 times, and its own buys no more.
 
     The scripts come from ``RngStream(seed, 777)`` in blocks of whole
-    trials, one ``integers(0, 33, size=(block, k - 1, n))`` call per block
-    of at most ``CHUNK`` amounts (one trial when a trial holds more), which
-    draws the same amounts as one call per script.  It walks integer tables,
-    converted once: a trial's draws in the units ``_unit_table`` finds for
-    1/32 and the steady bid, beside the steady column."""
+    trials cut by ``samplers._row_blocks``, one ``integers(0, 33, size=(block,
+    k - 1, n))`` call per block of at most ``samplers.BLOCK`` amounts (one
+    trial when a trial holds more), which draws the same amounts as one call
+    per script.  It walks integer tables, converted once: a trial's draws in
+    the units ``_unit_table`` finds for 1/32 and the steady bid, beside the
+    steady column."""
     Scenario("sequential", n, k, samples=trials, seed=seed).validate()
     gen = RngStream(seed, 777).generator
     unit, table = _unit_table([(Fraction(1, 32),), steady_strategy(n, k)._script], n)
-    block = min(trials, max(1, CHUNK // ((k - 1) * n)))
-    tables = np.empty((block, n, k), dtype=np.int64)
+    sizes = [len(range(trials)[rows]) for rows in _row_blocks(trials, (k - 1) * n)]
+    tables = np.empty((sizes[0], n, k), dtype=np.int64)
     tables[:, :, -1] = [bids[1] for bids in table]
     violations = 0
-    for start in range(0, trials, block):
-        raws = gen.integers(0, 33, size=(min(block, trials - start), k - 1, n))
+    for size in sizes:
+        raws = gen.integers(0, 33, size=(size, k - 1, n))
         tables[:len(raws), :, :-1] = raws.transpose(0, 2, 1) * (unit // 32)
         for rows in tables[:len(raws)].tolist():
             if any(wins[-1] != n // k for wins in _merged_walk(unit, rows, k).wins):

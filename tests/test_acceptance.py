@@ -75,7 +75,7 @@ def c1_tallies(n: int, rows, samples: int) -> list:
             for row in rows
         ])
 
-    tally = tally_chunks(2 * len(rows), samples, CHUNK, 101 + n, chunk)
+    tally, _ = tally_chunks(2 * len(rows), samples, CHUNK, 101 + n, chunk)
     return [
         WinTally(2, tally.count, tally.sums[b:b + 2], tally.squares[b:b + 2])
         for b in range(0, tally.k, 2)

@@ -111,6 +111,13 @@ class TestGroupWins:
         with pytest.raises(OverBudget):
             group_wins(GroupAuction((2, 2), 2), [Fraction(1, 2), Fraction(1, 2)])
 
+    def test_float_amounts_need_k_and_sizes_in_float_range(self):
+        # float(k) once escaped as a plain OverflowError; exact amounts need no floats
+        for auction in (GroupAuction((1, 2), 10**400), GroupAuction((10**400, 2), 2)):
+            with pytest.raises(DomainError, match="within the float range"):
+                group_wins(auction, [0.3, 0.3])
+        assert group_wins(GroupAuction((1, 2), 10**400), [Fraction(3, 10)] * 2) == Fraction(27, 10**401)
+
     def test_feasible_maximum_is_n_over_k(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -391,6 +391,22 @@ class TestSequentialCommand:
         assert out == ""
         assert "exceeds 3 states" in err
 
+    @pytest.mark.parametrize("argv,refusal", [
+        ("sequential --n 1000 --k 1000", "exact round 2 exceeds 2097 states of 1000 bidders"),
+        ("sequential --n 500000 --k 500000", "500,000 rounds of 500,000 bidders pass the 2,097,152-cell limit"),
+        ("simulate --mode group --n 3 --k 100000000000000000000 --group-sizes 1,2 --adversary fixed:0.3,0.3",
+         "group mode of 100,000,000,000,000,000,000 bidders exceeds the 65,536-bidder limit"),
+        ("simulate --mode group --n 3 --k 1000000 --group-sizes 1,2 --adversary fixed:0.3,0.3",
+         "group mode of 1,000,000 bidders exceeds the 65,536-bidder limit"),
+    ], ids=["sequential-1000", "sequential-500000", "group-1e20", "group-1e6"])
+    def test_many_bidders_exit_1_at_once(self, capsys, argv, refusal):
+        # the group k = 10^20 once exited 2; the others ran for seconds on gigabytes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 3.0
+        assert (code, out) == (1, "")
+        assert refusal in err
+
 
 class TestVerifyCommand:
     def test_position_suite_passes(self, capsys):

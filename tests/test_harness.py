@@ -47,7 +47,7 @@ class TestKsDistance:
         assert ks_distance(sample, step_cdf) == 0.25
 
     def test_agrees_with_scipy_two_sided_statistic(self):
-        # 200,000 rows span four CHUNK blocks
+        # 200,000 rows span four BLOCK blocks
         draws = draw_k_bidder(6, 3, RngStream(9), size=200_000)
         cdf = partial(marginal_cdf, MarginalSpec(6, 3))
         for c in range(6):
@@ -93,7 +93,7 @@ class TestKsDistance:
 
     def test_ascending_sample_is_scored_as_it_is(self):
         # no sorted copy and no write: ks_table passes sorted and mirrored columns
-        sample = np.sort(np.random.default_rng(8).random(8 * montecarlo.CHUNK + 5))
+        sample = np.sort(np.random.default_rng(8).random(8 * samplers.BLOCK + 5))
         before = sample.tobytes()
         cdf = lambda v: np.clip(v, 0, 1)  # noqa: E731
         distance, peak = traced_peak(lambda: ks_distance(sample, cdf))
@@ -102,23 +102,28 @@ class TestKsDistance:
         assert distance == ks_distance(np.random.default_rng(9).permutation(sample), cdf)
         assert distance == ks_distance(sample[::-1].copy()[::-1], cdf)  # a reversed view
 
-    def test_cdf_called_once_per_block(self):
+    def test_cdf_called_once_per_block(self, monkeypatch):
         calls = []
 
         def cdf(v):
             calls.append(v.size)
             return np.clip(v, 0, 1)
 
-        ks_distance(np.random.default_rng(3).random(2 * montecarlo.CHUNK + 1), cdf)
-        assert calls == [montecarlo.CHUNK, montecarlo.CHUNK, 1]
+        ks_distance(np.random.default_rng(3).random(2 * samplers.BLOCK + 1), cdf)
+        assert calls == [samplers.BLOCK, samplers.BLOCK, 1]
+        # samplers._row_blocks owns the block size
+        monkeypatch.setattr(samplers, "BLOCK", 5)
+        calls.clear()
+        ks_distance(np.random.default_rng(3).random(12), cdf)
+        assert calls == [5, 5, 2]
 
 
 # every memory case draws a 16 MiB table
 MEMORY_CELLS = 1 << 21
 MEMORY_CASES = [(2, 2), (3, 2), (5, 2), (7, 2), (21, 2), (3, 3), (6, 3), (4, 4), (8, 4), (64, 4), (83, 83)]
 
-# a few ks_distance blocks of CHUNK float64 points
-KS_BLOCKS = 4 * montecarlo.CHUNK * 8
+# a few ks_distance blocks of BLOCK float64 points
+KS_BLOCKS = 4 * samplers.BLOCK * 8
 
 
 def traced_peak(run):
@@ -247,7 +252,7 @@ class TestKsCopies:
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_matches_per_column_reference(self, n, k, layout):
         # two ks_distance blocks and a partial third
-        rows = 2 * montecarlo.CHUNK + 7
+        rows = 2 * samplers.BLOCK + 7
         draw, columns = sampler(n, k)
         draws = layout(draw(RngStream(8), rows))
         assert table_distances(draws, n, k, columns) == ks_reference(draws, n, k)
@@ -416,10 +421,11 @@ class TestWinCounts:
                 plane[...] = b
             return fill
 
-        tally, kept = play(3, samples, 5, [recording(0), recording(1)], keep=(1, [0, 1, 2]))
+        tally, layout, kept = play(3, samples, 5, [recording(0), recording(1)], keep=(1, [0, 1, 2]))
         lengths = [rows, rows, 7]
         assert calls == [(i, b, (length, 3)) for i, length in enumerate(lengths) for b in (0, 1)]
         assert tally.count == samples and tally.sums == [0, 3 * samples]
+        assert layout == {"chunks": 3, "chunk_rows": rows}
         assert kept.shape == (samples, 3) and np.all(kept == 1)
 
     def test_large_position_chunk_stays_within_cell_budget(self, monkeypatch):
@@ -456,7 +462,7 @@ class TestWinCounts:
         monkeypatch.setattr(montecarlo, "win_counts", recording)
         rows = montecarlo.chunk_rows(k, n)
         samples = 2 * rows + 1
-        tally, _ = play(n, samples, 1, [lambda rng, plane: None] * k)
+        tally, _, _ = play(n, samples, 1, [lambda rng, plane: None] * k)
         assert [r for _, r, _ in shapes] == [rows, rows, 1] and tally.count == samples
         assert all(r >= 1 and (r == 1 or k * r * n <= montecarlo.CELLS) for _, r, _ in shapes)
         assert all((kk, nn) == (k, n) for kk, _, nn in shapes)
@@ -787,6 +793,18 @@ class TestEstimate:
         assert counters["chunks"] == len(shapes) > 1
         assert shapes[0][1] == rows
 
+    @pytest.mark.parametrize("scenario", [
+        Scenario("two-bidder", 5, samples=2_500, ks_stats=True),
+        Scenario("k-bidder", 6, 3, samples=2_500),
+        Scenario("position-randomized", 8, 3, AdversaryPlan("undercut"), samples=2_500),
+    ], ids=lambda sc: sc.mode)
+    def test_counters_follow_the_loop(self, monkeypatch, scenario):
+        # play's own chunk rule, wherever it comes from, is what meta reports
+        monkeypatch.setattr(montecarlo, "chunk_rows", lambda k, n: 1_000)
+        report = estimate(scenario)
+        assert report.meta["counters"] == {"chunks": 3, "chunk_rows": 1_000}
+        assert report.meta["samples"] == 2_500
+
     def test_sequential_samples_are_trials(self):
         # no cap: every sample is one trial
         report = estimate(Scenario("sequential", 4, 2, samples=20_001, seed=4))
@@ -821,6 +839,27 @@ class TestEstimate:
         assert rows[0] == ["bidder", "mean", "stderr", "exact_num", "exact_den"]
         assert len(rows) == 3
         assert rows[1][0] == 0
+
+
+class TestGroupLimit:
+    @pytest.mark.parametrize("k", [10**6, 10**20])
+    def test_many_bidders_refused_before_any_value(self, monkeypatch, k):
+        # 10^20 once escaped as a plain OverflowError; 10^6 took 6.4 s and 1.1 GB
+        def untouched(*args):
+            raise AssertionError("scored past the bidder limit")
+
+        monkeypatch.setattr(harness, "group_wins", untouched)
+        monkeypatch.setattr(harness, "_disadvantaged_split", untouched)
+        scenario = Scenario("group", 3, k, AdversaryPlan.fixed([0.3, 0.3]), group_sizes=(1, 2))
+        with pytest.raises(SizeLimitExceeded, match=f"^group mode of {k:,} bidders exceeds the 65,536-bidder limit$"):
+            estimate(scenario)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_GROUP_K", 4)
+        plan = AdversaryPlan.fixed([Fraction(1, 3)] * 2)
+        assert len(estimate(Scenario("group", 3, 4, plan, group_sizes=(1, 2))).exact) == 4
+        with pytest.raises(SizeLimitExceeded, match="4-bidder limit"):
+            Scenario("group", 3, 5, plan, group_sizes=(1, 2)).validate()
 
 
 class TestPrintLimits:

@@ -159,7 +159,7 @@ class TestColumnMajorStacks:
             plane[...] = rng.generator.random(plane.shape)
             drawn.append(plane.copy())
 
-        tally, kept = play(n, rows + extra, 3, [record, record], keep=(1, range(n)))
+        tally, _, kept = play(n, rows + extra, 3, [record, record], keep=(1, range(n)))
         assert [length for length, _, _ in seen] == [rows, rows, extra, extra]
         for length, c_order, f_order in seen:
             assert (f_order, c_order) == (by_columns(length, n), not by_columns(length, n))
@@ -177,6 +177,6 @@ class TestColumnMajorStacks:
             drawn.append(plane.copy())
 
         samples = chunk_rows(2, n) + 300
-        _, kept = play(n, samples, 3, [record, record], keep=(1, [4, 1]))
+        _, _, kept = play(n, samples, 3, [record, record], keep=(1, [4, 1]))
         assert kept.shape == (samples, 2) and kept.flags.f_contiguous == by_columns(samples, 2)
         np.testing.assert_array_equal(kept, np.concatenate(drawn[1::2])[:, [4, 1]])

@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import functools
@@ -19,6 +21,7 @@ from auctionlab import (
     ScenarioError,
     SizeLimitExceeded,
     ZeroBid,
+    estimate,
     pass_strategy,
     run_sequential,
     scripted_strategy,
@@ -274,6 +277,65 @@ class TestStateCap:
             Scenario("sequential", 8, 2, samples=10).validate()
         with pytest.raises(SizeLimitExceeded, match=refusal):
             verify.sequential_suite(8, 2, trials=10)
+
+    def test_both_walks_refuse_as_soon_as_a_round_passes_the_cap(self, monkeypatch):
+        # all-steady (8,8) bids 1 each: round 1 ends on 8 states, and round 2's
+        # parents add 7, 6, 5, 4, ... merged states or 7 histories each; with
+        # 20 states of 8 bidders a round, both walks stop at the first parent
+        # past 20, the merged walk its fourth and the history walk its third
+        calls = []
+        real_round = sequential._round
+
+        def counted(*args):
+            calls.append(args)
+            return real_round(*args)
+
+        monkeypatch.setattr(sequential, "_round", counted)
+        monkeypatch.setattr(sequential, "MAX_CELLS", 8 * 20)
+        message = "^exact round 2 exceeds 20 states of 8 bidders, past 160 budget and win cells$"
+        merged = [steady_strategy(8, 8)] * 8
+        for profile, parents in ((merged, 4), ([unmarked(s) for s in merged], 3)):
+            calls.clear()
+            with pytest.raises(SizeLimitExceeded, match=message):
+                run_sequential(profile, 8, 8)
+            assert len(calls) == 1 + parents
+
+    def test_many_bidders_refused_at_once_and_small(self):
+        # all-steady (160,160) once held 50,000 states of 160 bidders before
+        # its refusal: 25 s and 1.8 GB
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded, match="exact round 3 exceeds 13107 states of 160 bidders"):
+            run_sequential([steady_strategy(160, 160)] * 160, 160, 160)
+        assert time.perf_counter() - start < 3.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded):
+                estimate(Scenario("sequential", 160, 160, samples=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("n,k", [(2_000, 2_000), (500_000, 500_000), (3_000, 1_000), (10, 1_500)])
+    def test_tables_and_children_past_the_cell_limit_refused_before_any_walk(self, monkeypatch, n, k):
+        # an n x k bid table or one state's k x k children past MAX_CELLS
+        def untouched(*args, **kwargs):
+            raise AssertionError("walked past the cell limit")
+
+        for name in ("_unit_table", "_merged_walk", "_history_walk"):
+            monkeypatch.setattr(sequential, name, untouched)
+        refusal = f"^{n:,} rounds of {k:,} bidders pass the 2,097,152-cell limit"
+        profile = [pass_strategy] * k
+        for mode in ("exact", "sample"):
+            with pytest.raises(SizeLimitExceeded, match=refusal):
+                run_sequential(profile, n, k, mode=mode)
+        if n % k == 0:
+            with pytest.raises(SizeLimitExceeded, match=refusal):
+                estimate(Scenario("sequential", n, k, samples=10))
+
+    def test_no_bidders_hold_no_cells(self):
+        # the cell cap divides by the bidder count
+        assert run_sequential([], 3, 0) == ()
 
     def test_cap_does_not_bound_sampled_mode(self, monkeypatch):
         monkeypatch.setattr(sequential, "MAX_STATES", 1)

@@ -89,3 +89,13 @@ def test_adversary_is_exact_only():
     tree = ast.parse((PACKAGE / "adversary.py").read_text(encoding="utf-8"))
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not modules & {"montecarlo", "samplers"}, modules
+
+
+def test_chunk_layout_and_scratch_blocks_have_one_owner():
+    # play reports the chunks it ran, and samplers._row_blocks cuts every
+    # scratch block: no module works out either rule a second time
+    for module, banned in (("harness", {"CHUNK", "chunk_rows", "_layout"}), ("verify", {"CHUNK", "_layout"})):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert not names & banned, (module, names & banned)

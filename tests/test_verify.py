@@ -1,9 +1,10 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from auctionlab import RngStream, ScenarioError, scripted_strategy, sequential, steady_strategy
-from auctionlab import verify
+from auctionlab import samplers, verify
 from auctionlab.verify import run_suite
 
 
@@ -62,13 +63,18 @@ class TestSequentialSuite:
     @pytest.mark.parametrize("n,k,seed", [(4, 2, 0), (6, 3, 5), (9, 3, -1), (8, 4, 2)])
     def test_blocks_draw_what_one_call_per_script_draws(self, monkeypatch, n, k, seed):
         # three trials a block, so seven trials take blocks of 3, 3 and 1
-        monkeypatch.setattr(verify, "CHUNK", 3 * (k - 1) * n)
-        streams, walked = [], []
+        monkeypatch.setattr(samplers, "BLOCK", 3 * (k - 1) * n)
+        streams, walked, blocks = [], [], []
         real_stream, real_walk = verify.RngStream, verify._merged_walk
 
         def stream(*args):
             streams.append(real_stream(*args))
-            return streams[-1]
+
+            def integers(*bounds, size):
+                blocks.append(size)
+                return streams[-1].generator.integers(*bounds, size=size)
+
+            return SimpleNamespace(generator=SimpleNamespace(integers=integers))
 
         def walk(unit, table, k):
             walked.append(as_budget_shares(unit, table))
@@ -85,6 +91,7 @@ class TestSequentialSuite:
             scripts.append(steady_strategy(n, k)._script)
             expected.append(as_budget_shares(*sequential._unit_table(scripts, n)))
         assert walked == expected
+        assert blocks == [(3, k - 1, n), (3, k - 1, n), (1, k - 1, n)]
         assert streams[0].generator.bit_generator.state == gen.bit_generator.state
 
     @pytest.mark.parametrize("args,message", [
