@@ -100,6 +100,8 @@ class Scenario:
             raise ScenarioError("need at least two bidders")
         if self.samples < 1:
             raise ScenarioError("need at least one sample")
+        if self.samples >= 2**63:
+            raise SizeLimitExceeded(f"{self.samples:,} samples exceed the 2^63 - 1 that numpy can count")
         if mode == "two-bidder" and k != 2:
             raise ScenarioError("two-bidder mode requires k = 2")
         if mode != "group" and n < k:

@@ -14,10 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeLimitExceeded
 
 ONE_THIRD = 1.0 / 3.0
 TWO_THIRDS = 2.0 / 3.0
+
+# Most objects a spec may hold, so that k/n stays a normal double and n/k finite
+MAX_OBJECTS = 2**1000
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class MarginalSpec:
             raise DomainError("need at least two bidders")
         if self.n < self.k:
             raise DomainError("need at least as many objects as bidders")
+        if self.n > MAX_OBJECTS:
+            raise SizeLimitExceeded(f"n = 2^{math.log2(self.n):.1f} objects exceed the 2^1000-object limit")
 
     @property
     def cap(self) -> Fraction:

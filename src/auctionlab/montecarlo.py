@@ -1,10 +1,10 @@
 """Vectorized Monte Carlo auction resolution.
 
-Every sampled tally runs through ``tally_chunks``, whose chunk i draws from
-``RngStream(seed, i)``; ``play``'s chunks hold at most CELLS bid cells,
-which fit a per-core L2 cache.  Ties are realized by
-drawing a uniform winner among the tied top bidders (an unbiased
-realization of the equal-split rule), so per-draw win counts are integers.
+``play`` runs every sampled auction in chunks of at most CELLS bid cells,
+which fit a per-core L2 cache, chunk i drawing from ``RngStream(seed, i)``.
+Ties are realized by drawing a uniform winner among the tied top bidders
+(an unbiased realization of the equal-split rule), so per-draw win counts
+are integers.
 Sums and sums of squares accumulate in exact integer arithmetic, which
 makes aggregation order-independent: adding the same chunks' counts in
 any order gives bit-identical statistics.
@@ -19,9 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .samplers import RngStream, row_planes
-
-# sample_leaves's trials per chunk, not play's
-CHUNK = 1 << 16
 
 # Most bid cells (bidders x rows x objects) per play chunk: 1 MB of float64
 CELLS = 1 << 17
@@ -91,27 +88,17 @@ def chunk_rows(k: int, n: int) -> int:
     return max(1, CELLS // (k * n))
 
 
-def tally_chunks(k: int, total: int, rows: int, seed: int, body: Callable) -> tuple[WinTally, dict]:
-    """Tally ``total`` samples of k bidders in chunks of ``rows``: chunk i,
-    from sample ``start`` on, adds ``body(RngStream(seed, i), start,
-    length)``, its (k, length) int wins, in chunk order.  Returns the tally
-    and the layout run, ``{"chunks": count, "chunk_rows": rows}``."""
-    tally, starts = WinTally(k), range(0, total, rows)
-    for index, start in enumerate(starts):
-        tally.add(body(RngStream(seed, index), start, min(rows, total - start)))
-    return tally, {"chunks": len(starts), "chunk_rows": rows}
-
-
 def play(
     n: int, samples: int, seed: int, bidders: Sequence[Callable], keep=None
 ) -> tuple[WinTally, dict, np.ndarray | None]:
     """Tally the wins of ``len(bidders)`` bidders over ``samples`` seeded
     auctions of n objects; returns ``(tally, layout, kept)``, ``layout``
-    being ``tally_chunks``'s.
+    being the chunks run, ``{"chunks": count, "chunk_rows": rows}``.
 
-    Every chunk of ``tally_chunks`` reuses one flat buffer of k * rows * n
-    float64 cells, rows being ``chunk_rows(k, n)`` or ``samples`` if fewer:
-    on the chunk's stream each ``bidders[b](rng, plane)``, in bidder order,
+    Chunk i holds the next ``chunk_rows(k, n)`` samples, or those left, and
+    draws from ``RngStream(seed, i)``; the chunks' wins are tallied in order.
+    Every chunk reuses one flat buffer of k * rows * n float64 cells: on the
+    chunk's stream each ``bidders[b](rng, plane)``, in bidder order,
     fills bidder b's plane of ``row_planes(buffer, k, length, n)`` in place
     (column-major if ``by_columns(length, n)``), and the ties are then
     realized on the same generator, bids that compare equal tying.  With
@@ -123,14 +110,13 @@ def play(
     rows = chunk_rows(k, n)
     buffer = np.empty(k * min(rows, samples) * n)
     kept = None if keep is None else row_planes(np.empty(samples * len(keep[1])), 1, samples, len(keep[1]))[0]
-
-    def chunk(rng: RngStream, start: int, length: int) -> np.ndarray:
+    tally, starts = WinTally(k), range(0, samples, rows)
+    for index, start in enumerate(starts):
+        rng, length = RngStream(seed, index), min(rows, samples - start)
         base = row_planes(buffer, k, length, n)
         for fill, plane in zip(bidders, base):
             fill(rng, plane)
         if kept is not None:
             kept[start:start + length] = base[keep[0]][:, keep[1]]
-        return win_counts(base, rng.generator)
-
-    tally, layout = tally_chunks(k, samples, rows, seed, chunk)
-    return tally, layout, kept
+        tally.add(win_counts(base, rng.generator))
+    return tally, {"chunks": len(starts), "chunk_rows": rows}, kept

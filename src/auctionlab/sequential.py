@@ -20,8 +20,8 @@ states that reach the same budgets and win counts.  Other callables take the
 history walk, which asks for every bid with the full history and keeps one
 state per history.  Both walks play a round by ``_round``, which passes a bid
 over its bidder's budget.  Either exact walk ends with its final states' win
-counts and exact chances, from which ``sample_leaves`` draws trials, one
-variate each, chunk i from ``RngStream(seed, i)``.
+counts and exact chances, from which ``sample_leaves`` counts the trials
+ending in each with one multinomial draw on ``RngStream(seed, 0)``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 from .engine import as_fraction
 from .errors import DomainError, LengthMismatch, NotMultiple, OverBudget, ScenarioError
 from .errors import SizeLimitExceeded, ZeroBid
-from .montecarlo import CHUNK, WinTally, tally_chunks
+from .montecarlo import WinTally
+from .samplers import RngStream
 
 
 @dataclass(frozen=True)
@@ -353,18 +354,20 @@ def _run_exact(strategies, n: int, k: int, gen=None) -> ExactRun:
 def sample_leaves(run: ExactRun, trials: int, seed: int) -> WinTally:
     """Tally ``trials`` sampled runs drawn from ``run``'s final states.
 
-    The trials go in chunks of ``montecarlo.CHUNK`` through
-    ``tally_chunks``, chunk i drawing from ``RngStream(seed, i)``: one
-    ``choice`` call picks every trial's final state at its chance, weight /
-    scale rounded to a double, so a trial costs one variate.
+    One ``multinomial`` draw on ``RngStream(seed, 0)`` counts the trials
+    ending in each final state, at its chance weight / scale rounded to a
+    double; the tally's sums and squares follow from those counts exactly.
     """
-    leaf_wins = np.array(run.wins, dtype=np.int64).T
-    chance = np.array([float(weight / run.scale) for weight in run.weights])
-
-    def chunk(rng, start: int, length: int) -> np.ndarray:
-        return leaf_wins[:, rng.generator.choice(chance.size, length, p=chance)]
-
-    return tally_chunks(leaf_wins.shape[0], trials, CHUNK, seed, chunk)[0]
+    chance = [float(weight / run.scale) for weight in run.weights]
+    counts = RngStream(seed, 0).generator.multinomial(trials, chance)
+    k = len(run.wins[0])
+    sums, squares = [0] * k, [0] * k
+    for j in np.flatnonzero(counts):  # only the states drawn at least once
+        times = int(counts[j])
+        for b, w in enumerate(run.wins[j]):
+            sums[b] += times * w
+            squares[b] += times * w * w
+    return WinTally(k, int(trials), sums, squares)
 
 
 def run_sequential(

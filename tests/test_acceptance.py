@@ -27,7 +27,8 @@ from auctionlab import (
     undercut_sequence,
     wins_vs_marginal,
 )
-from auctionlab.montecarlo import CHUNK, WinTally, tally_chunks, win_counts
+from auctionlab.montecarlo import WinTally, win_counts
+from auctionlab.samplers import RngStream
 from auctionlab.sequential import _run_exact
 from auctionlab.verify import (
     marginal_suite,
@@ -37,6 +38,9 @@ from auctionlab.verify import (
 from auctionlab.marginals import pair_density
 
 SAMPLES = 1_000_000
+
+# c1's own rows per chunk, not play's
+CHUNK = 1 << 16
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -68,14 +72,14 @@ def c1_tallies(n: int, rows, samples: int) -> list:
     row's ties realized on that chunk's generator in turn.  One tally of
     2R columns holds the R rows' wins, bidder pair by pair."""
 
-    def chunk(stream, start, length):
+    tally = WinTally(2 * len(rows))
+    for index, start in enumerate(range(0, samples, CHUNK)):
+        stream, length = RngStream(101 + n, index), min(CHUNK, samples - start)
         draws = draw_two_bidder(n, stream, size=length)
-        return np.concatenate([
+        tally.add(np.concatenate([
             win_counts(np.stack([np.broadcast_to(row, (length, n)), draws]), stream.generator)
             for row in rows
-        ])
-
-    tally, _ = tally_chunks(2 * len(rows), samples, CHUNK, 101 + n, chunk)
+        ]))
     return [
         WinTally(2, tally.count, tally.sums[b:b + 2], tally.squares[b:b + 2])
         for b in range(0, tally.k, 2)

@@ -323,6 +323,21 @@ class TestMarginals:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["kind", "x", "value"]
 
+    @pytest.mark.parametrize("k", [2, 10**400])
+    def test_n_past_the_float_range_exits_1(self, capsys, k):
+        # k/n once underflowed to 0.0, printing a CDF of all 1.0 for k = 2,
+        # and 1.0 / (k - 1) exited 2 with an OverflowError for k = 10^400
+        code, out, err = run_cli(capsys, "marginals", "--n", str(10**400), "--k", str(k), "--grid", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: n = 2^1328.8 objects exceed the 2^1000-object limit\n"
+
+    def test_samples_numpy_cannot_count_exit_1(self, capsys):
+        # 2^63 samples once ran until killed
+        for argv in (["simulate", "--mode", "two-bidder", "--n", "4"], ["sequential", "--n", "4", "--k", "2"]):
+            code, out, err = run_cli(capsys, *argv, "--samples", str(2**63))
+            assert (code, out) == (1, "")
+            assert err == "error: 9,223,372,036,854,775,808 samples exceed the 2^63 - 1 that numpy can count\n"
+
 
 class TestSequentialCommand:
     def test_report(self, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -809,6 +810,19 @@ class TestEstimate:
         # no cap: every sample is one trial
         report = estimate(Scenario("sequential", 4, 2, samples=20_001, seed=4))
         assert report.meta["samples"] == report.meta["counters"]["trials"] == 20_001
+
+    def test_most_samples_numpy_can_count(self):
+        # one multinomial draw counts 2^63 - 1 sequential trials at once
+        script = AdversaryPlan.fixed(["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"])
+        start = time.perf_counter()
+        report = estimate(Scenario("sequential", 8, 4, script, samples=2**63 - 1, seed=7))
+        assert time.perf_counter() - start < 1.0
+        assert report.meta["counters"]["trials"] == 2**63 - 1
+        for mode, k in (("two-bidder", 2), ("k-bidder", 2), ("position-randomized", 2), ("sequential", 2)):
+            with pytest.raises(SizeLimitExceeded, match="^9,223,372,036,854,775,808 samples exceed"):
+                Scenario(mode, 4, k, samples=2**63).validate()
+        with pytest.raises(SizeLimitExceeded, match="samples exceed"):
+            Scenario("group", 3, 2, AdversaryPlan.fixed([0.3, 0.3]), samples=2**63, group_sizes=(1, 2)).validate()
 
     def test_group_mode_exact_only(self):
         report = estimate(

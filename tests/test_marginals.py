@@ -7,6 +7,7 @@ from scipy import integrate
 from auctionlab import (
     DomainError,
     MarginalSpec,
+    SizeLimitExceeded,
     marginal_cdf,
     pair_density,
     simplex_density,
@@ -25,6 +26,17 @@ class TestMarginalCdf:
 
     def test_one_above_cap(self):
         assert marginal_cdf(MarginalSpec(4, 2), 0.6) == 1.0
+
+    def test_n_stays_inside_the_float_range(self):
+        # past 2^1000 objects k/n could underflow to 0.0, putting every bid
+        # above the cap, and n/k or 1 / (k - 1) overflow
+        for n, k in ((2**1000 + 1, 2), (10**400, 2), (10**400, 10**400)):
+            with pytest.raises(SizeLimitExceeded, match="2\\^1000-object limit"):
+                MarginalSpec(n, k)
+        assert marginal_cdf(MarginalSpec(2**1000, 2), 0.0) == 0.0
+        assert marginal_cdf(MarginalSpec(2**1000, 2), 2.0**-999) == 1.0
+        assert marginal_cdf(MarginalSpec(2**1000, 2**1000), 0.0) == 0.0
+        assert marginal_cdf(MarginalSpec(2**1000, 2**1000), 0.5) == pytest.approx(1.0)
 
     def test_domain(self):
         spec = MarginalSpec(4, 2)

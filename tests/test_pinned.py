@@ -68,7 +68,10 @@ all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.  Drawing sampled trials
 from the exact walk's final states, one variate per trial, renamed that
 report's ``graph_nodes`` counter to ``leaves``; its all-steady profile ends
-on one state, so its estimates did not move.
+on one state, so its estimates did not move.  Counting the trials that end
+in each final state with one multinomial draw on ``RngStream(seed, 0)``,
+instead of one variate per trial in chunks of 65,536, did not move it
+either: one final state takes every trial.
 """
 
 import json

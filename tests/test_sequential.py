@@ -28,7 +28,8 @@ from auctionlab import (
     steady_strategy,
 )
 from auctionlab import sequential, verify
-from auctionlab.montecarlo import CHUNK
+from auctionlab.montecarlo import WinTally
+from auctionlab.samplers import RngStream
 
 
 def unmarked(strategy):
@@ -591,21 +592,46 @@ class TestBatchedSampling:
     def test_deterministic_given_seed_and_chunked(self):
         profile = tie_heavy(6, 3, ["1/3"] * 3 + [0] * 3)
         run = sequential._run_exact(profile, 6, 3)
-        trials = CHUNK + 100  # two chunks
+        trials = 65_636
         a = sequential.sample_leaves(run, trials, 5)
         b = sequential.sample_leaves(run, trials, 5)
         assert (a.count, a.sums, a.squares) == (b.count, b.sums, b.squares)
         assert a.count == trials
 
-    def test_chunk_layout_is_pinned(self):
-        # CHUNK-trial chunks, chunk i drawn from RngStream(seed, i) by one
-        # choice() over the final states; these sums were recorded with them
+    def test_multinomial_tally_is_pinned(self):
+        # one multinomial(trials, chance) on RngStream(seed, 0) counts the
+        # trials per final state; these sums were recorded with it
         profile = tie_heavy(8, 4, ["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"])
         run = sequential._run_exact(profile, 8, 4)
-        tally = sequential.sample_leaves(run, CHUNK + 100, 5)
+        tally = sequential.sample_leaves(run, 65_636, 5)
         assert (tally.count, tally.sums, tally.squares) == (
-            65_636, [94_271] + [131_272] * 3, [151_541] + [262_544] * 3
+            65_636, [94_301] + [131_272] * 3, [151_631] + [262_544] * 3
         )
+
+    @pytest.mark.parametrize("seed", [0, 5, -3])
+    def test_tally_matches_the_per_trial_wins(self, seed):
+        # the counts' sums and squares equal WinTally.add over the explicit
+        # wins matrix that repeats each final state as often as it is drawn;
+        # three 1/4 scripts at (6,3) end on 19 final states
+        run = sequential._run_exact([scripted_strategy(["1/4"] * 6)] * 3, 6, 3)
+        trials = 10_000
+        chance = [float(weight / run.scale) for weight in run.weights]
+        counts = RngStream(seed, 0).generator.multinomial(trials, chance)
+        assert np.count_nonzero(counts) == len(run.wins) == 19
+        explicit = WinTally(3)
+        explicit.add(np.repeat(np.array(run.wins, dtype=np.int64).T, counts, axis=1))
+        tally = sequential.sample_leaves(run, trials, seed)
+        assert (tally.count, tally.sums, tally.squares) == (explicit.count, explicit.sums, explicit.squares)
+
+    def test_huge_trial_counts_take_one_draw(self):
+        profile = tie_heavy(8, 4, ["1/2", "1/2", "1/4", "1/4", "1/4", "1/4", 0, "1/4"])
+        run = sequential._run_exact(profile, 8, 4)
+        start = time.perf_counter()
+        tally = sequential.sample_leaves(run, 10**18, 5)
+        assert time.perf_counter() - start < 1.0
+        assert tally.count == 10**18
+        assert tally.sums[1:] == [2 * 10**18] * 3
+        assert abs(tally.mean(0) - 23 / 16) <= 5 * tally.stderr(0)
 
     def test_all_steady_ends_on_one_state(self):
         # all-steady (6,2) holds 1, 2, 3, 4, 3, 2 states before rounds 1..6

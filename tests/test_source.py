@@ -92,10 +92,16 @@ def test_adversary_is_exact_only():
 
 
 def test_chunk_layout_and_scratch_blocks_have_one_owner():
-    # play reports the chunks it ran, and samplers._row_blocks cuts every
-    # scratch block: no module works out either rule a second time
-    for module, banned in (("harness", {"CHUNK", "chunk_rows", "_layout"}), ("verify", {"CHUNK", "_layout"})):
+    # play runs and reports the only chunk loop, and samplers._row_blocks
+    # cuts every scratch block: no module works out either rule a second time
+    for module, banned in (
+        ("harness", {"CHUNK", "chunk_rows", "_layout"}),
+        ("verify", {"CHUNK", "_layout"}),
+        ("sequential", {"CHUNK", "tally_chunks"}),
+        ("montecarlo", {"CHUNK", "tally_chunks"}),
+    ):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
         names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        names |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
         assert not names & banned, (module, names & banned)
