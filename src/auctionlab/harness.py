@@ -149,8 +149,8 @@ class Scenario:
         if kind != "fixed":
             return
         if mode == "sequential":
-            if bids is None or any(b < 0 or b > 1 for b in bids):
-                raise ScenarioError("fixed adversary needs a bid script of amounts in [0, 1]")
+            if bids is None or len(bids) > n or any(b < 0 or b > 1 for b in bids):
+                raise ScenarioError(f"fixed adversary needs a bid script of at most {n} amounts in [0, 1]")
             check_unit([bids] + [(Fraction(k, n),)] * (k - 1), n)  # the k - 1 steady scripts
             return
         count = len(self.group_sizes) if mode == "group" else n

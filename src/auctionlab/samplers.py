@@ -1,9 +1,11 @@
 """Seeded generators realizing the optimal bidding distributions.
 
-Vectorized draws (``size=N``) return float arrays for Monte Carlo work, rows
-built to total 1 and checked within SUM_TOLERANCE.  A scalar draw is one such
-row rebuilt exactly: a BidSequence of Fractions whose total is exactly 1.
-Narrow rows (``by_columns``) are drawn column-major, bit for bit as row-major.
+Vectorized draws (``size=N``) return float arrays for Monte Carlo work: the
+draws of their row blocks, ``_row_blocks(N, n)`` of at most BLOCK cells, made in
+turn on one generator, each built to total 1, checked within SUM_TOLERANCE and
+rid of zero bids.  A scalar draw is one such row rebuilt exactly: a BidSequence
+of Fractions whose total is exactly 1.  Narrow rows (``by_columns``) are drawn
+column-major, bit for bit as row-major.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ SUM_TOLERANCE = 1e-12
 # near 2**(-1074/(k-1)), so 0.94% of rows are redrawn at k = 83, 1.06% at 84 and nearly all at 200.
 MAX_SIMPLEX_K = 83
 
-# Most cells in one row block of a vectorized draw's scratch: 512 KiB of float64
+# Most cells in one row block of a vectorized draw: 512 KiB of float64
 BLOCK = 1 << 16
 
 
@@ -97,33 +99,33 @@ def draw_triple(rng, size: int | None = None):
     envelope exists.  Returns a 3-tuple, or an (N, 3) array when ``size``
     is given: the tuple is the array's one row.
     """
-    rows = _fill_triple(_gen_of(rng), _rows_out(None, 1 if size is None else size, 3))
+    gen, rows = _gen_of(rng), _rows_out(None, 1 if size is None else size, 3)
+    for block in _row_blocks(len(rows), 3):
+        _fill_triple(gen, rows[block])
     return tuple(rows[0].tolist()) if size is None else rows
 
 
 def _fill_triple(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Write N triple draws into the (N, 3) array ``out``: u, v and w into its columns, then
-    each row block's (min, middle, max), permuted by the block's ``integers(0, 6)``."""
+    """Write one block of triple draws into the (N, 3) array ``out``: u, v and w into its
+    columns, then (min, middle, max), permuted by ``integers(0, 6, N)``."""
     for column in out.T:  # u, v, w
         _random_into(gen, column)
-    for block in _row_blocks(len(out), 3):
-        u, v, w = columns = out[block].T
-        lo, mid, hi = vals = np.empty((3, len(u)))
-        np.cbrt(u, out=hi)
-        hi *= ONE_THIRD  # the range d
-        np.subtract(ONE_THIRD, hi, out=lo)
-        lo *= v
-        np.multiply(w, hi, out=mid)
-        mid += lo
-        hi += lo
-        # row i's coordinate c is vals.flat[_PERMS3[perm[i], c] * rows + i]
-        perm, row, index = gen.integers(0, 6, len(u)), np.arange(len(u)), np.empty(len(u), np.intp)
-        for c, column in enumerate(columns):  # in-range indices: "clip" takes without a buffer copy
-            _PERMS3[:, c].take(perm, out=index, mode="clip")
-            index *= len(u)
-            index += row
-            vals.take(index, out=column, mode="clip")
-        del vals, perm, row, index  # freed before the next block's
+    u, v, w = columns = out.T
+    lo, mid, hi = vals = np.empty((3, len(out)))
+    np.cbrt(u, out=hi)
+    hi *= ONE_THIRD  # the range d
+    np.subtract(ONE_THIRD, hi, out=lo)
+    lo *= v
+    np.multiply(w, hi, out=mid)
+    mid += lo
+    hi += lo
+    # row i's coordinate c is vals.flat[_PERMS3[perm[i], c] * rows + i]
+    perm, row, index = gen.integers(0, 6, len(out)), np.arange(len(out)), np.empty(len(out), np.intp)
+    for c, column in enumerate(columns):  # in-range indices: "clip" takes without a buffer copy
+        _PERMS3[:, c].take(perm, out=index, mode="clip")
+        index *= len(out)
+        index += row
+        vals.take(index, out=column, mode="clip")
     return out
 
 
@@ -189,15 +191,11 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
 
 
 def _random_into(gen: np.random.Generator, view: np.ndarray) -> None:
-    """``gen.random`` into the 1-D or 2-D ``view`` in C order, as one call filling a C-contiguous
-    ``view`` does: in place, else through temporaries of at most BLOCK cells."""
+    """``gen.random`` into one block's ``view`` in C order: in place, else through one temporary."""
     if view.flags.c_contiguous:
         gen.random(out=view)
-        return
-    rows = view.reshape(len(view), -1)
-    for block in _row_blocks(*rows.shape):
-        for part in _row_blocks(rows.shape[1], 1):  # one part unless a row passes BLOCK cells
-            rows[block, part] = gen.random(rows[block, part].shape)
+    else:
+        view[...] = gen.random(view.shape)
 
 
 def two_bidder_columns(n: int) -> list[tuple[int, float | None]]:
@@ -209,22 +207,20 @@ def two_bidder_columns(n: int) -> list[tuple[int, float | None]]:
 
 
 def _two_bidder_array(n: int, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    pairs, b = n // 2 - n % 2, out[:, 0]
-    _random_into(gen, b)  # n = 3 draws b too, and the triple overwrites it
-    b *= 2.0 / n
-    if n % 2:
-        _fill_triple(gen, out[:, 2 * pairs:])
-    for block in _row_blocks(len(out), n):  # numpy copies a broadcast operand it finds overlapping
+    pairs = n // 2 - n % 2
+    for block in _row_blocks(len(out), n):
         rows = out[block]
+        _random_into(gen, rows[:, 0])  # n = 3 draws b too, and the triple overwrites it
+        rows[:, 0] *= 2.0 / n
         rows[:, 1:pairs] = rows[:, :1]
         np.subtract(2.0 / n, rows[:, :1], out=rows[:, pairs:2 * pairs])
         if n % 2:
-            x, y, z = rows[:, 2 * pairs:].T
-            for column, bid in zip((x, y, z), [x - y, y - z, z - x]):
-                bid += ONE_THIRD
-                bid *= 3.0 / n
-                column[...] = bid
-    return _unit_rows(out, gen, lambda g, m: draw_two_bidder(n, g, m))
+            triple = _fill_triple(gen, rows[:, 2 * pairs:])
+            triple -= triple[:, [1, 2, 0]]  # x - y, y - z, z - x
+            triple += ONE_THIRD
+            triple *= 3.0 / n
+        _unit_rows(rows, gen, lambda g, m: draw_two_bidder(n, g, m))
+    return out
 
 
 def draw_simplex(k: int, rng, size: int | None = None):
@@ -240,35 +236,32 @@ def draw_simplex(k: int, rng, size: int | None = None):
 
 
 def _simplex_gammas(gen: np.random.Generator, rows: np.ndarray, m: int) -> None:
-    """Fill the (size, k) ``rows`` with Gamma(a = 1/(k-1)) variates, Gamma(1 + a) * U**(1/a),
-    divided by m times their sums: every uniform, in C order, then the gammas block by block."""
+    """Fill one block's (size, k) ``rows`` with Gamma(a = 1/(k-1)) variates, Gamma(1 + a) *
+    U**(1/a), divided by m times their sums: the uniforms in C order, then the gammas."""
     k = rows.shape[1]
     _random_into(gen, rows)
-    for block in _row_blocks(len(rows), k):
-        u = rows[block]
-        u **= k - 1
-        u *= gen.standard_gamma(1.0 + 1.0 / (k - 1), u.shape)
-        u /= (m * _row_sums(u))[:, None]
+    rows **= k - 1
+    rows *= gen.standard_gamma(1.0 + 1.0 / (k - 1), rows.shape)
+    rows /= (m * _row_sums(rows))[:, None]
 
 
 def _sphere_rows(gen: np.random.Generator, rows: np.ndarray, m: int) -> None:
-    """Fill the (size, 3) ``rows`` with Dirichlet(1/2, 1/2, 1/2) rows over m: squared coordinates
-    of a uniform point on the sphere, whose height is uniform (Archimedes): U**2, then 1 - U**2
-    split as cos**2, sin**2 of (pi/2) V, which are 0 only at V = 0 (1 - cos(pi V) is 0 below
-    V = 3e-9).  U, then V, go into the first two columns as one (2, size) call fills them."""
+    """Fill one block's (size, 3) ``rows`` with Dirichlet(1/2, 1/2, 1/2) rows over m: squared
+    coordinates of a uniform point on the sphere, whose height is uniform (Archimedes): U**2,
+    then 1 - U**2 split as cos**2, sin**2 of (pi/2) V, which are 0 only at V = 0 (1 - cos(pi V)
+    is 0 below V = 3e-9).  U, then V, go into the first two columns as one (2, size) call fills them."""
     _random_into(gen, rows.T[:2])
-    for block in _row_blocks(len(rows), 3):
-        a, b, c = rows[block].T  # U in a, V in b
-        b *= np.pi / 2
-        np.sin(b, out=c)
-        np.cos(b, out=b)
-        a *= a
-        rest = np.subtract(1.0, a)
-        rest /= m
-        a /= m
-        for bid in (b, c):
-            bid *= bid
-            bid *= rest
+    a, b, c = rows.T  # U in a, V in b
+    b *= np.pi / 2
+    np.sin(b, out=c)
+    np.cos(b, out=b)
+    a *= a
+    rest = np.subtract(1.0, a)
+    rest /= m
+    a /= m
+    for bid in (b, c):
+        bid *= bid
+        bid *= rest
 
 
 def k_bidder_columns(n: int, k: int) -> list[tuple[int, None]]:
@@ -296,12 +289,13 @@ def draw_k_bidder(n: int, k: int, rng, size: int | None = None, out: np.ndarray 
     if size is None and out is None:
         return _unit_total(_exact(draw_simplex(k, gen), Fraction(1, m)) * m)
     out = _rows_out(out, size, n)
-    (_sphere_rows if k == 3 else _simplex_gammas)(gen, out[:, :k], m)
-    # out's groups as a (size, m, k) view: splitting out.T's first axis copies neither layout
-    groups = out.T.reshape(m, k, len(out)).transpose(2, 0, 1)
-    for block in _row_blocks(len(out), n):  # numpy copies a broadcast operand it finds overlapping
-        groups[block, 1:] = groups[block, :1]
-    return _unit_rows(out, gen, lambda g, s: draw_k_bidder(n, k, g, s))
+    for block in _row_blocks(len(out), n):
+        rows = out[block]
+        (_sphere_rows if k == 3 else _simplex_gammas)(gen, rows[:, :k], m)
+        groups = rows.T.reshape(m, k, -1)  # splitting rows.T's first axis copies in neither layout
+        groups[1:] = groups[:1]
+        _unit_rows(rows, gen, lambda g, s: draw_k_bidder(n, k, g, s))
+    return out
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -335,12 +329,11 @@ def row_sum_error(rows: np.ndarray) -> float:
     return float(max(top - 1.0, 1.0 - bottom))
 
 
-def _unit_rows(out: np.ndarray, gen, redraw) -> np.ndarray:
-    """Check that rows of ``out`` total 1 within SUM_TOLERANCE; redraw those with a zero bid."""
+def _unit_rows(out: np.ndarray, gen, redraw) -> None:
+    """Check that one block's rows total 1 within SUM_TOLERANCE; redraw those with a zero bid."""
     error = row_sum_error(out)
     if not error <= SUM_TOLERANCE:
         raise InvariantError(f"sampled rows miss a unit total by {error}")
-    while not out.min(initial=1.0) > 0.0:  # an empty draw has no zero bid
-        bad = np.concatenate([np.any(out[block] <= 0.0, axis=1) for block in _row_blocks(*out.shape)])
+    while not out.min() > 0.0:
+        bad = np.any(out <= 0.0, axis=1)
         out[bad] = redraw(gen, int(bad.sum()))
-    return out

@@ -358,6 +358,13 @@ class TestSequentialCommand:
             assert code == 1 and out == ""
             assert "[0, 1]" in err
 
+    def test_script_past_the_last_round_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sequential", "--n", "2", "--k", "2", "--adversary", "fixed:0.5,0.5,0.5,0.7",
+        )
+        assert code == 1 and out == ""
+        assert "at most 2 amounts" in err
+
     def test_default_adversary_is_steady(self, capsys):
         code, out, _ = run_cli(capsys, "sequential", "--n", "4", "--k", "2", "--samples", "20")
         assert code == 0

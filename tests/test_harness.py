@@ -578,6 +578,12 @@ class TestScenarioValidation:
     def test_sequential_script_zero_and_one_allowed(self):
         Scenario("sequential", 4, 2, AdversaryPlan.fixed(["0", "1", "0.5"])).validate()
 
+    def test_sequential_script_longer_than_the_rounds_refused(self):
+        # a run of n rounds never bids a script's amounts past the nth, yet once reported them
+        Scenario("sequential", 2, 2, AdversaryPlan.fixed(["0.5", "0.5"])).validate()
+        with pytest.raises(ScenarioError, match=r"at most 2 amounts in \[0, 1\]"):
+            Scenario("sequential", 2, 2, AdversaryPlan.fixed(["0.5", "0.5", "0.5", "0.7"])).validate()
+
     def test_position_adversary_kinds(self):
         with pytest.raises(ScenarioError):
             Scenario(mode="position-randomized", n=4, adversary=AdversaryPlan("copycat")).validate()

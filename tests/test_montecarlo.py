@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlab import samplers
 from auctionlab.montecarlo import chunk_rows, play, win_counts
 from auctionlab.samplers import by_columns
 
@@ -180,3 +181,11 @@ class TestColumnMajorStacks:
         _, _, kept = play(n, samples, 3, [record, record], keep=(1, [4, 1]))
         assert kept.shape == (samples, 2) and kept.flags.f_contiguous == by_columns(samples, 2)
         np.testing.assert_array_equal(kept, np.concatenate(drawn[1::2])[:, [4, 1]])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_a_chunk_draw_is_one_sampler_block(k):
+    # a sampler draws its rows in blocks of BLOCK // n; a chunk that fits in one block keeps
+    # every play report's random numbers independent of the block rule
+    for n in [*range(1, 21), 13_107, 65_536, 65_537, 10**6]:
+        assert chunk_rows(k, n) <= max(1, samplers.BLOCK // n), n

@@ -63,6 +63,13 @@ n! permutations, one ``integers(0, n!)`` per row instead of
 that change: past 8 objects the filler still calls ``permuted``, so it did
 not move, and nor did any other entry.
 
+Drawing a vectorized sampler's rows as the draws of its row blocks of
+``samplers.BLOCK // n`` rows, made in turn, each with its own checks and
+zero-bid redraws, re-recorded ``marginal_suite_6_3``: its 50,000 rows of
+n = 6 are five blocks, where the variates of each stage were once drawn
+for the whole table first.  No report moved, since a ``play`` chunk holds
+at most ``BLOCK // n`` rows and so is drawn as one block.
+
 The ``sequential`` section pins ``run_sequential``: exact Fractions for
 all-steady and random-script profiles, sampled win tuples for tie-heavy
 profiles, and one sequential ``estimate`` report.  Drawing sampled trials

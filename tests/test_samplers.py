@@ -546,7 +546,7 @@ class TestDrawIntoOut:
 
 
 # The full-array samplers from before draws went block by block, frozen as the reference
-# the block-wise samplers match bit for bit, generator state included.
+# a one-block draw matches bit for bit, generator state included.
 
 
 def reference_triple(gen, size):
@@ -608,40 +608,54 @@ def reference_rows(n, k, gen, size):
     return np.tile(reference_sphere(gen, size, m) if k == 3 else reference_gammas(k, gen, size, m), m)
 
 
-def around(*blocks):
-    """1, B - 1, B, B + 1 and 3B + 7 rows for each block size B."""
-    return sorted({size for b in blocks for size in (1, b - 1, b, b + 1, 3 * b + 7)})
-
-
-def block_sizes(k):
-    """The row blocks a (n, k) draw's variates pass through: whole BLOCK-cell runs of
-    uniforms, then BLOCK // 3 rows of triples or sphere points, or BLOCK // k of gammas;
-    the sphere's U and V take one call up to BLOCK // 2 rows."""
-    block = samplers.BLOCK
-    return around(block // 3, block) if k in (2, 3) else around(block // k, block // 2)
+def block_rows(size, block):
+    """The row counts of a draw of ``size`` rows cut into blocks of ``block`` rows."""
+    return [min(block, size - start) for start in range(0, size, block)]
 
 
 class TestBlockDraws:
-    """Each vectorized sampler fills its rows block by block, with the variates,
-    values and generator state of the full-array reference."""
+    """A vectorized draw is the draws of its row blocks of B rows, made in turn on one
+    generator: B = BLOCK // n, or BLOCK // 3 for draw_triple.  A one-block draw is the
+    frozen full-array reference's."""
+
+    @staticmethod
+    def check(draw, block, reference, out=None):
+        for size in (1, block - 1, block, block + 1, 3 * block + 7):
+            gen, twin, ref = (np.random.default_rng([size, block]) for _ in range(3))
+            rows = draw(gen, size) if out is None else draw(gen, size, out(size))
+            want = np.concatenate([draw(twin, part) for part in block_rows(size, block)])
+            assert np.ascontiguousarray(rows).tobytes() == want.tobytes(), size
+            assert gen.bit_generator.state == twin.bit_generator.state
+            if size <= block:
+                assert np.ascontiguousarray(rows).tobytes() == reference(ref, size).tobytes(), size
+                assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (7, 2), (3, 3), (6, 3), (4, 4), (10, 5)])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_the_full_array_reference(self, n, k, order):
-        for size in block_sizes(k) + ([samplers.BLOCK // 2 + 1] if k == 3 else []):
-            gen, twin = np.random.default_rng([size, n]), np.random.default_rng([size, n])
-            out = np.empty((size, n), order=order)
-            assert vector_sampler(n, k)(gen, size, out) is out
-            assert out.tobytes() == reference_rows(n, k, twin, size).tobytes(), size
-            assert gen.bit_generator.state == twin.bit_generator.state
+    def test_a_draw_is_its_blocks_drawn_in_turn(self, n, k, order):
+        def out(size):
+            return np.empty((size, n), order=order)
+
+        self.check(vector_sampler(n, k), samplers.BLOCK // n, partial(reference_rows, n, k), out)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_triple_matches_the_full_array_reference(self, order):
-        for size in block_sizes(2):
-            gen, twin = np.random.default_rng(size), np.random.default_rng(size)
-            out = samplers._fill_triple(gen, np.empty((size, 3), order=order))
-            assert out.tobytes() == reference_triple(twin, size).tobytes(), size
-            assert gen.bit_generator.state == twin.bit_generator.state
+    def test_a_triple_draw_is_its_blocks_drawn_in_turn(self, monkeypatch, order):
+        # draw_triple takes no out: its layout follows by_columns, pinned here to one order
+        monkeypatch.setattr(samplers, "by_columns", lambda rows, n: order == "F")
+        assert draw_triple(np.random.default_rng(0), 5).flags[f"{order}_CONTIGUOUS"]
+        self.check(draw_triple, samplers.BLOCK // 3, reference_triple)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+    def test_a_zero_bid_is_redrawn_before_the_next_block(self, n, k):
+        # the first block's row 3 gets a zero bid; its redraw precedes the second block's variates
+        block, draw = samplers.BLOCK // n, vector_sampler(n, k)
+        rows = draw(PlantedUniform(49, 0.0, at=3), block + 5)
+        twin = np.random.default_rng(49)
+        first = draw(twin, block)
+        first[3] = draw(twin, 1)[0]
+        want = np.concatenate([first, draw(twin, 5)])
+        assert np.ascontiguousarray(rows).tobytes() == want.tobytes()
+        assert rows.min() > 0.0
 
     @pytest.mark.parametrize(
         "draw",

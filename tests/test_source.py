@@ -105,3 +105,13 @@ def test_chunk_layout_and_scratch_blocks_have_one_owner():
         names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         names |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
         assert not names & banned, (module, names & banned)
+
+    # one block loop per sampler: only these samplers functions cut rows into blocks
+    tree = ast.parse((PACKAGE / "samplers.py").read_text(encoding="utf-8"))
+    cutters = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(call.func, "id", None) == "_row_blocks" for call in ast.walk(node) if isinstance(call, ast.Call))
+    }
+    assert cutters == {"draw_triple", "_two_bidder_array", "draw_k_bidder", "row_sum_error"}
