@@ -21,7 +21,8 @@ history walk, which asks for every bid with the full history and keeps one
 state per history.  Both walks play a round by ``_round``, which passes a bid
 over its bidder's budget.  Either exact walk ends with its final states' win
 counts and exact chances, from which ``sample_leaves`` counts the trials
-ending in each with one multinomial draw on ``RngStream(seed, 0)``.
+ending in each with one multinomial draw on ``RngStream(seed, 0)``; the block
+walk plays many tables at once for only the win counts each can reach.
 """
 
 from __future__ import annotations
@@ -313,6 +314,36 @@ def _merged_walk(unit: int, table, k: int, gen=None) -> ExactRun:
         peak = max(peak, len(nxt))
         states, scale = nxt, scale * split
     return ExactRun(peak, visits, [wins for _, wins in states], list(states.values()), scale)
+
+
+def _block_walk(unit: int, tables: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The final win counts each (n, k) integer table of ``tables`` can reach,
+    no chances: the merged walk of every table at once by ``_round``'s rule,
+    one row (trial, budgets, wins) a state, merged by a dict, never sorted.
+    Each trial keeps the merged walk's caps; the earliest round past one
+    raises.  Returns the final states' trial numbers and win counts."""
+    (trials, n), cap = tables.shape[:2], _state_cap(k)
+    states = np.c_[np.arange(trials), np.full((trials, k), unit), np.zeros((trials, k), dtype=np.int64)]
+    counts, visits = np.ones(trials, dtype=np.int64), np.zeros(trials, dtype=np.int64)
+    for round_index in range(1, n + 1):
+        visits += counts
+        if visits.max() > MAX_STATE_ROUNDS:
+            raise _too_long(round_index)
+        bids = tables[states[:, 0], round_index - 1]
+        bids *= bids <= states[:, 1:1 + k]  # 0 or over budget: a pass
+        top = bids.max(axis=1)
+        parents, winners = np.divmod(np.flatnonzero((bids == top[:, None]) & (top > 0)[:, None]), k)
+        children, rows = states[parents], np.arange(len(parents))
+        children[rows, 1 + winners] -= top[parents]
+        children[rows, 1 + k + winners] += 1
+        states = np.concatenate((children, states[top == 0]))  # an unsold object leaves its state
+        shared = counts[states[:, 0]] > 1  # only a trial that held 2+ states can reach one twice
+        kept = dict(zip(map(tuple, states[shared].tolist()), np.flatnonzero(shared).tolist()))
+        states = np.concatenate((states[~shared], states[list(kept.values())]))
+        counts = np.bincount(states[:, 0], minlength=trials)
+        if counts.max() > cap:
+            raise _too_many(round_index, k)
+    return states[:, 0], states[:, 1 + k:]
 
 
 def _history_walk(strategies, n: int, k: int, gen=None) -> ExactRun:

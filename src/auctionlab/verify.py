@@ -18,7 +18,7 @@ from .marginals import MarginalSpec, pair_density, simplex_normalizer, triple_de
 from .position_randomized import PermutationMarginals, best_response, expected_wins_perm, initial_bids
 from .position_randomized import _adversary_places, _ladder_places, _place_wins, undercut_sequence
 from .samplers import SUM_TOLERANCE, RngStream, _row_blocks
-from .sequential import _merged_walk, _unit_table, steady_strategy
+from .sequential import _block_walk, _unit_table, steady_strategy
 
 
 @dataclass(frozen=True)
@@ -194,13 +194,13 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
     the exact walk against randomized opponent scripts: the opponents' budgets
     cannot outbid it n - n/k + 1 times, and its own buys no more.
 
-    The scripts come from ``RngStream(seed, 777)`` in blocks of whole
-    trials cut by ``samplers._row_blocks``, one ``integers(0, 33, size=(block,
-    k - 1, n))`` call per block of at most ``samplers.BLOCK`` amounts (one
-    trial when a trial holds more), which draws the same amounts as one call
-    per script.  It walks integer tables, converted once: a trial's draws in
-    the units ``_unit_table`` finds for 1/32 and the steady bid, beside the
-    steady column."""
+    The scripts come from ``RngStream(seed, 777)`` in blocks of whole trials
+    cut by ``samplers._row_blocks``: one ``integers(0, 33, size=(block, k - 1,
+    n))`` call per block of at most ``samplers.BLOCK`` amounts (one trial when
+    a trial holds more) draws the same amounts as one call per script.  Each
+    block, as integer tables in the units ``_unit_table`` finds for 1/32 and
+    the steady bid, takes one ``_block_walk``, which refuses the block at its
+    earliest round past one trial's exact-walk cap."""
     Scenario("sequential", n, k, samples=trials, seed=seed).validate()
     gen = RngStream(seed, 777).generator
     unit, table = _unit_table([(Fraction(1, 32),), steady_strategy(n, k)._script], n)
@@ -210,10 +210,9 @@ def sequential_suite(n: int, k: int, trials: int = 2_000, seed: int = 0) -> list
     violations = 0
     for size in sizes:
         raws = gen.integers(0, 33, size=(size, k - 1, n))
-        tables[:len(raws), :, :-1] = raws.transpose(0, 2, 1) * (unit // 32)
-        for rows in tables[:len(raws)].tolist():
-            if any(wins[-1] != n // k for wins in _merged_walk(unit, rows, k).wins):
-                violations += 1
+        tables[:size, :, :-1] = raws.transpose(0, 2, 1) * (unit // 32)
+        trial, wins = _block_walk(unit, tables[:size], k)
+        violations += np.count_nonzero(np.bincount(trial[wins[:, -1] != n // k]))  # trials, not states
     return [_check(f"steady_floor_violations_{n}_{k}", violations, 0)]
 
 

@@ -270,7 +270,7 @@ class TestStateCap:
         monkeypatch.setattr(sequential, "MAX_STATE_ROUNDS", 7)
         monkeypatch.setattr(sequential, "_unit_table", untouched)
         monkeypatch.setattr(verify, "_unit_table", untouched)
-        monkeypatch.setattr(verify, "_merged_walk", untouched)
+        monkeypatch.setattr(verify, "_block_walk", untouched)
         refusal = "8 rounds exceed the 7 state-visits"
         with pytest.raises(SizeLimitExceeded, match=refusal):
             run_sequential([steady_strategy(8, 2), steady_strategy(8, 2)], 8, 2)
@@ -484,6 +484,24 @@ class TestMarkov:
         table = [(4, 4), (4, 4), (2, 3), (2, 0), (4, 0), (0, 0)]
         assert sequential._unit_table([shared, quarter], 6) == (12, table)
         assert sequential._unit_table([fresh, quarter], 6) == (12, table)
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", range(2, 5))
+    def test_reaches_the_final_wins_of_each_trials_merged_walk(self, n, k):
+        # bids on a 12-unit budget: 0 passes, 13 is always over budget and
+        # 6 twice spends it all; a third of the rounds give every bidder one
+        # amount, so ties of two to four bidders are common
+        gen = np.random.default_rng(100 + 10 * n + k)
+        tables = gen.choice([0, 2, 3, 4, 6, 13], size=(60, n, k))
+        tied = gen.random((60, n)) < 1 / 3
+        tables[tied] = tables[tied][:, :1]
+        trial, wins = sequential._block_walk(12, tables, k)
+        assert len(trial) > len(tables)  # some trial ends on more than one state
+        for t, table in enumerate(tables.tolist()):
+            reached = {tuple(w) for w in wins[trial == t].tolist()}
+            assert reached == set(sequential._merged_walk(12, table, k).wins)
 
 
 EIGHTHS = st.integers(0, 8).map(lambda v: Fraction(v, 8))

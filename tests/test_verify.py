@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from auctionlab import RngStream, ScenarioError, scripted_strategy, sequential, steady_strategy
+from auctionlab import RngStream, ScenarioError, SizeLimitExceeded, scripted_strategy, sequential
+from auctionlab import steady_strategy
 from auctionlab import samplers, verify
 from auctionlab.verify import run_suite
 
@@ -65,7 +67,7 @@ class TestSequentialSuite:
         # three trials a block, so seven trials take blocks of 3, 3 and 1
         monkeypatch.setattr(samplers, "BLOCK", 3 * (k - 1) * n)
         streams, walked, blocks = [], [], []
-        real_stream, real_walk = verify.RngStream, verify._merged_walk
+        real_stream, real_walk = verify.RngStream, verify._block_walk
 
         def stream(*args):
             streams.append(real_stream(*args))
@@ -76,12 +78,12 @@ class TestSequentialSuite:
 
             return SimpleNamespace(generator=SimpleNamespace(integers=integers))
 
-        def walk(unit, table, k):
-            walked.append(as_budget_shares(unit, table))
-            return real_walk(unit, table, k)
+        def walk(unit, tables, k):
+            walked.extend(as_budget_shares(unit, table) for table in tables.tolist())
+            return real_walk(unit, tables, k)
 
         monkeypatch.setattr(verify, "RngStream", stream)
-        monkeypatch.setattr(verify, "_merged_walk", walk)
+        monkeypatch.setattr(verify, "_block_walk", walk)
         assert verify.sequential_suite(n, k, 7, seed)[0].passed
         gen = RngStream(seed, 777).generator
         expected = []
@@ -140,6 +142,43 @@ class TestSequentialSuite:
             violations += any(wins[-1] != n // k for wins in run.wins)
         row, = verify.sequential_suite(n, k, trials, seed)
         assert row.value == violations > 0
+
+    @pytest.mark.parametrize("limit,value,message", [
+        ("MAX_STATE_ROUNDS", 15, "^exact run exceeds 15 state-visits .* at round 4$"),
+        ("MAX_CELLS", 36, "^exact round 4 exceeds 12 states of 3 bidders, past 36 budget and win cells$"),
+    ], ids=["state-visits", "cells"])
+    def test_refuses_as_the_merged_walk_of_the_trial_past_a_cap_first(self, monkeypatch, limit, value, message):
+        # opponents bidding 7, 8 or 9 thirty-seconds against the steady 8
+        # tie often; each trial's merged walk raises at its own round, the
+        # first trial's later than the block's earliest
+        real_stream, real_walk = verify.RngStream, verify._block_walk
+        blocks = []
+
+        def stream(*args):
+            gen = real_stream(*args).generator
+            return SimpleNamespace(generator=SimpleNamespace(
+                integers=lambda low, high, size: gen.integers(7, 10, size=size)))
+
+        def walk(unit, tables, k):
+            blocks.append((unit, tables.tolist()))
+            return real_walk(unit, tables, k)
+
+        monkeypatch.setattr(verify, "RngStream", stream)
+        monkeypatch.setattr(verify, "_block_walk", walk)
+        monkeypatch.setattr(sequential, limit, value)
+        with pytest.raises(SizeLimitExceeded, match=message) as refused:
+            verify.sequential_suite(12, 3, 200, seed=5)
+        (unit, tables), = blocks
+        raised = []
+        for table in tables:
+            try:
+                sequential._merged_walk(unit, table, 3)
+            except SizeLimitExceeded as error:
+                # a round's state-visit limit is checked before its state cap
+                kind = "state-visits" not in str(error)
+                raised.append((int(re.search(r"round (\d+)", str(error))[1]), kind, str(error)))
+        assert len(raised) > 1 and raised[0] > min(raised)
+        assert str(refused.value) == min(raised)[2]
 
 
 def as_budget_shares(unit, table):
